@@ -5,7 +5,8 @@ resolved configuration and master seed; tabular results additionally go to
 --out as CSV.  A summary written by any command can be re-executed with
 ``torusppc --replay summary.json`` and reproduces the identical output.
 
-Exit codes: 0 success, 2 usage error, 3 invalid configuration, 4 I/O error.
+Exit codes: 0 success, 2 usage error, 3 invalid configuration, 4 I/O error,
+5 internal error (a failed self-check, not bad input).
 """
 
 from __future__ import annotations
@@ -38,12 +39,17 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_EQ0_SUPPORT = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 class ConfigError(ValueError):
     pass
+
+
+class InternalError(RuntimeError):
+    """A failed internal consistency check: a bug, not a bad configuration."""
 
 
 def _parse_family(text: str, floor_start: int) -> tuple[SequenceSpec, ...]:
@@ -174,7 +180,8 @@ def _cmd_stat(args) -> int:
     if args.check_naive:
         ref = ppc_naive(orbit(seqs, alpha), args.s, norm)
         if ref.near_pairs != res.near_pairs:
-            raise AssertionError("grid and naive counters disagree")
+            raise InternalError(f"grid and naive counters disagree: "
+                                f"{res.near_pairs} != {ref.near_pairs}")
     summary = {
         "command": "stat",
         "config": {
@@ -450,6 +457,9 @@ def parse_and_dispatch(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"torusppc: I/O error: {exc}\n")
         return EXIT_IO
+    except InternalError as exc:
+        sys.stderr.write(f"torusppc: internal error: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

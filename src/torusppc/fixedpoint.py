@@ -162,7 +162,3 @@ def points_to_array(points: "Sequence[TorusPoint] | np.ndarray") -> np.ndarray:
         for j, c in enumerate(p.coords):
             out[i, j] = c.numerator
     return out
-
-
-def array_to_points(arr: np.ndarray) -> list[TorusPoint]:
-    return [TorusPoint(tuple(Frac64(int(x)) for x in row)) for row in arr]

@@ -1,10 +1,15 @@
 """Pair correlation statistics on the d-torus.
 
 Two counters produce the statistic: ppc_naive scans all ordered pairs in
-O(N^2) and is the reference; ppc_grid buckets points into toroidal cells of
-side >= threshold and only examines same-and-adjacent cells.  Both call the
-same exact comparison predicate, so their counts agree pair for pair, not
-just statistically.
+O(N^2) and is the reference; ppc_grid is a linked-cell counter (Allen &
+Tildesley, Computer Simulation of Liquids, ch. 5).  It sorts the points into
+toroidal cells of side >= threshold, tests each unordered pair within a cell
+once, and tests neighbouring cells through the half shell of offsets whose
+first nonzero component is +1, so every candidate pair is examined exactly
+once with no deduplication pass.  Grids with at most 2 cells per axis, where
+every cell neighbours every other, use one cell instead.  Both counters call
+the same exact comparison predicate, so their counts agree pair for pair,
+not just statistically.
 
 The predicate is exact: with threshold t (a binary64 value), a pair is
 "near" iff its torus distance is <= t as real numbers.  Sup-norm compares
@@ -141,13 +146,6 @@ def _count_near(pts: np.ndarray, ia: np.ndarray, ib: np.ndarray,
     return count
 
 
-def pair_within(p, q, s: float, N: int, norm: NormKind) -> bool:
-    """Scalar form of the shared predicate, for two TorusPoints."""
-    pts = points_to_array([p, q])
-    thr = _threshold_for(s, N, pts.shape[1])
-    return _count_near(pts, np.array([0]), np.array([1]), norm, thr) == 1
-
-
 def _result(near: int, N: int, s: float, d: int, norm: NormKind) -> PairCountResult:
     limit = ppc_limit(s, d, norm)
     return PairCountResult(
@@ -181,10 +179,16 @@ def ppc_naive(points, s: float, norm: NormKind) -> PairCountResult:
 
 
 def _cells_per_axis(t: float, d: int) -> int:
-    """floor(1/t) capped so flattened cell ids fit a uint64 (cap keeps side >= t)."""
+    """Cells per axis: floor(1/t), capped so flattened cell ids fit an int64.
+
+    The cap only lowers m, so the cell side 1/m stays >= t.  Below 3 cells
+    per axis every cell is adjacent to every other, so one cell (m = 1)
+    examines the same pairs and needs no wrap-around bookkeeping.
+    """
     m_exact = int(1 / Fraction(t))
     cap = min((1 << 31) - 1, int((1 << 62) ** (1.0 / d)))
-    return max(2, min(m_exact, cap))
+    m = min(m_exact, cap)
+    return m if m >= 3 else 1
 
 
 def _cell_coords(pts: np.ndarray, m: int) -> np.ndarray:
@@ -198,38 +202,45 @@ def _cell_coords(pts: np.ndarray, m: int) -> np.ndarray:
     return (a + (b >> np.uint64(32))) >> np.uint64(32)
 
 
-def _expand_group_pairs(starts_a, counts_a, starts_b, counts_b, order):
-    """Yield (ia, ib) chunks enumerating group(A_i) x group(B_i) for each i.
+def _half_shell(d: int) -> list[tuple[int, ...]]:
+    """Neighbour offsets whose first nonzero component is +1: (3^d - 1)/2 of them."""
+    return [delta for delta in itertools.product((0, 1, -1), repeat=d)
+            if next((o for o in delta if o), 0) == 1]
 
-    Group sizes vary, so blocks are flattened with a segmented arange and
-    emitted in chunks of at most _CHUNK_PAIRS pairs.
+
+def _segment_pairs(a: np.ndarray, b_start: np.ndarray, length: np.ndarray):
+    """Yield (ia, ib) chunks pairing a[k] with b_start[k] + 0 .. length[k]-1.
+
+    Chunks end at segment boundaries and hold at most _CHUNK_PAIRS pairs,
+    unless a single segment is longer than that on its own.
     """
-    block = counts_a.astype(np.int64) * counts_b.astype(np.int64)
-    total = int(block.sum())
-    if total == 0:
-        return
-    cum = np.concatenate(([0], np.cumsum(block)))
-    for lo in range(0, total, _CHUNK_PAIRS):
-        hi = min(total, lo + _CHUNK_PAIRS)
-        k = np.arange(lo, hi, dtype=np.int64)
-        blk = np.searchsorted(cum, k, side="right") - 1
-        k_local = k - cum[blk]
-        nb = counts_b[blk]
-        a_local = k_local // nb
-        b_local = k_local % nb
-        ia = order[starts_a[blk] + a_local]
-        ib = order[starts_b[blk] + b_local]
+    keep = np.flatnonzero(length > 0)
+    a, b_start, length = a[keep], b_start[keep], length[keep]
+    ends = np.cumsum(length)
+    lo = 0
+    while lo < keep.size:
+        base = ends[lo] - length[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
+        seg = length[lo:hi]
+        ia = np.repeat(a[lo:hi], seg)
+        ib = np.repeat(b_start[lo:hi] - (ends[lo:hi] - seg - base), seg)
+        ib += np.arange(ib.size)
         yield ia, ib
+        lo = hi
 
 
 def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
-    """Cell-grid counter; identical count to ppc_naive by construction.
+    """Half-shell cell-list counter; identical count to ppc_naive by construction.
 
     [0,1)^d is split into m^d congruent toroidal cells with side 1/m >= t,
-    so any pair within distance t (either norm) lies in the same or in
-    coordinate-adjacent cells.  Only occupied cells are materialized; cell
-    pairs reached through several wrap offsets (m <= 2 per axis) are
-    deduplicated so no pair is tested twice.
+    so any pair within distance t (either norm) lies in one cell or in two
+    coordinate-adjacent cells.  Points are sorted by cell, so each occupied
+    cell is a contiguous run.  Same-cell pairs are tested once as i < j.
+    Cross-cell pairs are tested only against the half shell of neighbour
+    offsets whose first nonzero component is +1; with m >= 3 every unordered
+    pair of adjacent cells is reached by exactly one such offset.  Grids
+    with m <= 2 collapse to the single cell m = 1, where every pair is a
+    same-cell pair.  Each tested unordered pair counts twice (ordered pairs).
     """
     pts = points_to_array(points)
     N, d = pts.shape
@@ -238,62 +249,35 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     thr = _threshold_for(s, N, d)
     m = _cells_per_axis(thr.t, d)
 
-    coords = _cell_coords(pts, m)
-    weights = (np.uint64(m) ** np.arange(d, dtype=np.uint64))[::-1]
+    coords = _cell_coords(pts, m).astype(np.int64)
+    weights = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
     ids = coords @ weights
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    pts = pts[order]
 
-    uniq, inv, counts = np.unique(ids, return_inverse=True, return_counts=True)
-    order = np.argsort(inv, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    n_occ = uniq.size
-    occ_coords = coords[order[starts]]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    ends = np.append(starts[1:], N)
+    counts = ends - starts
+    cell_of = np.repeat(np.arange(starts.size), counts)
+    a = np.arange(N)
 
-    # candidate cell pairs: every occupied cell against each occupied neighbor
-    pair_keys = []
-    m_u = np.uint64(m)
-    for delta in itertools.product((-1, 0, 1), repeat=d):
-        if all(o == 0 for o in delta):
-            continue
-        ncoords = occ_coords.copy()
-        for k, off in enumerate(delta):
-            if off == 1:
-                ncoords[:, k] += np.uint64(1)
-                ncoords[ncoords[:, k] == m_u, k] = np.uint64(0)
-            elif off == -1:
-                wrap = ncoords[:, k] == np.uint64(0)
-                ncoords[:, k] -= np.uint64(1)
-                ncoords[wrap, k] = m_u - np.uint64(1)
-        nids = ncoords @ weights
-        j = np.searchsorted(uniq, nids)
-        j[j >= n_occ] = 0
-        hit = uniq[j] == nids
-        a_idx = np.flatnonzero(hit).astype(np.uint64)
-        b_idx = j[hit].astype(np.uint64)
-        lo = np.minimum(a_idx, b_idx)
-        hi = np.maximum(a_idx, b_idx)
-        keep = lo != hi  # same-cell handled once below
-        pair_keys.append(lo[keep] * np.uint64(n_occ) + hi[keep])
+    def count(b_start, length):
+        return sum(_count_near(pts, ia, ib, norm, thr)
+                   for ia, ib in _segment_pairs(a, b_start, length))
 
-    near = 0
+    near = count(a + 1, ends[cell_of] - a - 1)
+    if m >= 3:
+        uniq = ids[starts]
+        occ = coords[order[starts]]
+        # id contribution of each axis after a -1 / 0 / +1 step, with wrap
+        shifted = [{o: ((occ[:, k] + o) % m) * weights[k] for o in (-1, 0, 1)}
+                   for k in range(d)]
+        for delta in _half_shell(d):
+            nids = sum(shifted[k][o] for k, o in enumerate(delta))
+            j = np.minimum(np.searchsorted(uniq, nids), uniq.size - 1)
+            hit = uniq[j] == nids
+            near += count(np.where(hit, starts[j], 0)[cell_of],
+                          np.where(hit, counts[j], 0)[cell_of])
 
-    # same-cell contribution: ordered pairs within each cell, diagonal removed
-    multi = np.flatnonzero(counts >= 2)
-    if multi.size:
-        for ia, ib in _expand_group_pairs(starts[multi], counts[multi],
-                                          starts[multi], counts[multi], order):
-            near += _count_near(pts, ia, ib, norm, thr)
-        near -= int(counts[multi].sum())
-
-    # cross-cell contribution: each unordered cell pair once, ordered pairs = 2x
-    if pair_keys:
-        keys = np.unique(np.concatenate(pair_keys))
-        if keys.size:
-            a_cells = (keys // np.uint64(n_occ)).astype(np.int64)
-            b_cells = (keys % np.uint64(n_occ)).astype(np.int64)
-            cross = 0
-            for ia, ib in _expand_group_pairs(starts[a_cells], counts[a_cells],
-                                              starts[b_cells], counts[b_cells], order):
-                cross += _count_near(pts, ia, ib, norm, thr)
-            near += 2 * cross
-
-    return _result(near, N, s, d, norm)
+    return _result(2 * near, N, s, d, norm)

@@ -205,10 +205,3 @@ def orbit(seqs: "list[SequenceData] | tuple[SequenceData, ...]", alpha: TorusPoi
         mult = np.uint64(alpha.coords[i].numerator)
         out[:, i] = s.values.astype(np.uint64) * mult
     return out
-
-
-def orbit_points(seqs, alpha: TorusPoint):
-    """orbit() as a list of TorusPoint, for callers that want scalar points."""
-    from .fixedpoint import array_to_points
-
-    return array_to_points(orbit(seqs, alpha))

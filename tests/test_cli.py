@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from torusppc import cli
 from torusppc.cli import parse_and_dispatch
 
 
@@ -174,3 +176,19 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
 def test_help_is_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "experiment", "--help")
     assert code == 0
+
+
+def test_check_naive_mismatch_is_internal_error(capsys, monkeypatch):
+    real = cli.ppc_naive
+
+    def off_by_two(*args):
+        res = real(*args)
+        return dataclasses.replace(res, near_pairs=res.near_pairs + 2)
+
+    monkeypatch.setattr(cli, "ppc_naive", off_by_two)
+    code, out, err = run_cli(capsys, "stat", "--family", "n,n^2", "--s", "1",
+                             "--N", "300", "--alpha", "0.123,0.456", "--check-naive")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.startswith("torusppc: internal error: grid and naive counters disagree")
+    assert err.count("\n") == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusppc import paircorr
 from torusppc.fixedpoint import SCALE, TorusPoint
 from torusppc.paircorr import NormKind, ppc_grid, ppc_limit, ppc_naive, unit_ball_volume
 
@@ -153,3 +154,81 @@ def test_accepts_point_lists_and_arrays():
 def test_min_points():
     with pytest.raises(ValueError):
         ppc_naive(np.zeros((1, 1), dtype=np.uint64), 0.1, NormKind.SUP)
+
+
+_count_near = paircorr._count_near
+
+
+@pytest.fixture
+def predicate_calls(monkeypatch):
+    """Record every (pts, ia, ib) handed to the shared predicate."""
+    calls = []
+
+    def recording(pts, ia, ib, norm, thr):
+        calls.append((pts, ia.copy(), ib.copy()))
+        return _count_near(pts, ia, ib, norm, thr)
+
+    monkeypatch.setattr(paircorr, "_count_near", recording)
+    return calls
+
+
+def _stencil_inputs(rng, d):
+    n = 120
+    yield "random", rand_points(rng, n, d), (0.06, 1 / 3 - 1e-3, 1 / 3 + 1e-3)
+    # a cluster around a corner of the torus, so it wraps on every axis
+    base = np.uint64(SCALE - (1 << 58))
+    clustered = base + rng.integers(0, 1 << 59, size=(n, d), dtype=np.uint64)
+    yield "clustered", clustered, (0.02, 0.05, 1 / 3 - 1e-3)
+    yield "coarse", rand_points(rng, 40, d), (0.3, 1 / 3 - 1e-3, 1 / 3 + 1e-3, 0.45)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_grid_stencil_tests_each_candidate_pair_once(d, predicate_calls):
+    # ppc_grid hands the predicate cell-sorted points: map rows back to input
+    # indices, then check that the half shell covers every near pair once
+    rng = np.random.default_rng(100 + d)
+    seen_m = set()
+    for name, raw, t_values in _stencil_inputs(rng, d):
+        pts = np.unique(raw, axis=0)
+        pts = pts[rng.permutation(len(pts))]
+        n = len(pts)
+        index = {row.tobytes(): i for i, row in enumerate(pts)}
+        lo, hi = np.triu_indices(n, 1)
+        for t in t_values:
+            seen_m.add(paircorr._cells_per_axis(t, d))
+            s = t * n ** (1.0 / d)
+            thr = paircorr._threshold_for(s, n, d)
+            for norm in NormKind:
+                naive = ppc_naive(pts, s, norm).near_pairs
+                predicate_calls.clear()
+                assert ppc_grid(pts, s, norm).near_pairs == naive, (name, t, norm)
+                ia, ib = [], []
+                for p, a_idx, b_idx in predicate_calls:
+                    perm = np.array([index[r.tobytes()] for r in p])
+                    ia.append(perm[a_idx])
+                    ib.append(perm[b_idx])
+                ia, ib = np.concatenate(ia), np.concatenate(ib)
+                assert not np.any(ia == ib), (name, t)
+                keys = np.minimum(ia, ib) * n + np.maximum(ia, ib)
+                assert np.unique(keys).size == keys.size, (name, t)
+                # the shared predicate finds no near pair outside the candidates
+                missed = ~np.isin(lo * n + hi, keys)
+                assert _count_near(pts, lo[missed], hi[missed], norm, thr) == 0, (name, t)
+    assert {1, 3} <= seen_m
+
+
+def test_grid_matches_naive_across_chunk_boundaries(monkeypatch, predicate_calls):
+    # all points in one or two cells and chunks of a few pairs, so each
+    # call's pair segments are spread over many chunks
+    monkeypatch.setattr(paircorr, "_CHUNK_PAIRS", 5)
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3):
+        n = 60
+        for base in (np.uint64(1 << 62), np.uint64((1 << 62) - (1 << 52))):
+            pts = base + rng.integers(0, 1 << 53, size=(n, d), dtype=np.uint64)
+            s = 0.05 * n ** (1.0 / d)      # m = 20 cells per axis
+            for norm in NormKind:
+                naive = ppc_naive(pts, s, norm).near_pairs
+                predicate_calls.clear()
+                assert ppc_grid(pts, s, norm).near_pairs == naive
+                assert len(predicate_calls) > n // 2
