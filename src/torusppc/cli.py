@@ -32,6 +32,7 @@ from .experiments import (
 from .fixedpoint import TorusPoint, frac_of_real, sample_alpha
 from .gcdsum import WeightedSupport, gcd_sum, gcd_sum_from_representations, verify_eq0
 from .energy import representation_counts
+from .errors import InternalError
 from .paircorr import NormKind, ppc_grid, ppc_naive
 from .sequences import SequenceSpec, generate, orbit
 
@@ -46,10 +47,6 @@ DEFAULT_EQ0_SUPPORT = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 class ConfigError(ValueError):
     pass
-
-
-class InternalError(RuntimeError):
-    """A failed internal consistency check: a bug, not a bad configuration."""
 
 
 def _parse_family(text: str, floor_start: int) -> tuple[SequenceSpec, ...]:

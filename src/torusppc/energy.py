@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import InternalError
 from .sequences import SequenceData
 
 MAX_ENERGY_N = 2_000_000        # keeps E <= N^3 < 2**63
@@ -175,9 +176,10 @@ def representation_counts(seqs: Sequence[SequenceData],
         runs.append((uv, counts.astype(np.int64)))
         del block
     vectors, counts = _merge_runs(runs) if len(runs) > 1 else runs[0]
-    table = RepresentationTable(d=d, N=n, vectors=vectors, counts=counts)
-    assert int(counts.sum()) == total_pairs
-    return table
+    if int(counts.sum()) != total_pairs:
+        raise InternalError(f"representation table holds {int(counts.sum())} pairs, "
+                            f"expected N^2 = {total_pairs}")
+    return RepresentationTable(d=d, N=n, vectors=vectors, counts=counts)
 
 
 def additive_energy(A: SequenceData, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:

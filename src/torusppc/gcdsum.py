@@ -1,12 +1,15 @@
 """Classical and d-dimensional GCD sums, plus a random multiplicative model.
 
 The Hermitian form S_f(d; alpha) = sum f(a) conj(f(b)) prod_i
-gcd(a_i,b_i)^(2 alpha) / (a_i b_i)^alpha is evaluated directly in O(K^2)
-over the support.  A seeded random completely multiplicative function with
-uniform unit-circle values at primes drives Monte Carlo checks of the
-second-moment identity E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a): under a
-cutoff M the identity becomes exact and finite (the h-sums truncate), which
-is what verify_eq0 tests against simulation.
+gcd(a_i,b_i)^(2 alpha) / (a_i b_i)^alpha is evaluated as a sum of squares:
+expanding each gcd^(2 alpha) over the common divisors with Jordan's totient
+(the positive-definite form of Gal and Dyer-Harman) costs O(T log T) in the
+number T <= sum_a prod_i tau(a_i) of divisor tuples of the support, not
+the O(K^2) of the Gram matrix.  A seeded random completely multiplicative
+function with uniform unit-circle values at primes drives Monte Carlo checks
+of the second-moment identity E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a):
+under a cutoff M the identity becomes exact and finite (the h-sums
+truncate), which is what verify_eq0 tests against simulation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 
 from .energy import RepresentationTable, _unique_counts_rows_with_sum
 
-DEFAULT_MAX_SUPPORT = 20_000    # O(K^2) kernel guard
+_FACTOR_BLOCK = 1 << 20         # value-prime pairs tested per trial-division round
+_PHASE_BATCH = 512              # Monte Carlo samples per vectorised batch
 
 
 @dataclass
@@ -66,28 +70,101 @@ class WeightedSupport:
         return cls(d=len(pts[0]), entries={p: 1.0 for p in pts})
 
 
-def gcd_sum(f: WeightedSupport, alpha: float, block: int = 2048,
-            max_support: int = DEFAULT_MAX_SUPPORT) -> float:
-    """S_f(d; alpha): real and >= 0 for any complex weights (PSD Gram kernel)."""
+def _run_offsets(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each run length n, concatenated."""
+    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _prime_powers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, p, k) for every prime power p^k exactly dividing values[owner].
+
+    Trial division by the primes up to sqrt(max value).  Each round tests a
+    block of primes, the smallest p0, against only the values whose
+    unfactored part r still has r >= p0^2 (a smaller r is 1 or a prime), and
+    holds about _FACTOR_BLOCK value-prime pairs.  Any r > 1 left is a prime.
+    """
+    rem = values.astype(np.int64)
+    candidates = np.array(primes_up_to(math.isqrt(int(rem.max()))), dtype=np.int64)
+    parts = []
+    i = 0
+    while i < candidates.size:
+        live = np.flatnonzero(rem >= candidates[i] ** 2)
+        if live.size == 0:
+            break
+        block = candidates[i:i + max(1, _FACTOR_BLOCK // live.size)]
+        i += block.size
+        row, col = np.nonzero(rem[live, None] % block == 0)
+        owner, p = live[row], block[col]
+        r, k = rem[owner], np.zeros(owner.size, dtype=np.int64)
+        hit = np.ones(owner.size, dtype=bool)
+        while hit.any():
+            k += hit
+            r = np.where(hit, r // p, r)
+            hit = r % p == 0
+        np.floor_divide.at(rem, owner, p ** k)
+        parts.append((owner, p, k))
+    owner = np.flatnonzero(rem > 1)
+    parts.append((owner, rem[owner], np.ones(owner.size, dtype=np.int64)))
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _divisor_runs(values: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, div, root_j): the divisors of each value as contiguous runs.
+
+    Value k owns div[s : s + tau[k]] with s = sum(tau[:k]); root_j holds
+    sqrt(J_beta(e)) for each divisor e, where Jordan's totient
+    J_beta(prod p^j) = prod_{j > 0} p^(j beta) (1 - p^-beta) >= 0.
+    """
+    pk_owner, pk_p, pk_k = _prime_powers(values)
+    order = np.argsort(pk_owner, kind="stable")
+    pk_owner, pk_p, pk_k = pk_owner[order], pk_p[order], pk_k[order]
+    rank = np.arange(pk_owner.size) - np.searchsorted(pk_owner, pk_owner)
+    owner = np.arange(values.size)
+    div = np.ones(values.size, dtype=np.int64)
+    root_j = np.ones(values.size)
+    # one round per prime-factor slot: each value splits its divisors by p^0..p^k
+    for slot in range(int(rank.max(initial=-1)) + 1):
+        sel = rank == slot
+        p = np.ones(values.size, dtype=np.int64)
+        k = np.zeros(values.size, dtype=np.int64)
+        p[pk_owner[sel]] = pk_p[sel]
+        k[pk_owner[sel]] = pk_k[sel]
+        reps = k[owner] + 1
+        owner, div, root_j = np.repeat(owner, reps), np.repeat(div, reps), np.repeat(root_j, reps)
+        j = _run_offsets(reps)
+        q = p[owner]
+        div *= q ** j
+        qf = q.astype(np.float64)
+        root_j *= np.where(j > 0, np.sqrt(qf ** (j * beta) * (1.0 - qf ** -beta)), 1.0)
+    return np.bincount(owner, minlength=values.size), div, root_j
+
+
+def gcd_sum(f: WeightedSupport, alpha: float) -> float:
+    """S_f(d; alpha) as a sum of squares: real and >= 0 for any complex weights.
+
+    With beta = 2 alpha, gcd(a, b)^beta = sum_{e | a, e | b} J_beta(e), so
+        S_f = sum_{e in N^d} prod_i J_beta(e_i) |sum_{a : e_i | a_i} f(a) a^-alpha|^2.
+    The inner sums are built one coordinate at a time: every row (a point,
+    or a partly expanded tuple) is repeated once per divisor of its i-th
+    component, that component replaced by the divisor and the weight scaled
+    by sqrt(J_beta), and equal rows are merged.  Each distinct coordinate
+    value is factored once.  Cost is O(T log T) in the number
+    T <= sum_a prod_i tau(a_i) of divisor tuples, against O(K^2) for the
+    Gram form.
+    """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    if f.K > max_support:
-        raise ValueError(f"support size {f.K} exceeds O(K^2) guard {max_support}")
-    pts = f.points
-    w = f.weights
-    powers = pts.astype(np.float64) ** (-alpha)      # a_i^(-alpha) per coordinate
-    acc = 0.0 + 0.0j
-    for lo in range(0, f.K, block):
-        hi = min(f.K, lo + block)
-        kern = np.ones((hi - lo, f.K))
-        for i in range(f.d):
-            g = np.gcd(pts[lo:hi, i:i + 1], pts[None, :, i])
-            kern *= g.astype(np.float64) ** (2.0 * alpha)
-            kern *= powers[lo:hi, i:i + 1] * powers[None, :, i]
-        acc += w[lo:hi] @ (kern @ np.conj(w))
-    if abs(acc.imag) > 1e-9 * (abs(acc.real) + 1):
-        raise AssertionError(f"GCD sum came out non-real: {acc}")
-    return float(acc.real)
+    rows = f.points
+    w = f.weights * np.prod(rows.astype(np.float64) ** -alpha, axis=1)
+    for i in range(f.d):
+        vals, inv = np.unique(rows[:, i], return_inverse=True)
+        tau, div, root_j = _divisor_runs(vals, 2.0 * alpha)
+        length = tau[inv]
+        entry = np.repeat((np.cumsum(tau) - tau)[inv], length) + _run_offsets(length)
+        rows = np.repeat(rows, length, axis=0)
+        rows[:, i] = div[entry]
+        rows, w = _unique_counts_rows_with_sum(rows, np.repeat(w, length) * root_j[entry])
+    return float(np.vdot(w, w).real)
 
 
 def gcd_sum_enumerate(f: WeightedSupport, alpha: float) -> float:
@@ -121,11 +198,9 @@ def support_from_representations(table: RepresentationTable) -> WeightedSupport:
     return WeightedSupport(d=table.d, entries=entries)
 
 
-def gcd_sum_from_representations(table: RepresentationTable, alpha: float,
-                                 max_support: int = DEFAULT_MAX_SUPPORT) -> float:
+def gcd_sum_from_representations(table: RepresentationTable, alpha: float) -> float:
     """The variance-proxy GCD sum S_f(d; alpha) with f built from R_N."""
-    f = support_from_representations(table)
-    return gcd_sum(f, alpha, max_support=max_support)
+    return gcd_sum(support_from_representations(table), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +210,24 @@ def gcd_sum_from_representations(table: RepresentationTable, alpha: float,
 def _sieve_spf(m: int) -> np.ndarray:
     """Smallest prime factor for 0..m (spf[0] = spf[1] = 0)."""
     spf = np.zeros(m + 1, dtype=np.int64)
-    for p in range(2, m + 1):
+    for p in range(2, math.isqrt(m) + 1):
         if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
+            spf[p * p::p][spf[p * p::p] == 0] = p
+    n = np.arange(m + 1)
+    prime = (spf == 0) & (n >= 2)
+    spf[prime] = n[prime]
     return spf
 
 
-def primes_up_to(m: int) -> list[int]:
+def _prime_table(m: int) -> tuple[np.ndarray, list[int], dict[int, int]]:
+    """(smallest-prime-factor sieve, primes <= m, index of each prime)."""
     spf = _sieve_spf(m)
-    return [p for p in range(2, m + 1) if spf[p] == p]
+    primes = (np.flatnonzero(spf[2:] == np.arange(2, m + 1)) + 2).tolist()
+    return spf, primes, {p: i for i, p in enumerate(primes)}
+
+
+def primes_up_to(m: int) -> list[int]:
+    return _prime_table(m)[1]
 
 
 @dataclass(frozen=True)
@@ -183,12 +267,10 @@ def sample_random_multiplicative(seed: int, M: int) -> RandomMultiplicativeSampl
     """Deterministic-in-seed sample with independent uniform phases per prime."""
     if M < 1:
         raise ValueError("cutoff must be >= 1")
-    spf = _sieve_spf(M)
-    primes = [p for p in range(2, M + 1) if spf[p] == p]
+    spf, primes, prime_index = _prime_table(M)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     u = rng.uniform(0.0, 1.0, size=len(primes))
     phases = np.exp(2j * np.pi * u)
-    prime_index = {p: i for i, p in enumerate(primes)}
     values = _phases_to_values(phases, spf, M, prime_index)
     return RandomMultiplicativeSample(
         cutoff=M,
@@ -287,32 +369,39 @@ def truncated_rhs(f: WeightedSupport, alpha: float, M: int) -> float:
     return total.real
 
 
-def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int,
-                        seed: int, batch: int = 512):
-    """Per-sample |zeta_X zeta_Y D|^2 and |D|^2, deterministically seeded.
+def _sample_phases(seed: int, n_phases: int, samples: int):
+    """Per-sample uniform unit phases, in batches of rows.
 
-    Sample i draws its phases from stream (seed, i): X phases first, then Y,
-    so serial and parallel evaluation orders agree.
+    Row i is drawn from its own stream (seed, i), so a sample's phases do
+    not depend on the batching or evaluation order.  Yields (lo, hi,
+    phases) with phases of shape (hi - lo, n_phases).
     """
-    spf = _sieve_spf(M)
-    primes = [p for p in range(2, M + 1) if spf[p] == p]
-    prime_index = {p: i for i, p in enumerate(primes)}
+    for lo in range(0, samples, _PHASE_BATCH):
+        hi = min(samples, lo + _PHASE_BATCH)
+        u = np.empty((hi - lo, n_phases))
+        for i in range(hi - lo):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), lo + i))))
+            u[i] = rng.uniform(0.0, 1.0, size=n_phases)
+        yield lo, hi, np.exp(2j * np.pi * u)
+
+
+def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int, seed: int):
+    """Per-sample |zeta_X zeta_Y D|^2 and |D|^2.
+
+    Sample i takes the phases of X at every prime <= M first, then those
+    of Y, from one row of _sample_phases.
+    """
+    spf, primes, prime_index = _prime_table(M)
+    n_p = len(primes)
     n_pow = np.arange(1, M + 1, dtype=np.float64) ** -alpha
     a_idx = f.points[:, 0]
     b_idx = f.points[:, 1]
     w = f.weights
     zd_sq = np.empty(samples, dtype=np.float64)
     d_sq = np.empty(samples, dtype=np.float64)
-    for lo in range(0, samples, batch):
-        hi = min(samples, lo + batch)
-        nb = hi - lo
-        u = np.empty((nb, 2 * len(primes)))
-        for i in range(nb):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), lo + i))))
-            u[i] = rng.uniform(0.0, 1.0, size=2 * len(primes))
-        phases = np.exp(2j * np.pi * u)
-        x_vals = _phases_to_values(phases[:, :len(primes)], spf, M, prime_index)
-        y_vals = _phases_to_values(phases[:, len(primes):], spf, M, prime_index)
+    for lo, hi, phases in _sample_phases(seed, 2 * n_p, samples):
+        x_vals = _phases_to_values(phases[:, :n_p], spf, M, prime_index)
+        y_vals = _phases_to_values(phases[:, n_p:], spf, M, prime_index)
         zx = x_vals[:, 1:] @ n_pow
         zy = y_vals[:, 1:] @ n_pow
         d = (x_vals[:, a_idx] * y_vals[:, b_idx]) @ w
@@ -354,19 +443,11 @@ def moment_growth_probe(alpha: float, l_values: Sequence[float], samples: int,
     """Monte Carlo E|zeta_X^(M)(alpha)|^(2l) for each l; observational only."""
     if alpha <= 0.5:
         raise ValueError("alpha must exceed 1/2")
-    spf = _sieve_spf(M)
-    primes = [p for p in range(2, M + 1) if spf[p] == p]
-    prime_index = {p: i for i, p in enumerate(primes)}
+    spf, primes, prime_index = _prime_table(M)
     n_pow = np.arange(1, M + 1, dtype=np.float64) ** -alpha
     z_abs_sq = np.empty(samples, dtype=np.float64)
-    batch = 512
-    for lo in range(0, samples, batch):
-        hi = min(samples, lo + batch)
-        u = np.empty((hi - lo, len(primes)))
-        for i in range(hi - lo):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), lo + i))))
-            u[i] = rng.uniform(0.0, 1.0, size=len(primes))
-        vals = _phases_to_values(np.exp(2j * np.pi * u), spf, M, prime_index)
+    for lo, hi, phases in _sample_phases(seed, len(primes), samples):
+        vals = _phases_to_values(phases, spf, M, prime_index)
         z_abs_sq[lo:hi] = np.abs(vals[:, 1:] @ n_pow) ** 2
     rows = []
     for l in l_values:

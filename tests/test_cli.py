@@ -65,6 +65,25 @@ def test_gcdsum_command(capsys):
     assert code == 3
 
 
+def test_gcdsum_table_mismatch_is_internal_error(capsys, monkeypatch):
+    from torusppc import energy, errors
+
+    real = energy._unique_counts_rows
+
+    def dropped(vectors):
+        rows, counts = real(vectors)
+        counts[0] -= 1          # the grouping loses one ordered pair
+        return rows, counts
+
+    monkeypatch.setattr(energy, "_unique_counts_rows", dropped)
+    code, out, err = run_cli(capsys, "gcdsum", "--alpha-exp", "1.0", "--family", "n,n^2",
+                             "--N", "10")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.startswith("torusppc: internal error: representation table holds 99 pairs")
+    assert cli.InternalError is errors.InternalError
+
+
 def test_gcdsum_support_json(capsys, tmp_path):
     path = tmp_path / "support.json"
     path.write_text(json.dumps({"entries": [[1, 1, 0], [2, 1, 0]]}), encoding="utf-8")

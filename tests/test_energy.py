@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusppc import energy
 from torusppc.energy import (
     EnergyReport,
     additive_energy,
@@ -15,6 +16,7 @@ from torusppc.energy import (
     representation_counts,
     vinogradov_J2d,
 )
+from torusppc.errors import InternalError
 from torusppc.sequences import SequenceData, SequenceSpec, generate
 
 
@@ -171,3 +173,16 @@ def test_comparison_parser():
 def test_overflow_guard():
     with pytest.raises(OverflowError):
         vinogradov_J2d(10 ** 7, 3)
+
+
+def test_representation_counts_lost_pair_is_internal_error(monkeypatch):
+    real = energy._unique_counts_rows
+
+    def dropped(vectors):
+        rows, counts = real(vectors)
+        counts[0] -= 1          # the grouping loses one ordered pair
+        return rows, counts
+
+    monkeypatch.setattr(energy, "_unique_counts_rows", dropped)
+    with pytest.raises(InternalError, match="holds 8 pairs, expected N\\^2 = 9"):
+        representation_counts([seq([1, 2, 4])])

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -47,8 +48,6 @@ def test_gcd_sum_validations():
         gcd_sum(f, 0.0)
     with pytest.raises(ValueError):
         gcd_sum(f, 1.5)
-    with pytest.raises(ValueError):
-        gcd_sum(f, 1.0, max_support=1)
 
 
 def test_cached_norms():
@@ -76,11 +75,58 @@ def test_gcd_sum_matches_enumeration(d, k, alpha, seed):
     assert a >= -1e-10     # PSD form stays nonnegative
 
 
-def test_gcd_sum_block_split_consistency():
+def test_gcd_sum_support_order_invariance():
     rng = np.random.default_rng(42)
     pts = {tuple(int(x) for x in rng.integers(1, 50, size=2)) for _ in range(20)}
-    f = WeightedSupport.ones(list(pts))
-    assert gcd_sum(f, 0.7, block=3) == pytest.approx(gcd_sum(f, 0.7), rel=1e-12)
+    f = WeightedSupport(d=2, entries={p: complex(rng.normal(), rng.normal()) for p in pts})
+    want = gcd_sum(f, 0.7)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(f.K)
+        shuffled = copy.copy(f)
+        shuffled.points, shuffled.weights = f.points[perm], f.weights[perm]
+        assert gcd_sum(shuffled, 0.7) == pytest.approx(want, rel=1e-12)
+
+
+def _complex_support(rng, d, k, pool):
+    pts = {tuple(int(x) for x in rng.choice(pool, size=d)) for _ in range(k)}
+    return WeightedSupport(d=d, entries={p: complex(rng.normal(), rng.normal()) for p in pts})
+
+
+def test_gcd_sum_seeded_sweep_repeated_coordinates():
+    # coordinates from a small pool, so values repeat across points and share
+    # divisors: 1, prime powers, squarefree and highly composite numbers
+    pool = np.array([1, 2, 3, 4, 6, 8, 9, 12, 30, 49, 60, 64, 97, 210, 360, 720, 1001])
+    rng = np.random.default_rng(2024)
+    for trial in range(40):
+        d = 1 + trial % 4
+        f = _complex_support(rng, d, int(rng.integers(1, 16)), pool)
+        for alpha in (0.5, 0.75, 1.0):
+            assert gcd_sum(f, alpha) == pytest.approx(gcd_sum_enumerate(f, alpha), rel=1e-11)
+
+
+def test_gcd_sum_unit_coordinates():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        only_ones = WeightedSupport(d=d, entries={(1,) * d: 2 - 1j})
+        assert gcd_sum(only_ones, 0.6) == pytest.approx(5.0, rel=1e-12)
+        f = _complex_support(rng, d, 10, np.array([1, 1, 1, 2, 5, 10]))
+        assert gcd_sum(f, 0.6) == pytest.approx(gcd_sum_enumerate(f, 0.6), rel=1e-11)
+
+
+def test_gcd_sum_large_prime_coordinate():
+    p = 10 ** 12 + 39          # prime, so trial division runs through every prime < 10^6
+    f = WeightedSupport(d=2, entries={(p, 3): 1.0, (2 * p, 6): 2 - 1j, (6, p): 0.5j,
+                                      (3 * p, 1): 1.5})
+    for alpha in (0.5, 1.0):
+        assert gcd_sum(f, alpha) == pytest.approx(gcd_sum_enumerate(f, alpha), rel=1e-11)
+
+
+def test_gcd_sum_above_former_support_guard():
+    n = np.arange(1, 202, dtype=np.int64)
+    table = representation_counts([seq(n), seq(n * n)])
+    f = support_from_representations(table)
+    assert f.K == 20_100
+    assert gcd_sum(f, 0.5) >= f.norm_l2_sq
 
 
 def test_pairwise_coprime_identity():
