@@ -5,11 +5,13 @@ gcd(a_i,b_i)^(2 alpha) / (a_i b_i)^alpha is evaluated as a sum of squares:
 expanding each gcd^(2 alpha) over the common divisors with Jordan's totient
 (the positive-definite form of Gal and Dyer-Harman) costs O(T log T) in the
 number T <= sum_a prod_i tau(a_i) of divisor tuples of the support, not
-the O(K^2) of the Gram matrix.  A seeded random completely multiplicative
-function with uniform unit-circle values at primes drives Monte Carlo checks
-of the second-moment identity E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a):
-under a cutoff M the identity becomes exact and finite (the h-sums
-truncate), which is what verify_eq0 tests against simulation.
+the O(K^2) of the Gram matrix, which pays off when the coordinates have few
+divisors (T << K^2), as differences of polynomial sequences do.  A seeded
+random completely multiplicative function with uniform unit-circle values at
+primes drives Monte Carlo checks of the second-moment identity
+E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a): under a cutoff M the identity
+becomes exact and finite (the h-sums truncate), which is what verify_eq0
+tests against simulation.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 from .energy import RepresentationTable, _unique_counts_rows_with_sum
 
 _FACTOR_BLOCK = 1 << 20         # value-prime pairs tested per trial-division round
+_TRIAL_BOUND = 1 << 16          # largest trial divisor; larger factors go to a coprime base
+_MAX_DIVISOR_TUPLES = 1 << 24   # divisor tuples gcd_sum expands at most (~1.4 GB peak)
 _PHASE_BATCH = 512              # Monte Carlo samples per vectorised batch
 
 
@@ -70,21 +74,23 @@ class WeightedSupport:
         return cls(d=len(pts[0]), entries={p: 1.0 for p in pts})
 
 
-def _run_offsets(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., n - 1 for each run length n, concatenated."""
-    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+def _run_indices(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarray:
+    """starts[r] + 0, 1, ..., lengths[r] - 1 for each run r, concatenated."""
+    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
 
 
 def _prime_powers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(owner, p, k) for every prime power p^k exactly dividing values[owner].
+    """(owner, q, k) with q^k exactly dividing values[owner], the q pairwise coprime.
 
-    Trial division by the primes up to sqrt(max value).  Each round tests a
-    block of primes, the smallest p0, against only the values whose
-    unfactored part r still has r >= p0^2 (a smaller r is 1 or a prime), and
-    holds about _FACTOR_BLOCK value-prime pairs.  Any r > 1 left is a prime.
+    Trial division by the primes up to min(sqrt(max value), _TRIAL_BOUND).
+    Each round tests a block of primes, the smallest p0, against only the
+    values whose unfactored part r still has r >= p0^2 (a smaller r is 1 or
+    a prime), and holds about _FACTOR_BLOCK value-prime pairs.  The parts
+    r > 1 left over go to _cofactor_powers.
     """
     rem = values.astype(np.int64)
-    candidates = np.array(primes_up_to(math.isqrt(int(rem.max()))), dtype=np.int64)
+    bound = min(math.isqrt(int(rem.max())), _TRIAL_BOUND)
+    candidates = np.array(primes_up_to(bound), dtype=np.int64)
     parts = []
     i = 0
     while i < candidates.size:
@@ -103,40 +109,106 @@ def _prime_powers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
             hit = r % p == 0
         np.floor_divide.at(rem, owner, p ** k)
         parts.append((owner, p, k))
-    owner = np.flatnonzero(rem > 1)
-    parts.append((owner, rem[owner], np.ones(owner.size, dtype=np.int64)))
+    left = np.flatnonzero(rem > 1)
+    owner, q, k = _cofactor_powers(rem[left], bound + 1)
+    parts.append((left[owner], q, k))
     return tuple(np.concatenate(c) for c in zip(*parts))
 
 
-def _divisor_runs(values: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cofactor_powers(rem: np.ndarray,
+                     bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, q, k) with rem[owner] = prod q^k over a coprime base of rem.
+
+    No rem has a prime factor below bound, so one under bound^2 is a prime
+    and only a larger one can share a factor with a different rem; np.gcd
+    of those against all (|big| x |rem| pairs, in blocks) finds the rem that
+    do, and these are split over a pairwise coprime base.  The q need not be prime: for pairwise coprime q,
+    gcd(a, b) = prod q^min(v_q(a), v_q(b)), which is all Jordan's totient
+    J_beta(q^j) = q^(j beta) (1 - q^-beta) relies on.
+    """
+    big = np.flatnonzero(rem >= bound * bound)
+    tangled = np.zeros(rem.size, dtype=bool)
+    step = max(1, _FACTOR_BLOCK // max(1, rem.size))
+    for lo in range(0, big.size, step):
+        rows = big[lo:lo + step]
+        shared = (np.gcd(rem[rows, None], rem) > 1) & (rem[rows, None] != rem)
+        tangled |= shared.any(axis=0)
+        tangled[rows] |= shared.any(axis=1)
+    plain = np.flatnonzero(~tangled)
+    owner, q, k = plain.tolist(), rem[plain].tolist(), [1] * plain.size
+    knot = np.flatnonzero(tangled).tolist()
+    base = _coprime_base([int(rem[i]) for i in knot])
+    for i in knot:
+        r = int(rem[i])
+        for b in base:
+            j = 0
+            while r % b == 0:
+                r //= b
+                j += 1
+            if j:
+                owner.append(i)
+                q.append(b)
+                k.append(j)
+    return tuple(np.array(c, dtype=np.int64) for c in (owner, q, k))
+
+
+def _coprime_base(numbers: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which every number is a product.
+
+    An x sharing a factor g > 1 with a base element q takes q out of the
+    base and comes back as g, q / g and x / g; the product over stack and
+    base falls by g each time, so the loop ends.
+    """
+    base: list[int] = []
+    stack = list(numbers)
+    while stack:
+        x = stack.pop()
+        if x == 1:
+            continue
+        for i, q in enumerate(base):
+            g = math.gcd(x, q)
+            if g > 1:
+                del base[i]
+                stack += [g, q // g, x // g]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _divisor_runs(n_values: int, owner: np.ndarray, q: np.ndarray, k: np.ndarray,
+                  beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tau, div, root_j): the divisors of each value as contiguous runs.
 
-    Value k owns div[s : s + tau[k]] with s = sum(tau[:k]); root_j holds
-    sqrt(J_beta(e)) for each divisor e, where Jordan's totient
-    J_beta(prod p^j) = prod_{j > 0} p^(j beta) (1 - p^-beta) >= 0.
+    (owner, q, k) is the factorization from _prime_powers.  Value v owns
+    div[s : s + tau[v]] with s = sum(tau[:v]); root_j holds sqrt(J_beta(e))
+    for each divisor e, where Jordan's totient
+    J_beta(prod q^j) = prod_{j > 0} q^(j beta) (1 - q^-beta) >= 0.
     """
-    pk_owner, pk_p, pk_k = _prime_powers(values)
-    order = np.argsort(pk_owner, kind="stable")
-    pk_owner, pk_p, pk_k = pk_owner[order], pk_p[order], pk_k[order]
-    rank = np.arange(pk_owner.size) - np.searchsorted(pk_owner, pk_owner)
-    owner = np.arange(values.size)
-    div = np.ones(values.size, dtype=np.int64)
-    root_j = np.ones(values.size)
-    # one round per prime-factor slot: each value splits its divisors by p^0..p^k
+    order = np.argsort(owner, kind="stable")
+    owner, q, k = owner[order], q[order], k[order]
+    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+    run = np.arange(n_values)
+    div = np.ones(n_values, dtype=np.int64)
+    root_j = np.ones(n_values)
+    # one round per factor slot: each value splits its divisors by q^0..q^k,
+    # looked up in a table of q^j and sqrt(J_beta(q^j)) for this slot
     for slot in range(int(rank.max(initial=-1)) + 1):
         sel = rank == slot
-        p = np.ones(values.size, dtype=np.int64)
-        k = np.zeros(values.size, dtype=np.int64)
-        p[pk_owner[sel]] = pk_p[sel]
-        k[pk_owner[sel]] = pk_k[sel]
-        reps = k[owner] + 1
-        owner, div, root_j = np.repeat(owner, reps), np.repeat(div, reps), np.repeat(root_j, reps)
-        j = _run_offsets(reps)
-        q = p[owner]
-        div *= q ** j
-        qf = q.astype(np.float64)
-        root_j *= np.where(j > 0, np.sqrt(qf ** (j * beta) * (1.0 - qf ** -beta)), 1.0)
-    return np.bincount(owner, minlength=values.size), div, root_j
+        base = np.ones(n_values, dtype=np.int64)
+        span = np.ones(n_values, dtype=np.int64)
+        base[owner[sel]] = q[sel]
+        span[owner[sel]] = k[sel] + 1
+        j = _run_indices(span)
+        qj = np.repeat(base, span)
+        qf = qj.astype(np.float64)
+        root_jt = np.where(j > 0, np.sqrt(qf ** (j * beta) * (1.0 - qf ** -beta)), 1.0)
+        reps = span[run]
+        entry = _run_indices(reps, (np.cumsum(span) - span)[run])
+        run = np.repeat(run, reps)
+        div = np.repeat(div, reps) * (qj ** j)[entry]
+        root_j = np.repeat(root_j, reps) * root_jt[entry]
+    return np.bincount(run, minlength=n_values), div, root_j
 
 
 def gcd_sum(f: WeightedSupport, alpha: float) -> float:
@@ -148,22 +220,49 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
     or a partly expanded tuple) is repeated once per divisor of its i-th
     component, that component replaced by the divisor and the weight scaled
     by sqrt(J_beta), and equal rows are merged.  Each distinct coordinate
-    value is factored once.  Cost is O(T log T) in the number
-    T <= sum_a prod_i tau(a_i) of divisor tuples, against O(K^2) for the
-    Gram form.
+    value is factored once.
+
+    Cost is O(T log T) time and 60-85 bytes of peak memory a tuple in the
+    number T = sum_a prod_i tau(a_i) of divisor tuples, against O(K^2) time
+    for the Gram form.  The divisor form serves supports whose coordinates
+    have few divisors, so that T << K^2: differences of (n, n^2) at N = 200
+    give K = 19 900 and T = 2.9e6, differences of n^8 at N = 200 (values up
+    to 2.6e18) give K = 19 900 and T = 1.4e7.  A few points with highly
+    composite coordinates make T > K^2, where the Gram form would be
+    cheaper: the single point (720720,)*4 has T = 240^4.  T is computed from
+    the factorizations before anything is expanded, and a support with T
+    above _MAX_DIVISOR_TUPLES raises ValueError.  Coordinates may be any
+    int64: factors above _TRIAL_BOUND are not searched for but split over a
+    coprime base.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
+    columns = []
+    tuples = np.ones(f.K)
+    for i in range(f.d):
+        vals, inv = np.unique(f.points[:, i], return_inverse=True)
+        owner, q, k = _prime_powers(vals)
+        tau = np.ones(vals.size)
+        np.multiply.at(tau, owner, k + 1.0)
+        tuples *= tau[inv]
+        columns.append((vals, owner, q, k))
+    if tuples.sum() > _MAX_DIVISOR_TUPLES:
+        raise ValueError(
+            f"the support expands to T = {tuples.sum():.4g} divisor tuples "
+            f"(sum over points of prod_i tau(a_i)), above the limit {_MAX_DIVISOR_TUPLES}")
     rows = f.points
     w = f.weights * np.prod(rows.astype(np.float64) ** -alpha, axis=1)
-    for i in range(f.d):
-        vals, inv = np.unique(rows[:, i], return_inverse=True)
-        tau, div, root_j = _divisor_runs(vals, 2.0 * alpha)
+    for i, (vals, owner, q, k) in enumerate(columns):
+        tau, div, root_j = _divisor_runs(vals.size, owner, q, k, 2.0 * alpha)
+        inv = np.searchsorted(vals, rows[:, i])     # column i is still unexpanded
         length = tau[inv]
-        entry = np.repeat((np.cumsum(tau) - tau)[inv], length) + _run_offsets(length)
+        entry = _run_indices(length, (np.cumsum(tau) - tau)[inv])
         rows = np.repeat(rows, length, axis=0)
         rows[:, i] = div[entry]
-        rows, w = _unique_counts_rows_with_sum(rows, np.repeat(w, length) * root_j[entry])
+        w = np.repeat(w, length)
+        w *= root_j[entry]
+        del entry, div, root_j          # free before the merge
+        rows, w = _unique_counts_rows_with_sum(rows, w)
     return float(np.vdot(w, w).real)
 
 

@@ -93,6 +93,15 @@ def test_gcdsum_support_json(capsys, tmp_path):
     assert json.loads(out)["result"]["gcd_sum"] == pytest.approx(3.0)
 
 
+def test_gcdsum_support_too_large_to_expand(capsys, tmp_path):
+    path = tmp_path / "support.json"
+    path.write_text(json.dumps({"entries": [[720720] * 4 + [1, 0]]}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "gcdsum", "--alpha-exp", "0.5",
+                           "--support-json", str(path))
+    assert code == 3
+    assert "divisor tuples" in err
+
+
 def test_experiment_convergence_and_replay(capsys, tmp_path):
     csv_path = tmp_path / "rows.csv"
     argv = ["experiment", "--mode", "convergence", "--family", "n,n^2",

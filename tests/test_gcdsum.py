@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from torusppc.energy import representation_counts
 from torusppc.gcdsum import (
     WeightedSupport,
+    _coprime_base,
     gcd_sum,
     gcd_sum_enumerate,
     gcd_sum_from_representations,
@@ -119,6 +120,66 @@ def test_gcd_sum_large_prime_coordinate():
                                       (3 * p, 1): 1.5})
     for alpha in (0.5, 1.0):
         assert gcd_sum(f, alpha) == pytest.approx(gcd_sum_enumerate(f, alpha), rel=1e-11)
+
+
+def test_gcd_sum_coordinates_near_int64_limit():
+    # products of primes above the trial-division bound that share factors
+    # with each other, next to a prime and a square near 10^18
+    p, q, r = 1_000_000_007, 998_244_353, 1_000_000_009
+    big = 10 ** 18 + 3                                   # prime
+    f = WeightedSupport(d=2, entries={(p * q, 2 ** 59): 1.0, (p * r, 3 * p * q): 2 - 1j,
+                                      (q * r, big): 0.5j, (p * p, p): -1.5,
+                                      (big, 6 * q * r): 1 + 1j, (p, big): 0.25})
+    for alpha in (0.5, 0.8, 1.0):
+        assert gcd_sum(f, alpha) == pytest.approx(gcd_sum_enumerate(f, alpha), rel=1e-11)
+    assert gcd_sum(WeightedSupport(d=1, entries={(big,): 2.0}), 0.5) == pytest.approx(4.0)
+
+
+def test_gcd_sum_random_large_prime_products():
+    # values built from primes above and below the trial-division bound,
+    # so the coprime base sees shared, repeated and squared large factors
+    large = [65537, 65539, 65543, 4_294_967_311, 1_000_000_007, 10 ** 12 + 39]
+    rng = np.random.default_rng(7)
+
+    def value():
+        v = int(rng.choice([1, 2, 3, 12]))
+        for _ in range(int(rng.integers(0, 4))):
+            x = v * int(rng.choice(large))
+            if x < 2 ** 63:
+                v = x
+        return v
+
+    for trial in range(12):
+        d = 1 + trial % 2
+        pts = {tuple(value() for _ in range(d)) for _ in range(int(rng.integers(2, 14)))}
+        f = WeightedSupport(d=d, entries={pt: complex(rng.normal(), rng.normal()) for pt in pts})
+        assert gcd_sum(f, 0.75) == pytest.approx(gcd_sum_enumerate(f, 0.75), rel=1e-11)
+
+
+def test_gcd_sum_twelfth_powers():
+    # differences of n^12 reach 5.3e17 at N = 30
+    n = np.arange(1, 31, dtype=np.int64)
+    f = support_from_representations(representation_counts([seq(n ** 12)]))
+    assert f.points.max() > 5 * 10 ** 17
+    assert gcd_sum(f, 0.5) == pytest.approx(gcd_sum_enumerate(f, 0.5), rel=1e-11)
+
+
+def test_coprime_base():
+    nums = [6 * 35, 15, 77 * 77, 11, 2 ** 5, 1]
+    base = _coprime_base(nums)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[:i])
+    assert all(b > 1 for b in base)
+    for x in nums:
+        for b in base:
+            while x % b == 0:
+                x //= b
+        assert x == 1
+
+
+def test_gcd_sum_divisor_tuple_limit():
+    # tau(720720) = 240: one point expands to 240^4 = 3.3e9 divisor tuples
+    with pytest.raises(ValueError, match="divisor tuples"):
+        gcd_sum(WeightedSupport.ones([(720720,) * 4]), 0.5)
 
 
 def test_gcd_sum_above_former_support_guard():
