@@ -1,22 +1,34 @@
 """Additive energy, joint additive energy, representation functions and
 Vinogradov-type counts.
 
-The fast paths hash difference vectors: the number of index quadruples
-(n,m,k,l) with a_n + a_m = a_k + a_l in every component equals
-sum_v D(v)^2, where D(v) counts ordered index pairs whose componentwise
-differences equal v (rearrange the energy equation as a_n - a_k = a_l - a_m).
-The same table drives the GCD-sum variance proxy, so it is computed once.
+Every sequence here is strictly increasing, so a pair of indices i > j has a
+difference vector v = a_i - a_j with every component >= 1, and the pairs
+i < j give exactly the vectors -v.  With D(v) the number of ordered index
+pairs whose componentwise differences equal v, the energy (index quadruples
+with a_n + a_m = a_k + a_l in every component, rearranged as
+a_n - a_k = a_l - a_m) is
+
+    E = sum_v D(v)^2 = N^2 + 2 * sum_{v > 0} D(v)^2,
+
+and the full table is the half table over i > j, negated and reversed, then
+the zero row with count N, then the half table.  Only the N(N-1)/2 pairs
+i > j are enumerated, in bands [L, U) of the first-component difference:
+row i meets a band in one contiguous run of j, and the band edges are chosen
+so each band holds at most a pair budget (a single first-difference value
+is never split).  Bands are disjoint in v, so each adds its sum of squared
+counts to E directly, and their grouped rows concatenate in lexicographic
+order.  The same table drives the GCD-sum variance proxy.
 
 Brute-force oracles (O(N^4) quadruple and O(N^3) triple enumerations) live
-here too; they exist for the test suite and stay independent of the hashed
-counting paths.
+here too; they exist for the test suite and stay independent of the banded
+counting path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,85 +36,139 @@ from .errors import InternalError
 from .sequences import SequenceData
 
 MAX_ENERGY_N = 2_000_000        # keeps E <= N^3 < 2**63
-DEFAULT_PAIR_BUDGET = 200_000_000
+DEFAULT_PAIR_BUDGET = 1 << 20   # index pairs per first-difference band
 
 
-def _check_n(n: int) -> None:
+def _run_indices(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarray:
+    """starts[r] + 0, 1, ..., lengths[r] - 1 for each run r, concatenated."""
+    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
+
+
+def _group_encode(vectors: np.ndarray):
+    """(keys, lows, radices): mixed-radix int64 keys of the rows, ordered as
+    the rows are lexicographically, or None when the value ranges do not fit."""
+    los = vectors.min(axis=0)
+    radix = [int(h) - int(l) + 1 for l, h in zip(los, vectors.max(axis=0))]
+    if math.prod(radix) >= 1 << 63:
+        return None
+    keys = vectors[:, 0] - los[0]
+    for k in range(1, vectors.shape[1]):
+        keys *= radix[k]
+        keys += vectors[:, k] - los[k]
+    return keys, los, radix
+
+
+def _unique_counts_rows(vectors: np.ndarray, weights: np.ndarray | None = None):
+    """Unique rows in lexicographic order, with their multiplicities, or with
+    their summed weights when weights are given.
+
+    Without weights the int64 keys are sorted in place and the unique rows
+    decoded from them (column-major); with weights a stable order keeps each
+    group's summation order.  Rows whose value ranges overflow the key are
+    lexsorted.
+    """
+    enc = _group_encode(vectors)
+    if enc is not None and weights is None:
+        keys, los, radix = enc
+        keys.sort()
+        change = np.empty(keys.size, dtype=bool)
+        change[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=change[1:])
+        firsts = np.flatnonzero(change)
+        rest = keys[firsts]
+        rows = np.empty((firsts.size, len(radix)), dtype=np.int64, order="F")
+        for k in range(len(radix) - 1, 0, -1):
+            quot = rest // radix[k]
+            np.subtract(rest, quot * radix[k], out=rows[:, k])
+            rest = quot
+        rows[:, 0] = rest
+        rows += los
+        return rows, np.diff(np.append(firsts, keys.size))
+    order = np.argsort(enc[0], kind="stable") if enc is not None else np.lexsort(vectors.T[::-1])
+    sv = vectors[order]
+    change = np.ones(sv.shape[0], dtype=bool)
+    change[1:] = (sv[1:] != sv[:-1]).any(axis=1)
+    firsts = np.flatnonzero(change)
+    if weights is None:
+        return sv[firsts], np.diff(np.append(firsts, sv.shape[0]))
+    return sv[firsts], np.add.reduceat(weights[order], firsts)
+
+
+def _difference_columns(seqs: Sequence[SequenceData]) -> list[np.ndarray]:
+    """Validated value columns, each shifted to start at 0 so that a_i - x
+    stays in int64 for every band edge x up to one past the largest
+    difference (values are natural numbers below 2**63)."""
+    if len(seqs) == 0:
+        raise ValueError("need at least one sequence")
+    n = seqs[0].N
+    for s in seqs:
+        if s.N != n:
+            raise ValueError("all sequences must have equal length")
     if n < 1:
         raise ValueError("sequence must be nonempty")
     if n > MAX_ENERGY_N:
         raise OverflowError(f"N = {n} too large: E <= N^3 must stay below 2**63")
+    cols = []
+    for s in seqs:
+        v = s.values
+        if not (v[1:] > v[:-1]).all():
+            raise ValueError("sequence values must be strictly increasing")
+        cols.append(v - v[0])
+    return cols
 
 
-def _group_encode(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Mixed-radix encode rows to uint64 keys when the value ranges allow it."""
-    d = vectors.shape[1]
-    if d == 1:
-        return vectors[:, 0].copy(), None
-    los = vectors.min(axis=0).astype(object)
-    his = vectors.max(axis=0).astype(object)
-    radix = [int(h - l) + 1 for l, h in zip(los, his)]
-    total = 1
-    for r in radix:
-        total *= r
-    if total >= 1 << 63:
-        return None
-    keys = np.zeros(vectors.shape[0], dtype=np.int64)
-    for k in range(d):
-        keys *= np.int64(radix[k])
-        keys += vectors[:, k] - np.int64(los[k])
-    return keys, None
+def _half_table_bands(cols: list[np.ndarray],
+                      pair_budget: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(vectors, counts) of D(v) over the pairs i > j, one band at a time.
+
+    A band holds the pairs whose first difference lies in [L, U); row i
+    meets it in the run of j with a_i - U < a_j <= a_i - L.  U is the
+    largest edge keeping the band within pair_budget pairs, found by
+    bisection on C(x) = #{i > j : a_i - a_j < x}, unless the first value
+    left alone exceeds the budget: then the band is that one value.
+    Raises InternalError if the grouped counts do not add up to the pairs.
+    """
+    a = cols[0]
+    n = a.size
+    half = n * (n - 1) // 2
+    budget = max(1, int(pair_budget))
+
+    def below(x: int) -> int:
+        return half - int(np.searchsorted(a, a - x, side="right").sum())
+
+    top = int(a[-1]) + 1                # C(top) = half: every difference is < top
+    lo_edge, c_lo, held = 1, 0, 0
+    while c_lo < half:
+        lo, c_at_lo, hi, c_at_hi = lo_edge, c_lo, top, half
+        while hi - lo > 1 and c_at_hi - c_lo > budget:
+            mid = (lo + hi) // 2
+            c = below(mid)
+            if c - c_lo <= budget:
+                lo, c_at_lo = mid, c
+            else:
+                hi, c_at_hi = mid, c
+        if c_at_hi - c_lo > budget and c_at_lo > c_lo:
+            hi, c_at_hi = lo, c_at_lo
+        start = np.searchsorted(a, a - hi, side="right")
+        length = np.searchsorted(a, a - lo_edge, side="right") - start
+        j = _run_indices(length, start)
+        vectors = np.empty((j.size, len(cols)), dtype=np.int64, order="F")
+        for k, v in enumerate(cols):
+            np.subtract(np.repeat(v, length), v[j], out=vectors[:, k])
+        del j
+        rows, counts = _unique_counts_rows(vectors)
+        del vectors
+        held += int(counts.sum())
+        yield rows, counts
+        lo_edge, c_lo = hi, c_at_hi
+    if held != half:
+        raise InternalError(f"representation table holds {n + 2 * held} pairs, "
+                            f"expected N^2 = {n * n}")
 
 
-def _unique_counts_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(unique rows, counts); uses integer encoding when possible, else lexsort."""
-    enc = _group_encode(vectors)
-    if enc is not None:
-        keys = enc[0]
-        uk, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        return vectors[first], counts
-    idx = np.lexsort(vectors.T[::-1])
-    sv = vectors[idx]
-    change = np.ones(sv.shape[0], dtype=bool)
-    change[1:] = (sv[1:] != sv[:-1]).any(axis=1)
-    firsts = np.flatnonzero(change)
-    counts = np.diff(np.concatenate((firsts, [sv.shape[0]])))
-    return sv[firsts], counts
-
-
-def _merge_runs(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Tree-merge sorted-by-content (vectors, counts) runs, collapsing duplicates."""
-    while len(runs) > 1:
-        merged = []
-        for i in range(0, len(runs), 2):
-            if i + 1 == len(runs):
-                merged.append(runs[i])
-                continue
-            va, ca = runs[i]
-            vb, cb = runs[i + 1]
-            v = np.concatenate((va, vb))
-            c = np.concatenate((ca, cb))
-            uv, inv_first = _unique_counts_rows_with_sum(v, c)
-            merged.append((uv, inv_first))
-        runs = merged
-    return runs[0]
-
-
-def _unique_counts_rows_with_sum(vectors: np.ndarray, weights: np.ndarray):
-    """Unique rows with summed weights (used when merging partial runs)."""
-    enc = _group_encode(vectors)
-    if enc is not None:
-        keys = enc[0]
-        order = np.argsort(keys, kind="stable")
-    else:
-        order = np.lexsort(vectors.T[::-1])
-    sv = vectors[order]
-    sw = weights[order]
-    change = np.ones(sv.shape[0], dtype=bool)
-    change[1:] = (sv[1:] != sv[:-1]).any(axis=1)
-    firsts = np.flatnonzero(change)
-    sums = np.add.reduceat(sw, firsts)
-    return sv[firsts], sums
+def _energy(cols: list[np.ndarray], pair_budget: int) -> int:
+    n = cols[0].size
+    return n * n + 2 * sum(int(c @ c) for _, c in _half_table_bands(cols, pair_budget))
 
 
 @dataclass(frozen=True)
@@ -138,7 +204,7 @@ class RepresentationTable:
     def project(self, axis: int) -> "RepresentationTable":
         """Marginal table of a single component (sums counts over the rest)."""
         col = self.vectors[:, axis:axis + 1]
-        uv, counts = _unique_counts_rows_with_sum(col, self.counts)
+        uv, counts = _unique_counts_rows(col, self.counts)
         return RepresentationTable(d=1, N=self.N, vectors=uv, counts=counts)
 
     def sum_sq(self) -> int:
@@ -150,65 +216,31 @@ def representation_counts(seqs: Sequence[SequenceData],
                           pair_budget: int = DEFAULT_PAIR_BUDGET) -> RepresentationTable:
     """Exact difference-vector table over all N^2 ordered index pairs.
 
-    Above pair_budget pairs the differences are generated in row blocks,
-    each block grouped and the sorted runs merged, bounding peak memory to
-    the block size plus the distinct-vector table itself.
+    Built from the half table over i > j, enumerated in first-difference
+    bands of at most pair_budget pairs, then mirrored; peak memory is one
+    band plus the distinct-vector table itself.
     """
-    if len(seqs) == 0:
-        raise ValueError("need at least one sequence")
-    n = seqs[0].N
-    for s in seqs:
-        if s.N != n:
-            raise ValueError("all sequences must have equal length")
-    _check_n(n)
-    d = len(seqs)
-    vals = [s.values for s in seqs]
-
-    total_pairs = n * n
-    rows_per_block = max(1, int(pair_budget) // max(1, n))
-    runs: list[tuple[np.ndarray, np.ndarray]] = []
-    for lo in range(0, n, rows_per_block):
-        hi = min(n, lo + rows_per_block)
-        block = np.empty(((hi - lo) * n, d), dtype=np.int64)
-        for k in range(d):
-            block[:, k] = (vals[k][lo:hi, None] - vals[k][None, :]).ravel()
-        uv, counts = _unique_counts_rows(block)
-        runs.append((uv, counts.astype(np.int64)))
-        del block
-    vectors, counts = _merge_runs(runs) if len(runs) > 1 else runs[0]
-    if int(counts.sum()) != total_pairs:
-        raise InternalError(f"representation table holds {int(counts.sum())} pairs, "
-                            f"expected N^2 = {total_pairs}")
+    cols = _difference_columns(seqs)
+    n, d = cols[0].size, len(cols)
+    bands = list(_half_table_bands(cols, pair_budget))
+    half_v = np.concatenate([v for v, _ in bands] or [np.empty((0, d), dtype=np.int64)])
+    half_c = np.concatenate([c for _, c in bands] or [np.empty(0, dtype=np.int64)])
+    del bands
+    vectors = np.empty((2 * half_v.shape[0] + 1, d), dtype=np.int64)
+    np.concatenate((-half_v[::-1], np.zeros((1, d), dtype=np.int64), half_v), out=vectors)
+    counts = np.concatenate((half_c[::-1], np.array([n], dtype=np.int64), half_c))
     return RepresentationTable(d=d, N=n, vectors=vectors, counts=counts)
 
 
 def additive_energy(A: SequenceData, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    """E(A) = #{(a,b,c,d) in A^4 : a+b = c+d}, via squared sum multiplicities."""
-    _check_n(A.N)
-    n = A.N
-    vals = A.values.astype(np.uint64)
-    rows_per_block = max(1, int(pair_budget) // max(1, n))
-    runs: list[tuple[np.ndarray, np.ndarray]] = []
-    for lo in range(0, n, rows_per_block):
-        hi = min(n, lo + rows_per_block)
-        sums = (vals[lo:hi, None] + vals[None, :]).ravel()
-        uv, counts = np.unique(sums, return_counts=True)
-        # uint64 sums can exceed int64; the cast wraps bijectively, which is
-        # all grouping needs (keys are never interpreted as magnitudes)
-        runs.append((uv.reshape(-1, 1).astype(np.int64, copy=False), counts.astype(np.int64)))
-    if len(runs) > 1:
-        _, counts = _merge_runs(runs)
-    else:
-        counts = runs[0][1]
-    c = counts.astype(object)
-    return int((c * c).sum())
+    """E(A) = #{(a,b,c,d) in A^4 : a+b = c+d}: the d = 1 banded difference count."""
+    return _energy(_difference_columns([A]), pair_budget)
 
 
 def joint_additive_energy(seqs: Sequence[SequenceData],
                           pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
     """Quadruples solving the energy equation in every component simultaneously."""
-    table = representation_counts(seqs, pair_budget=pair_budget)
-    return table.sum_sq()
+    return _energy(_difference_columns(seqs), pair_budget)
 
 
 def additive_energy_brute(values: np.ndarray) -> int:
@@ -313,7 +345,7 @@ class EnergyReport:
 
     def __post_init__(self) -> None:
         if not self.lower_trivial <= self.E <= self.upper_trivial:
-            raise ValueError("energy outside trivial bounds; counting bug")
+            raise InternalError("energy outside trivial bounds; counting bug")
 
 
 ComparisonFn = Callable[[int], float]

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .energy import RepresentationTable, _unique_counts_rows_with_sum
+from .energy import RepresentationTable, _run_indices, _unique_counts_rows
 
 _FACTOR_BLOCK = 1 << 20         # value-prime pairs tested per trial-division round
 _TRIAL_BOUND = 1 << 16          # largest trial divisor; larger factors go to a coprime base
@@ -72,11 +72,6 @@ class WeightedSupport:
     def ones(cls, points: Sequence[Sequence[int]]) -> "WeightedSupport":
         pts = [tuple(int(c) for c in p) for p in points]
         return cls(d=len(pts[0]), entries={p: 1.0 for p in pts})
-
-
-def _run_indices(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarray:
-    """starts[r] + 0, 1, ..., lengths[r] - 1 for each run r, concatenated."""
-    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
 
 
 def _prime_powers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,7 +257,7 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
         w = np.repeat(w, length)
         w *= root_j[entry]
         del entry, div, root_j          # free before the merge
-        rows, w = _unique_counts_rows_with_sum(rows, w)
+        rows, w = _unique_counts_rows(rows, w)
     return float(np.vdot(w, w).real)
 
 
@@ -292,7 +287,7 @@ def support_from_representations(table: RepresentationTable) -> WeightedSupport:
             "no all-nonzero difference vectors: the sequences share no repeated "
             "differences beyond the diagonal"
         )
-    folded, summed = _unique_counts_rows_with_sum(np.abs(vectors), counts)
+    folded, summed = _unique_counts_rows(np.abs(vectors), counts)
     entries = {tuple(int(c) for c in row): float(cnt) for row, cnt in zip(folded, summed)}
     return WeightedSupport(d=table.d, entries=entries)
 

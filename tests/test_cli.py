@@ -80,8 +80,18 @@ def test_gcdsum_table_mismatch_is_internal_error(capsys, monkeypatch):
                              "--N", "10")
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""
-    assert err.startswith("torusppc: internal error: representation table holds 99 pairs")
+    assert err.startswith("torusppc: internal error: representation table holds 98 pairs")
     assert cli.InternalError is errors.InternalError
+
+
+def test_energy_out_of_trivial_bounds_is_internal_error(capsys, monkeypatch):
+    from torusppc import energy
+
+    monkeypatch.setattr(energy, "_energy", lambda cols, pair_budget: 0)   # below N^2
+    code, out, err = run_cli(capsys, "energy", "--family", "n^2", "--N", "8")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.startswith("torusppc: internal error: energy outside trivial bounds")
 
 
 def test_gcdsum_support_json(capsys, tmp_path):

@@ -104,10 +104,58 @@ def test_streaming_matches_direct():
     vals2 = np.sort(rng.choice(10 ** 6, size=150, replace=False) + 1)
     seqs = [seq(vals1), seq(vals2)]
     direct = representation_counts(seqs)
-    tiny = representation_counts(seqs, pair_budget=777)   # forces many blocks
+    tiny = representation_counts(seqs, pair_budget=777)   # ~15 first-difference bands
     assert direct.sum_sq() == tiny.sum_sq()
     assert int(tiny.counts.sum()) == 150 * 150
     assert additive_energy(seqs[0]) == additive_energy(seqs[0], pair_budget=523)
+
+
+def _full_table_reference(cols):
+    """All N^2 ordered difference vectors grouped by np.unique: (rows, counts)."""
+    diffs = np.stack([(v[:, None] - v[None, :]).ravel() for v in cols], axis=1)
+    return np.unique(diffs, axis=0, return_counts=True)
+
+
+def test_banded_table_matches_full_unique_sweep(monkeypatch):
+    real_encode = energy._group_encode
+    fallbacks = []
+
+    def encode(vectors):
+        enc = real_encode(vectors)
+        fallbacks.append(enc is None)
+        return enc
+
+    monkeypatch.setattr(energy, "_group_encode", encode)
+    rng = np.random.default_rng(20261018)
+    for trial in range(72):
+        d = 1 + trial % 3
+        n = int(rng.integers(1, 24))
+        kind = (trial // 3) % 4
+        if kind == 3:          # near 2^62: the d >= 2 band keys overflow int64
+            cols = [np.unique(rng.integers(2 ** 61, 2 ** 62, size=n)) for _ in range(d)]
+        else:
+            top = (30, 10 ** 4, 10 ** 9)[kind]
+            cols = [np.sort(rng.choice(top, size=n, replace=False) + 1) for _ in range(d)]
+        if trial % 2:          # identity first component: one lag is one band value
+            cols[0] = np.arange(1, n + 1, dtype=np.int64)
+        cols = [c.astype(np.int64) for c in cols]
+        assert all(c.size == n for c in cols)
+        budget = 1 + trial % 5 if trial % 4 else int(rng.integers(1, n * n + 2))
+        seqs = [seq(c) for c in cols]
+
+        table = representation_counts(seqs, pair_budget=budget)
+        rows, counts = _full_table_reference(cols)
+        assert table.vectors.dtype == rows.dtype and table.vectors.shape == rows.shape
+        assert table.vectors.flags.c_contiguous
+        assert table.vectors.tobytes() == rows.tobytes()
+        assert table.counts.dtype == np.int64
+        assert table.counts.tobytes() == counts.astype(np.int64).tobytes()
+
+        brute = joint_additive_energy_brute(cols)
+        assert joint_additive_energy(seqs, pair_budget=budget) == brute
+        if d == 1:
+            assert additive_energy(seqs[0], pair_budget=budget) == additive_energy_brute(cols[0])
+    assert any(fallbacks) and not all(fallbacks)
 
 
 def test_count_jl_examples():
@@ -154,7 +202,7 @@ def test_energy_report():
     assert rep.lower_trivial == 128 ** 2 and rep.upper_trivial == 128 ** 3
     assert rep.lower_trivial <= rep.E <= rep.upper_trivial
     assert rep.ratios["N^2"] == rep.E / 128 ** 2
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalError, match="counting bug"):
         EnergyReport(E=5, N=10, lower_trivial=100, upper_trivial=1000)
 
 
@@ -184,5 +232,5 @@ def test_representation_counts_lost_pair_is_internal_error(monkeypatch):
         return rows, counts
 
     monkeypatch.setattr(energy, "_unique_counts_rows", dropped)
-    with pytest.raises(InternalError, match="holds 8 pairs, expected N\\^2 = 9"):
+    with pytest.raises(InternalError, match="holds 7 pairs, expected N\\^2 = 9"):
         representation_counts([seq([1, 2, 4])])
