@@ -26,7 +26,8 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .paircorr import unit_ball_volume
+from .errors import InternalError
+from .paircorr import threshold, unit_ball_volume
 
 NU_MAX = 5.0
 T_MAX = 1e4
@@ -79,7 +80,7 @@ def _series_f64(nu: float, t: float) -> tuple[float, float]:
         term = nxt
         k += 1
         if k > 400:
-            raise AssertionError("series failed to converge")
+            raise InternalError("series failed to converge")
     roundoff = sum_abs * _EPS * (k + 6)
     return total, tail + roundoff
 
@@ -102,7 +103,7 @@ def _series_mp(nu: float, t: float) -> tuple[float, float]:
             term = nxt
             k += 1
             if k > 2000:
-                raise AssertionError("series failed to converge")
+                raise InternalError("series failed to converge")
         value = float(total)
     return value, 1e-14 + abs(value) * _EPS
 
@@ -211,22 +212,13 @@ def bessel_asymptotic(nu: float, t: float) -> float:
 # indicator Fourier coefficients
 # ---------------------------------------------------------------------------
 
-def _check_threshold(s: float, N: int, d: int) -> float:
-    if s <= 0:
-        raise ValueError("s must be > 0")
-    t = s * N ** (-1.0 / d)
-    if t >= 0.5:
-        raise ValueError(f"threshold s/N^(1/d) = {t:.6g} must stay below 1/2")
-    return t
-
-
 def fourier_coeff_ball(r, s: float, N: int, d: int) -> float:
     """Fourier coefficient of the ball indicator ||x||_2 <= s/N^(1/d) at r in Z^d.
 
     c_0 is the ball volume w_d s^d / N; for r != 0 the coefficient depends on
     r only through its Euclidean norm.
     """
-    t = _check_threshold(s, N, d)
+    t = threshold(s, N, d)
     rv = np.asarray(r, dtype=np.int64).reshape(-1)
     if rv.shape[0] != d:
         raise ValueError(f"frequency vector has dimension {rv.shape[0]}, expected {d}")
@@ -244,7 +236,7 @@ def fourier_coeff_box(r: int, s: float, N: int, d: int) -> float:
     The full d-dimensional coefficient is the product over coordinates
     (see box_coeff_vector); |c_r| <= min(2 s N^(-1/d), 1/|r|).
     """
-    t = _check_threshold(s, N, d)
+    t = threshold(s, N, d)
     if r == 0:
         return 2.0 * t
     return math.sin(2.0 * math.pi * r * t) / (math.pi * r)

@@ -4,6 +4,10 @@ Every command prints a JSON summary to stdout that echoes the fully
 resolved configuration and master seed; tabular results additionally go to
 --out as CSV.  A summary written by any command can be re-executed with
 ``torusppc --replay summary.json`` and reproduces the identical output.
+Both --replay and ``--config file.json`` turn a config object into flags by
+one rule (see _config_argv); --config puts them right after the command
+name, so explicit flags override them, and a key that names no flag of the
+command is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 invalid configuration, 4 I/O error,
 5 internal error (a failed self-check, not bad input).
@@ -12,6 +16,7 @@ Exit codes: 0 success, 2 usage error, 3 invalid configuration, 4 I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -93,18 +98,22 @@ def _emit(summary: dict, out_csv: "str | None" = None, csv_text: "str | None" = 
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated flags: a --config or summary key must name its flag in full
     parser = argparse.ArgumentParser(
         prog="torusppc",
         description="Pair correlation statistics and related counts on the d-torus",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"torusppc {__version__}")
     parser.add_argument("--replay", metavar="SUMMARY_JSON",
                         help="re-run the command captured in a previous JSON summary")
     parser.add_argument("--config", metavar="JSON",
-                        help="flat JSON file of option defaults (flags override)")
+                        help="JSON object of options, keyed like a summary's config "
+                             "(flags override)")
     sub = parser.add_subparsers(dest="command")
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("stat", help="one pair correlation statistic")
+    p = add("stat", help="one pair correlation statistic")
     p.add_argument("--family", required=True, help="comma list: n, n^l, [n log^A n], file:PATH")
     p.add_argument("--norm", default="sup", help="sup or two")
     p.add_argument("--s", type=float, default=1.0)
@@ -114,34 +123,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor-start", type=int, default=2)
     p.add_argument("--check-naive", action="store_true", help="cross-check with the O(N^2) counter")
 
-    p = sub.add_parser("energy", help="additive/joint additive energy scan")
+    p = add("energy", help="additive/joint additive energy scan")
     p.add_argument("--family", required=True)
     p.add_argument("--N", required=True, help='comma list or doubling range "512..8192"')
     p.add_argument("--ratios", default="", help='comma list like "N^2,N^3 log^-1"')
     p.add_argument("--floor-start", type=int, default=2)
     p.add_argument("--out", default=None, help="CSV output path")
 
-    p = sub.add_parser("gcdsum", help="d-dimensional GCD sum")
+    p = add("gcdsum", help="d-dimensional GCD sum")
     p.add_argument("--alpha-exp", type=float, required=True, help="exponent alpha in (0,1]")
     p.add_argument("--family", default=None, help="build the weight from this family's differences")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--support-json", default=None, help='{"entries": [[a1..ad, re, im], ...]}')
     p.add_argument("--floor-start", type=int, default=2)
 
-    p = sub.add_parser("bessel", help="spot-evaluate the Bessel function")
+    p = add("bessel", help="spot-evaluate the Bessel function")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
 
-    p = sub.add_parser("experiment", help="Monte Carlo experiment over random alphas")
+    p = add("experiment", help="Monte Carlo experiment over random alphas")
     p.add_argument("--mode", default="convergence",
                    choices=["convergence", "variance-decay", "counterexample", "energy-scan"])
-    p.add_argument("--family", default="n,n^2")
+    p.add_argument("--family", default=None,
+                   help="default n,n^2 (counterexample mode takes no family)")
     p.add_argument("--norm", default="sup")
     p.add_argument("--s", default=",".join(str(s) for s in DEFAULT_S_VALUES))
     p.add_argument("--N", default=",".join(str(n) for n in DEFAULT_N_VALUES))
     p.add_argument("--K", type=int, default=20, help="alpha samples per cell")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timing", action="store_true",
                    help="record wall time per row (breaks byte reproducibility)")
     p.add_argument("--alpha", type=float, default=None, help="fixed alpha (counterexample mode)")
@@ -149,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor-start", type=int, default=2)
     p.add_argument("--out", default=None, help="CSV output path")
 
-    p = sub.add_parser("verify-eq0", help="random-model second-moment identity check")
+    p = add("verify-eq0", help="random-model second-moment identity check")
     p.add_argument("--alpha-exp", type=float, default=0.75)
     p.add_argument("--M", type=int, default=200)
     p.add_argument("--samples", type=int, default=10_000)
@@ -265,11 +274,14 @@ def _cmd_bessel(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    family = _parse_family(args.family, args.floor_start)
+    mode = args.mode
+    if mode != "counterexample":
+        family = _parse_family("n,n^2" if args.family is None else args.family,
+                               args.floor_start)
+    elif args.family is not None:
+        raise ConfigError("counterexample mode runs the identity sequence; drop --family")
     n_values = _parse_int_list(args.N)
     s_values = _parse_float_list(args.s)
-    mode = args.mode
-    csv_text = None
     if mode == "counterexample":
         if args.alpha is None:
             raise ConfigError("counterexample mode needs --alpha")
@@ -300,8 +312,7 @@ def _cmd_experiment(args) -> int:
     else:
         config = ExperimentConfig(
             family=family, norm=NormKind.parse(args.norm), s_values=s_values,
-            N_values=n_values, samples=args.K, seed=args.seed,
-            workers=args.workers, timing=args.timing,
+            N_values=n_values, samples=args.K, seed=args.seed, timing=args.timing,
         )
         if mode == "variance-decay":
             result = run_variance_decay(config)
@@ -316,7 +327,7 @@ def _cmd_experiment(args) -> int:
     summary = {
         "command": "experiment",
         "config": config_echo,
-        "seed": args.seed,
+        "seed": config_echo.get("seed", 0),     # counterexample and energy-scan draw nothing
         "rows": rows_json,
         **extra,
     }
@@ -353,96 +364,67 @@ _HANDLERS = {
 }
 
 
-def _replay_argv(path: str) -> list[str]:
-    """Rebuild an argv from the config echo of a previous JSON summary."""
-    summary = json.loads(Path(path).read_text(encoding="utf-8"))
-    command = summary["command"]
-    cfg = summary["config"]
-    argv = [command]
+# experiment echoes the ExperimentConfig field names of its --s, --N and --K
+_ECHO_FLAGS = {"experiment": {"s_values": "s", "N_values": "N", "samples": "K"}}
 
-    def flag(name: str, value) -> None:
-        if value is None:
-            return
-        if isinstance(value, bool):
-            if value:
-                argv.append(f"--{name}")
-            return
-        if isinstance(value, (list, tuple)):
-            argv.extend([f"--{name}", ",".join(str(v) for v in value)])
-            return
-        argv.extend([f"--{name}", str(value)])
 
-    if command == "stat":
-        flag("family", cfg["family"]); flag("norm", cfg["norm"]); flag("s", cfg["s"])
-        flag("N", cfg["N"]); flag("alpha", cfg["alpha"]); flag("seed", cfg["seed"])
-        flag("floor-start", cfg["floor_start"]); flag("check-naive", cfg["check_naive"])
-    elif command == "energy":
-        flag("family", cfg["family"]); flag("N", cfg["N"]); flag("ratios", cfg["ratios"])
-        flag("floor-start", cfg["floor_start"]); flag("out", cfg["out"])
-    elif command == "gcdsum":
-        flag("alpha-exp", cfg["alpha_exp"]); flag("floor-start", cfg["floor_start"])
-        flag("family", cfg.get("family")); flag("N", cfg.get("N"))
-        flag("support-json", cfg.get("support_json"))
-    elif command == "bessel":
-        flag("nu", cfg["nu"]); flag("t", cfg["t"])
-    elif command == "experiment":
-        flag("mode", cfg["mode"])
-        if "family" in cfg:
-            flag("family", cfg["family"])
-            flag("floor-start", cfg.get("floor_start"))
-        flag("norm", cfg.get("norm"))
-        flag("s", cfg.get("s") if "s" in cfg else cfg.get("s_values"))
-        flag("N", cfg.get("N") if "N" in cfg else cfg.get("N_values"))
-        flag("K", cfg.get("samples")); flag("seed", cfg.get("seed"))
-        flag("timing", cfg.get("timing"))
-        flag("alpha", cfg.get("alpha")); flag("ratios", cfg.get("ratios"))
-        flag("out", cfg.get("out"))
-    elif command == "verify-eq0":
-        flag("alpha-exp", cfg["alpha_exp"]); flag("M", cfg["M"])
-        flag("samples", cfg["samples"]); flag("seed", cfg["seed"])
-        flag("support-json", cfg.get("support_json"))
-    else:
-        raise ConfigError(f"cannot replay command {command!r}")
+def _config_argv(command: str, cfg: dict) -> list[str]:
+    """Flags for a config object: each key becomes --key-with-dashes, lists are
+    joined with commas, true is a bare switch, false and null are left out."""
+    names = _ECHO_FLAGS.get(command, {})
+    argv = []
+    for key, value in cfg.items():
+        if value is None or value is False:
+            continue
+        flag = "--" + names.get(key, key).replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv.append(f"{flag}={','.join(str(v) for v in value)}")
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def _read_json(path: str):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _insert_config(argv: list[str]) -> list[str]:
+    """Put the flags of a --config file right after the command name, so the
+    explicit flags that follow override them."""
+    for i, token in enumerate(argv):
+        if token == "--config" and i + 1 < len(argv):
+            path, after = argv[i + 1], i + 2
+        elif token.startswith("--config="):
+            path, after = token[len("--config="):], i + 1
+        else:
+            continue
+        cfg = _read_json(path)
+        if not isinstance(cfg, dict):
+            raise ConfigError("a --config file holds one JSON object")
+        for k in range(after, len(argv)):
+            if argv[k] in _HANDLERS:
+                return argv[:k + 1] + _config_argv(argv[k], cfg) + argv[k + 1:]
+        break
     return argv
 
 
 def parse_and_dispatch(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-
-    # a config file provides defaults; explicit flags override them
-    if "--config" in argv:
-        idx = argv.index("--config")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        argv = _insert_config(argv)
         try:
-            cfg = json.loads(Path(argv[idx + 1]).read_text(encoding="utf-8"))
-        except IndexError:
-            parser.error("--config needs a path")
-        except OSError as exc:
-            sys.stderr.write(f"torusppc: cannot read config: {exc}\n")
-            return EXIT_IO
-        except json.JSONDecodeError as exc:
-            sys.stderr.write(f"torusppc: bad config JSON: {exc}\n")
-            return EXIT_CONFIG
-        for action in parser._subparsers._group_actions:
-            for sp in getattr(action, "choices", {}).values():
-                known = {a.dest for a in sp._actions}
-                sp.set_defaults(**{k: v for k, v in cfg.items() if k in known})
-                for a in sp._actions:
-                    if a.dest in cfg:
-                        a.required = False
-
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
-
-    try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else EXIT_OK
         if args.replay:
+            summary = _read_json(args.replay)
             try:
-                replay_argv = _replay_argv(args.replay)
-                args = parser.parse_args(replay_argv)
-            except (KeyError, SystemExit) as exc:
+                command = summary["command"]
+                args = parser.parse_args([command, *_config_argv(command, summary["config"])])
+            except (KeyError, TypeError, AttributeError, SystemExit) as exc:
                 raise ConfigError(f"summary file is not replayable: {exc}") from exc
         if args.command is None:
             parser.print_help()

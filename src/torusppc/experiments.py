@@ -1,8 +1,8 @@
 """Monte Carlo experiment harness over random dilation vectors.
 
 Each (N, s, sample-index) cell derives its own PCG64 seed from the master
-seed, so serial runs and worker pools of any size produce byte-identical
-tables.  A fresh alpha is drawn per sample (never reused across N), which
+seed, so a table depends only on the configuration and replays byte for
+byte.  A fresh alpha is drawn per sample (never reused across N), which
 makes the sample variance at each N an estimate of the variance of the
 statistic over the dilation measure.
 """
@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .fixedpoint import sample_alpha
-from .paircorr import NormKind, ppc_grid, ppc_limit, ppc_naive
+from .errors import InternalError
+from .paircorr import NormKind, ppc_grid, ppc_limit, ppc_naive, threshold
 from .sequences import SequenceData, SequenceSpec, generate, orbit
 from . import energy as energy_mod
 
@@ -37,7 +37,6 @@ class ExperimentConfig:
     N_values: tuple[int, ...] = DEFAULT_N_VALUES
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    workers: int = 1
     timing: bool = False        # measured wall time breaks byte-reproducibility
 
     def __post_init__(self) -> None:
@@ -45,24 +44,15 @@ class ExperimentConfig:
             raise ValueError("need at least one sequence family")
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        d = len(self.family)
         for n in self.N_values:
             for s in self.s_values:
-                t = s * n ** (-1.0 / d)
-                if t >= 0.5:
-                    raise ValueError(
-                        f"threshold {t:.6g} >= 1/2 at N = {n}, s = {s}; shrink s or grow N"
-                    )
+                threshold(s, n, len(self.family))
 
     @property
     def dimension(self) -> int:
         return len(self.family)
 
     def to_json_dict(self) -> dict:
-        # workers is an execution detail: results are identical for any count,
-        # so it stays out of the reproducibility digest
         return {
             "family": [spec.label() for spec in self.family],
             "floor_start": max((spec.start for spec in self.family
@@ -86,7 +76,6 @@ class ExperimentConfig:
             N_values=tuple(int(n) for n in data.get("N_values", DEFAULT_N_VALUES)),
             samples=int(data.get("samples", DEFAULT_SAMPLES)),
             seed=int(data.get("seed", 0)),
-            workers=int(data.get("workers", 1)),
             timing=bool(data.get("timing", False)),
         )
 
@@ -124,18 +113,9 @@ def _sample_statistic(seqs: Sequence[SequenceData], s: float, norm: NormKind,
     return ppc_grid(pts, s, norm).statistic
 
 
-def _collect_samples(seqs, s, norm, master, N, s_index, samples, workers) -> np.ndarray:
-    out = np.empty(samples, dtype=np.float64)
-    if workers <= 1:
-        for k in range(samples):
-            out[k] = _sample_statistic(seqs, s, norm, master, N, s_index, k)
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {k: pool.submit(_sample_statistic, seqs, s, norm, master, N, s_index, k)
-                   for k in range(samples)}
-        for k, fut in futures.items():
-            out[k] = fut.result()
-    return out
+def _collect_samples(seqs, s, norm, master, N, s_index, samples) -> np.ndarray:
+    return np.array([_sample_statistic(seqs, s, norm, master, N, s_index, k)
+                     for k in range(samples)], dtype=np.float64)
 
 
 def _aggregate(values: np.ndarray) -> tuple[float, float]:
@@ -153,7 +133,7 @@ def run_convergence(config: ExperimentConfig) -> list[ExperimentRow]:
         for s_index, s in enumerate(config.s_values):
             t0 = time.perf_counter()
             values = _collect_samples(seqs, s, config.norm, config.seed, n,
-                                      s_index, config.samples, config.workers)
+                                      s_index, config.samples)
             elapsed = time.perf_counter() - t0
             mean, var = _aggregate(values)
             limit = ppc_limit(s, d, config.norm)
@@ -185,9 +165,6 @@ def run_counterexample(alpha: float, s: float, N_values: Sequence[int],
     rows = []
     stats = []
     for n in N_values:
-        t = s / n
-        if t >= 0.5:
-            raise ValueError(f"threshold {t:.6g} >= 1/2 at N = {n}")
         seqs = [generate(SequenceSpec.identity(), n)]
         t0 = time.perf_counter()
         res = ppc_grid(orbit(seqs, point), s, NormKind.SUP)
@@ -258,7 +235,7 @@ def spot_check_convergence(config: ExperimentConfig, fraction: float = 0.1,
                            max_naive_n: int = 4000) -> int:
     """Recompute a deterministic subsample of cells with the naive counter.
 
-    Returns the number of cells re-verified; raises AssertionError on any
+    Returns the number of cells re-verified; raises InternalError on any
     grid/naive mismatch.  Cells with N above max_naive_n are skipped (the
     O(N^2) oracle is a test tool, not a production path).
     """
@@ -277,7 +254,7 @@ def spot_check_convergence(config: ExperimentConfig, fraction: float = 0.1,
                 a = ppc_grid(pts, s, config.norm).near_pairs
                 b = ppc_naive(pts, s, config.norm).near_pairs
                 if a != b:
-                    raise AssertionError(
+                    raise InternalError(
                         f"grid/naive mismatch at N={n} s={s} k={k}: {a} != {b}"
                     )
                 checked += 1

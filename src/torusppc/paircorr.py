@@ -91,16 +91,21 @@ class _Threshold:
         return cls(t=t, sup_num=sup_num, two_num=two_num, two_num_f=float(two_num))
 
 
-def _threshold_for(s: float, N: int, d: int) -> _Threshold:
+def threshold(s: float, N: int, d: int) -> float:
+    """The threshold t = s / N^(1/d); raises ValueError unless s > 0 and t < 1/2."""
     if s <= 0:
         raise ValueError("s must be > 0")
     t = s * N ** (-1.0 / d)
     if t >= 0.5:
         raise ValueError(
-            f"threshold s/N^(1/d) = {t:.6g} >= 1/2: torus distances are capped "
-            f"at 1/2, so the statistic would saturate (check s and N)"
+            f"threshold s/N^(1/d) = {t:.6g} >= 1/2 at s = {s}, N = {N}, d = {d}: torus "
+            f"distances are capped at 1/2, so the statistic would saturate"
         )
-    return _Threshold.make(t)
+    return t
+
+
+def _threshold_for(s: float, N: int, d: int) -> _Threshold:
+    return _Threshold.make(threshold(s, N, d))
 
 
 def _count_near(pts: np.ndarray, ia: np.ndarray, ib: np.ndarray,

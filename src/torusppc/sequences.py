@@ -88,8 +88,10 @@ class SequenceSpec:
         if self.kind == KIND_POWER:
             return f"n^{self.power}"
         if self.kind == KIND_FLOOR_NLOG:
-            a = self.log_exponent
-            a_txt = f"{a:g}"
+            # the short form only when it parses back to the same exponent
+            a_txt = f"{self.log_exponent:g}"
+            if float(a_txt) != self.log_exponent:
+                a_txt = repr(self.log_exponent)
             return f"[n log^{a_txt} n]"
         return f"file:{self.path}"
 

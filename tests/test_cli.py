@@ -129,20 +129,75 @@ def test_experiment_convergence_and_replay(capsys, tmp_path):
     assert csv_path.read_text() == csv1
 
 
-def test_experiment_worker_counts_identical(capsys, tmp_path):
-    outs = []
-    csvs = []
-    csv_path = tmp_path / "rows.csv"
-    for workers in ("1", "3"):
-        code, out, _ = run_cli(capsys, "experiment", "--family", "n,n^2",
-                               "--s", "0.5", "--N", "300", "--K", "6",
-                               "--seed", "8", "--workers", workers,
-                               "--out", str(csv_path))
-        assert code == 0
+# one line per command and per experiment mode, with a non-default --seed and an
+# --out wherever the command takes them; {out} and {support} are test paths
+REPLAY_LINES = {
+    "stat": ["stat", "--family", "n,[n log^1.23456789 n]", "--norm", "two", "--s", "0.7",
+             "--N", "600", "--seed", "7", "--check-naive"],
+    "stat-alpha": ["stat", "--family", "n,n^2", "--alpha=-0.3,0.456", "--s", "1",
+                   "--N", "300"],
+    "energy": ["energy", "--family", "n,n^2", "--N", "32..64", "--ratios", "N^2,N^3 log^-1",
+               "--out", "{out}"],
+    "gcdsum-family": ["gcdsum", "--alpha-exp", "0.5", "--family", "n,n^2", "--N", "12"],
+    "gcdsum-support": ["gcdsum", "--alpha-exp", "1.0", "--support-json", "{support}"],
+    "bessel": ["bessel", "--nu", "1.5", "--t", "300"],
+    "experiment-convergence": ["experiment", "--mode", "convergence", "--norm", "two",
+                               "--s", "0.5,1", "--N", "200,300", "--K", "3", "--seed", "3",
+                               "--out", "{out}"],
+    "experiment-variance-decay": ["experiment", "--mode", "variance-decay",
+                                  "--family", "n,[n log^1.5 n]", "--s", "1", "--N", "100,200",
+                                  "--K", "30", "--seed", "4", "--out", "{out}"],
+    "experiment-counterexample": ["experiment", "--mode", "counterexample",
+                                  "--alpha", "0.6180339887498949", "--s", "0.5",
+                                  "--N", "100,300", "--out", "{out}"],
+    "experiment-energy-scan": ["experiment", "--mode", "energy-scan",
+                               "--family", "n,[n log^2 n]", "--floor-start", "3",
+                               "--N", "64,128", "--ratios", "N^2", "--out", "{out}"],
+    "verify-eq0": ["verify-eq0", "--alpha-exp", "0.75", "--M", "40", "--samples", "300",
+                   "--seed", "9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_LINES))
+def test_replay_and_config_reproduce_the_run(capsys, tmp_path, name):
+    out_csv = tmp_path / "out.csv"
+    support = tmp_path / "support.json"
+    support.write_text(json.dumps({"entries": [[1, 2, 1, 0], [2, 4, 0.5, -0.25]]}),
+                       encoding="utf-8")
+    argv = [a.format(out=out_csv, support=support) for a in REPLAY_LINES[name]]
+    summary_path = tmp_path / "summary.json"
+    config_path = tmp_path / "config.json"
+    runs = [argv, ["--replay", str(summary_path)], ["--config", str(config_path), argv[0]]]
+    outs, csvs = [], []
+    for run in runs:
+        out_csv.unlink(missing_ok=True)
+        code, out, err = run_cli(capsys, *run)
+        assert code == 0, err
         outs.append(out)
-        csvs.append(csv_path.read_bytes())
-    assert outs[0] == outs[1]
-    assert csvs[0] == csvs[1]
+        csvs.append(out_csv.read_bytes() if "{out}" in REPLAY_LINES[name] else None)
+        if len(outs) == 1:
+            summary_path.write_text(out, encoding="utf-8")
+            config_path.write_text(json.dumps(json.loads(out)["config"]), encoding="utf-8")
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+
+def test_config_unknown_key_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for typo in ("sed", "se"):      # not a flag, and not a flag in full
+        cfg.write_text(json.dumps({"family": "n", "N": 100, typo: 3}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "stat")
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: --{typo}=3" in err
+
+
+def test_seedless_modes_echo_seed_zero(capsys):
+    for argv in (["--mode", "counterexample", "--alpha", "0.3", "--s", "0.5", "--N", "100"],
+                 ["--mode", "energy-scan", "--N", "16"]):
+        code, out, _ = run_cli(capsys, "experiment", *argv, "--seed", "5")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["seed"] == 0 and "seed" not in summary["config"]
 
 
 def test_experiment_counterexample(capsys):
@@ -157,6 +212,10 @@ def test_experiment_counterexample(capsys):
     code, _, err = run_cli(capsys, "experiment", "--mode", "counterexample",
                            "--s", "0.5", "--N", "100")
     assert code == 3 and "alpha" in err
+    # it runs the identity sequence, so a family is refused rather than ignored
+    code, _, err = run_cli(capsys, "experiment", "--mode", "counterexample", "--alpha", "0.3",
+                           "--s", "0.5", "--N", "100", "--family", "n^2")
+    assert code == 3 and "family" in err
 
 
 def test_experiment_energy_scan(capsys):
@@ -209,6 +268,8 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
     code, out2, _ = run_cli(capsys, "--config", str(cfg), "stat", "--N", "200")
     assert code == 0
     assert json.loads(out2)["config"]["N"] == 200
+    code, out3, _ = run_cli(capsys, f"--config={cfg}", "stat")
+    assert code == 0 and out3 == out1
 
 
 def test_help_is_exit_zero(capsys):

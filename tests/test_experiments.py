@@ -47,12 +47,6 @@ def test_convergence_rows_and_determinism():
     assert rows_to_csv(rows) == rows_to_csv(again)
 
 
-def test_worker_invariance():
-    rows1 = run_convergence(small_config(workers=1))
-    rows4 = run_convergence(small_config(workers=4))
-    assert rows_to_csv(rows1) == rows_to_csv(rows4)
-
-
 def test_different_seeds_differ():
     a = run_convergence(small_config(seed=1))
     b = run_convergence(small_config(seed=2))
@@ -148,6 +142,23 @@ def test_spot_check_harness():
     assert spot_check_convergence(cfg_big, fraction=1.0) == 2 * 2
 
 
+def test_spot_check_mismatch_is_internal_error(monkeypatch):
+    import dataclasses
+
+    from torusppc import experiments
+    from torusppc.errors import InternalError
+
+    real = experiments.ppc_naive
+
+    def off_by_two(*args):
+        res = real(*args)
+        return dataclasses.replace(res, near_pairs=res.near_pairs + 2)
+
+    monkeypatch.setattr(experiments, "ppc_naive", off_by_two)
+    with pytest.raises(InternalError, match="grid/naive mismatch at N=200"):
+        spot_check_convergence(small_config(samples=2), fraction=1.0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="1/2"):
         ExperimentConfig(family=(SequenceSpec.identity(),), s_values=(1.0,),
@@ -156,8 +167,6 @@ def test_config_validation():
         ExperimentConfig(family=(), s_values=(1.0,), N_values=(100,), samples=2)
     with pytest.raises(ValueError):
         small_config(samples=0)
-    with pytest.raises(ValueError):
-        small_config(workers=0)
 
 
 def test_config_json_roundtrip():

@@ -28,6 +28,16 @@ def test_floor_family_matches_oracle():
         assert list(got) == want
 
 
+def test_floor_label_parses_back():
+    # the label is echoed in summaries and replayed, so it must keep every bit of A
+    rng = np.random.default_rng(20)
+    for a in [1.0, 1.5, 2.0, 1.23456789, *rng.uniform(1.0, 2.0, 200)]:
+        spec = SequenceSpec.floor_nlog(a, start=3)
+        assert SequenceSpec.parse(spec.label(), floor_start=3) == spec
+    assert [SequenceSpec.floor_nlog(a).label() for a in (1, 1.5, 2)] == \
+        ["[n log^1 n]", "[n log^1.5 n]", "[n log^2 n]"]
+
+
 def test_floor_family_start_validation():
     # [2 (log 2)^2] = 0 is not a natural number; the error names the index
     with pytest.raises(ValueError, match="index 0"):
