@@ -1,17 +1,17 @@
 """Bessel function evaluation and indicator Fourier coefficients.
 
-bessel_j targets absolute accuracy 1e-10 on nu in [0, 5], t in [0, 1e4]:
+bessel_j targets absolute accuracy 1e-10 on nu in [0, 5], t in [0, 1e4], and
+returns a bound on each value's absolute error:
 
-* t <= 10: binary64 power series with an alternating-tail certificate and a
-  tracked roundoff budget;
+* t <= 10: binary64 power series; alternating tail plus a roundoff budget;
 * 10 < t <= 30: the same series at 40 significant digits (the largest term
   near t = 30 is ~1e11, which no binary64 summation can cancel to 1e-10);
-* t > 30, integer nu: composite Gauss-Legendre quadrature of the cosine
-  integral form, panels scaled to the oscillation, refined until two grids
-  agree;
-* t > 30, noninteger nu: the large-argument cosine expansion with the
-  first-omitted-term remainder bound, which at t >= 30 certifies ~1e-13 or
-  better for nu <= 5 (and terminates exactly at half-integer orders).
+* t > 30, integer nu: the P-point trapezoidal rule on the periodic integral
+  form; aliasing tail plus the rounding of cosines of arguments up to
+  2 pi nu + t, ~4e-11 at t = 1e4;
+* t > 30, noninteger nu: the large-argument cosine expansion; first omitted
+  term plus the rounding of cos/sin of an argument of size t and of the sums,
+  ~1e-14 (exact termination at half-integer orders).
 
 Fourier coefficients of the box and ball indicators used by the pair
 correlation variance computations are built on top.
@@ -108,30 +108,26 @@ def _series_mp(nu: float, t: float) -> tuple[float, float]:
     return value, 1e-14 + abs(value) * _EPS
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
 def _quad_integer(nu: int, t: float) -> tuple[float, float]:
-    """(1/2pi) integral_0^2pi cos(t sin th - nu th) dth by composite Gauss rules."""
+    """(1/2pi) integral_0^2pi cos(nu th - t sin th) dth by the P-point trapezoidal rule.
 
-    def compose(panels: int) -> float:
-        edges = np.linspace(0.0, 2.0 * math.pi, panels + 1)
-        h = (edges[1] - edges[0]) / 2.0
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        theta = centers[:, None] + h * _GL_NODES[None, :]
-        vals = np.cos(t * np.sin(theta) - nu * theta)
-        return float((vals @ _GL_WEIGHTS).sum() * h / (2.0 * math.pi))
-
-    panels = 64 + int(2.0 * (t + nu))
-    prev = compose(panels)
-    for _ in range(6):
-        panels *= 2
-        cur = compose(panels)
-        delta = abs(cur - prev)
-        if delta < 2e-14:
-            return cur, max(delta, 1e-14)
-        prev = cur
-    return cur, max(abs(cur - prev), 1e-14)
+    On this periodic integrand the rule returns sum_k J_{nu+kP}(t) exactly
+    (Jacobi-Anger; Trefethen & Weideman, SIAM Rev. 56, 2014).  The aliased
+    orders kP +- nu (k >= 1) are >= m0 = P - nu and each occurs at most twice,
+    so with |J_m(t)| <= (t/2)^m/m! (DLMF 10.14.4), m! >= sqrt(2 pi m)(m/e)^m
+    and ratio r = t/(2 m0 + 2) < 1/e the alias error is below
+    2 (e t/(2 m0))^m0 / (sqrt(2 pi m0)(1 - r)), ~1e-18.  Rounding (u = 2^-53,
+    cos/sin within one ulp): nodes off by 6 pi u move the integrand by
+    19u(nu + t), forming its argument costs u(12.6 nu + 4.02 t), cos, fsum and
+    the division 4u; 32u(nu + t + 1) <= 16 _EPS (nu + t + 1) covers the sum.
+    """
+    P = int(math.e * t / 2.0) + nu + 40
+    m0 = P - nu
+    theta = np.arange(P) * (2.0 * math.pi / P)
+    value = math.fsum(np.cos(nu * theta - t * np.sin(theta)).tolist()) / P
+    alias = (2.0 * (math.e * t / (2.0 * m0)) ** m0 / math.sqrt(2.0 * math.pi * m0)
+             / (1.0 - t / (2.0 * (m0 + 1))))
+    return value, alias + 16.0 * _EPS * (nu + t + 1.0)
 
 
 def _hankel(nu: float, t: float) -> tuple[float, float]:
@@ -139,22 +135,24 @@ def _hankel(nu: float, t: float) -> tuple[float, float]:
 
     J_nu(t) ~ sqrt(2/(pi t)) [cos(w) P - sin(w) Q] with w = t - nu pi/2 - pi/4,
     a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k); P takes the even a_k with
-    alternating signs, Q the odd ones.  For real orders the remainder of each
-    series is bounded by its first omitted term once enough terms are taken;
-    at half-integer orders the expansion terminates and is exact.
+    alternating signs, Q the odd ones.  For real orders each remainder is at
+    most its first omitted term once enough terms are taken (DLMF 10.17(iii)).
+    For t > 20 and k <= 40, |ratio(k)| = |a_k| / (t |a_{k-1}|) < 1, so terms
+    shrink and 2(|last| + |next|) covers both remainders; at half-integer
+    orders the expansion terminates.  Rounding (u = 2^-53, cos/sin within one
+    ulp): a_k/t^k is off by 6.1 k u relative (six roundings per factor),
+    summing n terms adds n u |a_k|; w is off by u(2|w| + 17.5), cos/sin by 2u,
+    products, difference and prefactor by 6u(|P| + |Q|); all of it is below
+    _EPS ((|w| + 13)(|P| + |Q|) + sum_k (4k + n)|a_k|).
     """
-    mu = 4.0 * nu * nu
+    def ratio(k: int) -> float:
+        odd = 2 * k - 1
+        return (2.0 * nu - odd) * (2.0 * nu + odd) / (8.0 * k * t)
+
     terms = [1.0]
-    a_over_t = 1.0
     for k in range(1, 40):
-        a_over_t *= (mu - (2 * k - 1) ** 2) / (8.0 * k * t)
-        terms.append(a_over_t)
-        if a_over_t == 0.0:
-            break
-        if k > 6 and abs(terms[-1]) >= abs(terms[-2]):
-            terms.pop()          # divergence point: stop before terms grow
-            break
-        if k >= 8 and abs(a_over_t) < 1e-19:
+        terms.append(terms[-1] * ratio(k))
+        if terms[-1] == 0.0 or (k >= 8 and abs(terms[-1]) < 1e-19):
             break
     p = 0.0
     q = 0.0
@@ -164,13 +162,13 @@ def _hankel(nu: float, t: float) -> tuple[float, float]:
         else:
             q += (-1.0) ** ((k - 1) // 2) * a
     n = len(terms)
-    a_next = terms[-1] * (mu - (2 * n - 1) ** 2) / (8.0 * n * t) if terms[-1] != 0.0 else 0.0
-    rem = abs(terms[-1]) + abs(a_next)
+    rem = abs(terms[-1]) + abs(terms[-1] * ratio(n))
     omega = t - nu * math.pi / 2.0 - math.pi / 4.0
     pref = math.sqrt(2.0 / (math.pi * t))
     value = pref * (math.cos(omega) * p - math.sin(omega) * q)
-    bound = pref * 2.0 * rem + 1e-15
-    return value, bound
+    roundoff = _EPS * ((abs(omega) + 13.0) * (abs(p) + abs(q))
+                       + sum((4 * k + n) * abs(a) for k, a in enumerate(terms)))
+    return value, pref * (2.0 * rem + roundoff)
 
 
 @lru_cache(maxsize=1 << 18)

@@ -3,11 +3,12 @@
 Every command prints a JSON summary to stdout that echoes the fully
 resolved configuration and master seed; tabular results additionally go to
 --out as CSV.  A summary written by any command can be re-executed with
-``torusppc --replay summary.json`` and reproduces the identical output.
-Both --replay and ``--config file.json`` turn a config object into flags by
-one rule (see _config_argv); --config puts them right after the command
-name, so explicit flags override them, and a key that names no flag of the
-command is a usage error.
+``torusppc --replay summary.json`` and reproduces the identical output;
+--replay takes no command name and no --config next to it.  Both --replay
+and ``--config file.json`` turn a config object into flags by one rule (see
+_config_argv); --config puts them right after the command name, so explicit
+flags override them, and a key that names no flag of the command is a usage
+error.
 
 Exit codes: 0 success, 2 usage error, 3 invalid configuration, 4 I/O error,
 5 internal error (a failed self-check, not bad input).
@@ -83,12 +84,14 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _load_support(path: str) -> WeightedSupport:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = {}
-    for item in data["entries"]:
-        *coords, re_w, im_w = item
-        entries[tuple(int(c) for c in coords)] = complex(float(re_w), float(im_w))
-    return WeightedSupport(d=len(next(iter(entries))), entries=entries)
+    data = _read_json(path)
+    try:
+        entries = {tuple(int(c) for c in coords): complex(float(re_w), float(im_w))
+                   for *coords, re_w, im_w in data["entries"]}
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f'support file is not {{"entries": [[a1..ad, re, im], ...]}}: '
+                          f'{exc!r}') from exc
+    return WeightedSupport(d=len(next(iter(entries), ())), entries=entries)
 
 
 def _emit(summary: dict, out_csv: "str | None" = None, csv_text: "str | None" = None) -> None:
@@ -420,6 +423,10 @@ def parse_and_dispatch(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code) if exc.code else EXIT_OK
         if args.replay:
+            if args.command is not None or args.config is not None:
+                sys.stderr.write("torusppc: --replay takes no command and no --config; "
+                                 "to change a replayed run, give its config to --config\n")
+                return EXIT_USAGE
             summary = _read_json(args.replay)
             try:
                 command = summary["command"]

@@ -375,8 +375,7 @@ def comparison_from_name(name: str) -> ComparisonFn:
     return fn
 
 
-def energy_bound_report(seqs: Sequence[SequenceData],
-                        comparisons: "Sequence[tuple[str, ComparisonFn]] | Sequence[str]" = (),
+def energy_bound_report(seqs: Sequence[SequenceData], comparisons: Sequence[str] = (),
                         pair_budget: int = DEFAULT_PAIR_BUDGET) -> EnergyReport:
     """Energy (joint for d >= 2) with observational ratios E / g(N)."""
     if len(seqs) == 1:
@@ -384,11 +383,5 @@ def energy_bound_report(seqs: Sequence[SequenceData],
     else:
         e = joint_additive_energy(seqs, pair_budget=pair_budget)
     n = seqs[0].N
-    ratios: dict[str, float] = {}
-    for item in comparisons:
-        if isinstance(item, str):
-            name, fn = item, comparison_from_name(item)
-        else:
-            name, fn = item
-        ratios[name] = e / fn(n)
+    ratios = {name: e / comparison_from_name(name)(n) for name in comparisons}
     return EnergyReport(E=e, N=n, lower_trivial=n * n, upper_trivial=n ** 3, ratios=ratios)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -65,20 +65,6 @@ class ExperimentConfig:
             "timing": self.timing,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        floor_start = int(data.get("floor_start", 2))
-        family = tuple(SequenceSpec.parse(t, floor_start=floor_start) for t in data["family"])
-        return cls(
-            family=family,
-            norm=NormKind.parse(data.get("norm", "sup")),
-            s_values=tuple(float(s) for s in data.get("s_values", DEFAULT_S_VALUES)),
-            N_values=tuple(int(n) for n in data.get("N_values", DEFAULT_N_VALUES)),
-            samples=int(data.get("samples", DEFAULT_SAMPLES)),
-            seed=int(data.get("seed", 0)),
-            timing=bool(data.get("timing", False)),
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentRow:
@@ -92,12 +78,7 @@ class ExperimentRow:
     seconds: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N, "s": self.s, "K": self.K,
-            "mean_R": self.mean_R, "var_R": self.var_R,
-            "limit": self.limit, "expectation": self.expectation,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 def cell_seed(master: int, N: int, s_index: int, k: int) -> int:
@@ -214,7 +195,7 @@ class EnergyScanRow:
     ratios: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {"N": self.N, "E": self.E, "ratios": dict(self.ratios)}
+        return asdict(self)
 
 
 def run_energy_scan(family: Sequence[SequenceSpec], N_values: Sequence[int],

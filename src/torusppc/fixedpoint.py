@@ -40,9 +40,6 @@ class Frac64:
         """Nearest binary64 to numerator / 2**64 (reporting only, may round)."""
         return self.numerator / SCALE
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, SCALE)
-
     def __add__(self, other: "Frac64") -> "Frac64":
         return Frac64((self.numerator + other.numerator) & _MASK)
 
@@ -73,9 +70,6 @@ class TorusPoint:
         if offset.dimension != self.dimension:
             raise ValueError("dimension mismatch")
         return TorusPoint(tuple(a + b for a, b in zip(self.coords, offset.coords)))
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(c.value for c in self.coords)
 
 
 def frac_of_real(x: float) -> Frac64:

@@ -17,7 +17,7 @@ tests against simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -421,19 +421,7 @@ class Eq0Record:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "exact_truncated_rhs": self.exact_truncated_rhs,
-            "untruncated_rhs": self.untruncated_rhs,
-            "d_sq_estimate": self.d_sq_estimate,
-            "d_sq_std_error": self.d_sq_std_error,
-            "d_sq_exact": self.d_sq_exact,
-            "samples": self.samples,
-            "M": self.M,
-            "alpha": self.alpha,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def truncated_rhs(f: WeightedSupport, alpha: float, M: int) -> float:

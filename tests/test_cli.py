@@ -141,9 +141,10 @@ REPLAY_LINES = {
     "gcdsum-family": ["gcdsum", "--alpha-exp", "0.5", "--family", "n,n^2", "--N", "12"],
     "gcdsum-support": ["gcdsum", "--alpha-exp", "1.0", "--support-json", "{support}"],
     "bessel": ["bessel", "--nu", "1.5", "--t", "300"],
-    "experiment-convergence": ["experiment", "--mode", "convergence", "--norm", "two",
-                               "--s", "0.5,1", "--N", "200,300", "--K", "3", "--seed", "3",
-                               "--out", "{out}"],
+    "experiment-convergence": ["experiment", "--mode", "convergence",
+                               "--family", "n,[n log^2 n]", "--floor-start", "3",
+                               "--norm", "two", "--s", "0.5,1", "--N", "200,300", "--K", "3",
+                               "--seed", "3", "--out", "{out}"],
     "experiment-variance-decay": ["experiment", "--mode", "variance-decay",
                                   "--family", "n,[n log^1.5 n]", "--s", "1", "--N", "100,200",
                                   "--K", "30", "--seed", "4", "--out", "{out}"],
@@ -180,6 +181,29 @@ def test_replay_and_config_reproduce_the_run(capsys, tmp_path, name):
             config_path.write_text(json.dumps(json.loads(out)["config"]), encoding="utf-8")
     assert outs[1] == outs[0] and outs[2] == outs[0]
     assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+
+def test_replay_refuses_a_command_or_config(capsys, tmp_path):
+    summary = tmp_path / "b1.json"
+    summary.write_text(run_cli(capsys, "bessel", "--nu", "1", "--t", "1")[1], encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nu": 2, "t": 5}), encoding="utf-8")
+    for argv in (["--replay", str(summary), "bessel", "--nu", "2", "--t", "5"],
+                 ["--replay", str(summary), "--config", str(cfg)],
+                 ["--config", str(cfg), "--replay", str(summary), "bessel"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("torusppc: --replay takes no command and no --config")
+
+
+def test_malformed_support_json_is_config_error(capsys, tmp_path):
+    path = tmp_path / "support.json"
+    for bad in ({"entries": []}, [1, 2], {}):
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        for command in (["gcdsum", "--alpha-exp", "1.0"], ["verify-eq0"]):
+            code, out, err = run_cli(capsys, *command, "--support-json", str(path))
+            assert code == 3 and out == "", (bad, command)
+            assert err.startswith("torusppc: invalid configuration:"), err
 
 
 def test_config_unknown_key_is_usage_error(capsys, tmp_path):

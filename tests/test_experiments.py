@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -167,19 +166,6 @@ def test_config_validation():
         ExperimentConfig(family=(), s_values=(1.0,), N_values=(100,), samples=2)
     with pytest.raises(ValueError):
         small_config(samples=0)
-
-
-def test_config_json_roundtrip():
-    cfg = ExperimentConfig(
-        family=(SequenceSpec.identity(), SequenceSpec.floor_nlog(2.0, start=3)),
-        norm=NormKind.TWO, s_values=(0.5,), N_values=(100,), samples=3, seed=11)
-    data = json.loads(json.dumps(cfg.to_json_dict()))
-    back = ExperimentConfig.from_json_dict(data)
-    assert back.family[1].log_exponent == 2.0
-    assert back.family[1].start == 3
-    assert back.norm is NormKind.TWO
-    assert back.seed == 11
-    assert rows_to_csv(run_convergence(cfg)) == rows_to_csv(run_convergence(back))
 
 
 def test_single_sample_variance_zero():
