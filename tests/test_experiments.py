@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from torusppc.cli import parse_and_dispatch
 from torusppc.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -166,6 +168,27 @@ def test_config_validation():
         ExperimentConfig(family=(), s_values=(1.0,), N_values=(100,), samples=2)
     with pytest.raises(ValueError):
         small_config(samples=0)
+
+
+def test_config_json_roundtrip(capsys, tmp_path):
+    # a config's JSON goes back through --config, the one route from JSON to a run
+    cfg = ExperimentConfig(
+        family=(SequenceSpec.identity(), SequenceSpec.floor_nlog(2.0, start=3)),
+        norm=NormKind.TWO, s_values=(0.5,), N_values=(100,), samples=3, seed=11)
+    data = json.loads(json.dumps(cfg.to_json_dict()))
+    config_path, out_csv = tmp_path / "config.json", tmp_path / "out.csv"
+    config_path.write_text(json.dumps({"mode": "convergence", **data}), encoding="utf-8")
+    code = parse_and_dispatch(["--config", str(config_path), "experiment",
+                               "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    echo = json.loads(captured.out)["config"]
+    assert echo["family"] == ["n", "[n log^2 n]"]
+    assert echo["floor_start"] == 3
+    assert echo["norm"] == "two"
+    assert echo["seed"] == 11
+    assert {k: echo[k] for k in data} == data
+    assert out_csv.read_text(encoding="utf-8") == rows_to_csv(run_convergence(cfg))
 
 
 def test_single_sample_variance_zero():
