@@ -48,6 +48,8 @@ class WeightedSupport:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("support must be nonempty")
+        if self.d < 1:
+            raise ValueError("support points need at least one coordinate")
         keys = sorted(self.entries)
         for key in keys:
             if len(key) != self.d:

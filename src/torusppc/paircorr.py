@@ -108,27 +108,28 @@ def _threshold_for(s: float, N: int, d: int) -> _Threshold:
     return _Threshold.make(threshold(s, N, d))
 
 
-def _count_near(pts: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+def _count_near(cols: np.ndarray, ia: np.ndarray, ib: np.ndarray,
                 norm: NormKind, thr: _Threshold) -> int:
     """Number of index pairs (ia[j], ib[j]) with torus distance <= t, exactly.
 
-    This is the single comparison predicate shared by both counters.
+    This is the single comparison predicate shared by both counters.  The
+    points come coordinate-major: cols is a C-contiguous (d, N) array, so
+    each axis is a 1-D gather.
     """
     if ia.size == 0:
         return 0
-    d = pts.shape[1]
     if norm is NormKind.SUP:
         lim = np.uint64(thr.sup_num)    # < 2**63 since t < 1/2
         dmax = np.zeros(ia.size, dtype=np.uint64)
-        for k in range(d):
-            du = pts[ia, k] - pts[ib, k]
+        for col in cols:
+            du = col[ia] - col[ib]
             dn = np.minimum(du, -du)
             np.maximum(dmax, dn, out=dmax)
         return int(np.count_nonzero(dmax <= lim))
 
     acc = np.zeros(ia.size, dtype=np.float64)
-    for k in range(d):
-        du = pts[ia, k] - pts[ib, k]
+    for col in cols:
+        du = col[ia] - col[ib]
         dn = np.minimum(du, -du).astype(np.float64)
         acc += dn * dn
     bound = thr.two_num_f
@@ -140,10 +141,8 @@ def _count_near(pts: np.ndarray, ia: np.ndarray, ib: np.ndarray,
     border = np.flatnonzero(~sure_in & (acc <= bound * (1.0 + _BORDER_BAND)))
     for j in border:
         ssq = 0
-        for k in range(d):
-            u = int(pts[ia[j], k])
-            v = int(pts[ib[j], k])
-            dd = (u - v) % SCALE
+        for col in cols:
+            dd = (int(col[ia[j]]) - int(col[ib[j]])) % SCALE
             dn = min(dd, SCALE - dd)
             ssq += dn * dn
         if ssq <= thr.two_num:
@@ -171,6 +170,7 @@ def ppc_naive(points, s: float, norm: NormKind) -> PairCountResult:
     if N < 2:
         raise ValueError("need at least 2 points")
     thr = _threshold_for(s, N, d)
+    cols = np.ascontiguousarray(pts.T)
     rows_per_chunk = max(1, _CHUNK_PAIRS // N)
     near = 0
     all_idx = np.arange(N)
@@ -178,7 +178,7 @@ def ppc_naive(points, s: float, norm: NormKind) -> PairCountResult:
         hi = min(N, lo + rows_per_chunk)
         ia = np.repeat(np.arange(lo, hi), N)
         ib = np.tile(all_idx, hi - lo)
-        near += _count_near(pts, ia, ib, norm, thr)
+        near += _count_near(cols, ia, ib, norm, thr)
     near -= N  # diagonal pairs m == n are always within threshold
     return _result(near, N, s, d, norm)
 
@@ -259,7 +259,7 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     ids = coords @ weights
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
-    pts = pts[order]
+    cols = np.take(pts.T, order, axis=1)     # C-contiguous (d, N)
 
     starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
     ends = np.append(starts[1:], N)
@@ -268,7 +268,7 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     a = np.arange(N)
 
     def count(b_start, length):
-        return sum(_count_near(pts, ia, ib, norm, thr)
+        return sum(_count_near(cols, ia, ib, norm, thr)
                    for ia, ib in _segment_pairs(a, b_start, length))
 
     near = count(a + 1, ends[cell_of] - a - 1)

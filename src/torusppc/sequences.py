@@ -8,7 +8,6 @@ terms are strictly increasing natural numbers below 2**63.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,19 +108,26 @@ class SequenceData:
         self.values.setflags(write=False)
 
 
-def _floor_nlog_value(n: int, exponent: float) -> int:
-    """floor(n * (log n)**A) with an exact-recheck near integer boundaries.
+def _floor_nlog(start: int, N: int, exponent: float) -> np.ndarray:
+    """floor(n * (log n)**A) for n = start .. start+N-1, exact.
 
-    A plain float evaluation can misfloor when n*(log n)**A sits within
-    rounding distance of an integer; those rare cases are settled at 50
-    significant digits.
+    A float evaluation can misfloor when n*(log n)**A sits within rounding
+    distance of an integer.  Every term within a relative 1e-9 of an integer
+    (far wider than any rounding error of the float evaluation) is settled
+    at 50 significant digits.  Once n*(log n)**A exceeds 5e8 the band holds
+    every term, so a float value is kept only where n is exact in float64.
     """
-    x = n * math.log(n) ** exponent
-    if abs(x - round(x)) < 1e-9 * max(x, 1.0):
-        with mpmath.workdps(50):
-            x_hi = mpmath.mpf(n) * mpmath.log(n) ** exponent
-            return int(mpmath.floor(x_hi))
-    return math.floor(x)
+    n = np.arange(start, start + N, dtype=np.float64)
+    x = n * np.log(n) ** exponent
+    if x[-1] >= 2.0 ** 63:        # the int64 cast would wrap silently
+        raise OverflowError(f"n (log n)^{exponent:g} exceeds 2**63 by n = {start + N - 1}")
+    values = np.floor(x).astype(np.int64)
+    band = np.flatnonzero(np.abs(x - np.round(x)) < 1e-9 * np.maximum(x, 1.0))
+    with mpmath.workdps(50):
+        for i in band:
+            k = start + int(i)
+            values[i] = int(mpmath.floor(mpmath.mpf(k) * mpmath.log(k) ** exponent))
+    return values
 
 
 def _validate(values: np.ndarray, spec: SequenceSpec) -> None:
@@ -133,9 +139,6 @@ def _validate(values: np.ndarray, spec: SequenceSpec) -> None:
             f"element at index 0 is {first}, not a natural number "
             f"(for the floor family, raise the start index)"
         )
-    if int(values[-1]) > MAX_VALUE:
-        bad = int(np.argmax(values.astype(object) > MAX_VALUE))
-        raise OverflowError(f"element at index {bad} exceeds 2**63")
     diffs = np.diff(values)
     if diffs.size and int(diffs.min()) < 1:
         bad = int(np.argmax(diffs < 1))
@@ -157,9 +160,7 @@ def generate(spec: SequenceSpec, N: int) -> SequenceData:
         base = np.arange(1, N + 1, dtype=np.int64)
         values = base ** spec.power
     elif spec.kind == KIND_FLOOR_NLOG:
-        a = spec.log_exponent
-        ns = range(spec.start, spec.start + N)
-        values = np.fromiter((_floor_nlog_value(n, a) for n in ns), dtype=np.int64, count=N)
+        values = _floor_nlog(spec.start, N, spec.log_exponent)
     elif spec.kind == KIND_EXPLICIT:
         values = _read_explicit(spec.path)
         if values.shape[0] < N:
@@ -181,9 +182,12 @@ def _read_explicit(path: str) -> np.ndarray:
         if line == "":
             raise ValueError(f"{path}:{lineno}: blank line in sequence file")
         try:
-            out.append(int(line))
+            value = int(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: not a decimal integer: {line!r}") from exc
+        if abs(value) > MAX_VALUE:
+            raise OverflowError(f"{path}:{lineno}: {line} exceeds 2**63 in absolute value")
+        out.append(value)
     return np.array(out, dtype=np.int64)
 
 

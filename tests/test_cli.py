@@ -198,12 +198,20 @@ def test_replay_refuses_a_command_or_config(capsys, tmp_path):
 
 def test_malformed_support_json_is_config_error(capsys, tmp_path):
     path = tmp_path / "support.json"
-    for bad in ({"entries": []}, [1, 2], {}):
+    for bad in ({"entries": []}, [1, 2], {}, {"entries": [[1, 0]]}):
         path.write_text(json.dumps(bad), encoding="utf-8")
         for command in (["gcdsum", "--alpha-exp", "1.0"], ["verify-eq0"]):
             code, out, err = run_cli(capsys, *command, "--support-json", str(path))
             assert code == 3 and out == "", (bad, command)
             assert err.startswith("torusppc: invalid configuration:"), err
+
+
+def test_explicit_file_term_too_large_is_config_error(capsys, tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_text(f"1\n2\n{2 ** 64}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "stat", "--family", f"file:{path}", "--N", "3")
+    assert code == 3 and out == ""
+    assert f"{path}:3: " in err and "exceeds 2**63" in err
 
 
 def test_config_unknown_key_is_usage_error(capsys, tmp_path):

@@ -161,12 +161,12 @@ _count_near = paircorr._count_near
 
 @pytest.fixture
 def predicate_calls(monkeypatch):
-    """Record every (pts, ia, ib) handed to the shared predicate."""
+    """Record every (cols, ia, ib) handed to the shared predicate."""
     calls = []
 
-    def recording(pts, ia, ib, norm, thr):
-        calls.append((pts, ia.copy(), ib.copy()))
-        return _count_near(pts, ia, ib, norm, thr)
+    def recording(cols, ia, ib, norm, thr):
+        calls.append((cols, ia.copy(), ib.copy()))
+        return _count_near(cols, ia, ib, norm, thr)
 
     monkeypatch.setattr(paircorr, "_count_near", recording)
     return calls
@@ -184,8 +184,9 @@ def _stencil_inputs(rng, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_grid_stencil_tests_each_candidate_pair_once(d, predicate_calls):
-    # ppc_grid hands the predicate cell-sorted points: map rows back to input
-    # indices, then check that the half shell covers every near pair once
+    # ppc_grid hands the predicate cell-sorted points, coordinate-major: map
+    # them back to input rows, then check that the half shell covers every
+    # near pair once
     rng = np.random.default_rng(100 + d)
     seen_m = set()
     for name, raw, t_values in _stencil_inputs(rng, d):
@@ -204,7 +205,7 @@ def test_grid_stencil_tests_each_candidate_pair_once(d, predicate_calls):
                 assert ppc_grid(pts, s, norm).near_pairs == naive, (name, t, norm)
                 ia, ib = [], []
                 for p, a_idx, b_idx in predicate_calls:
-                    perm = np.array([index[r.tobytes()] for r in p])
+                    perm = np.array([index[r.tobytes()] for r in p.T])
                     ia.append(perm[a_idx])
                     ib.append(perm[b_idx])
                 ia, ib = np.concatenate(ia), np.concatenate(ib)
@@ -213,7 +214,8 @@ def test_grid_stencil_tests_each_candidate_pair_once(d, predicate_calls):
                 assert np.unique(keys).size == keys.size, (name, t)
                 # the shared predicate finds no near pair outside the candidates
                 missed = ~np.isin(lo * n + hi, keys)
-                assert _count_near(pts, lo[missed], hi[missed], norm, thr) == 0, (name, t)
+                cols = np.ascontiguousarray(pts.T)
+                assert _count_near(cols, lo[missed], hi[missed], norm, thr) == 0, (name, t)
     assert {1, 3} <= seen_m
 
 

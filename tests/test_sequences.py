@@ -22,10 +22,21 @@ def test_generate_examples():
 
 
 def test_floor_family_matches_oracle():
-    for a, start in ((1.0, 2), (1.5, 2), (2.0, 3)):
-        got = generate(SequenceSpec.floor_nlog(a, start=start), 200).values
-        want = [floor_nlog_oracle(n, a) for n in range(start, start + 200)]
-        assert list(got) == want
+    # the first terms, then seeded windows near 10^6 and 10^7, where most
+    # terms fall in the band that is rechecked at high precision
+    rng = np.random.default_rng(31)
+    for a in (1.0, 1.25, 1.5, 2.0):
+        windows = [(2 if a < 2 else 3, 200)]
+        windows += [(int(rng.integers(c, 2 * c)), 2000) for c in (10 ** 6, 10 ** 7)]
+        for start, count in windows:
+            got = generate(SequenceSpec.floor_nlog(a, start=start), count).values
+            want = [floor_nlog_oracle(n, a) for n in range(start, start + count)]
+            assert list(got) == want, (a, start)
+
+
+def test_floor_family_overflow_guard():
+    with pytest.raises(OverflowError, match="2\\*\\*63"):
+        generate(SequenceSpec.floor_nlog(2.0, start=10 ** 17), 2)
 
 
 def test_floor_label_parses_back():
@@ -88,6 +99,14 @@ def test_explicit_file(tmp_path):
 
     with pytest.raises(OSError):
         generate(SequenceSpec.explicit(str(tmp_path / "missing.txt")), 1)
+
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"1\n{2 ** 63}\n", encoding="utf-8")
+    with pytest.raises(OverflowError, match="huge.txt:2: .* exceeds 2\\*\\*63"):
+        generate(SequenceSpec.explicit(str(huge)), 2)
+    top = tmp_path / "top.txt"
+    top.write_text(f"1\n{2 ** 63 - 1}\n", encoding="utf-8")
+    assert generate(SequenceSpec.explicit(str(top)), 2).values[-1] == 2 ** 63 - 1
 
     short = tmp_path / "short.txt"
     short.write_text("1\n2\n", encoding="utf-8")
