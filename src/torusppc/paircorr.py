@@ -1,15 +1,17 @@
 """Pair correlation statistics on the d-torus.
 
 Two counters produce the statistic: ppc_naive scans all ordered pairs in
-O(N^2) and is the reference; ppc_grid is a linked-cell counter (Allen &
-Tildesley, Computer Simulation of Liquids, ch. 5).  It sorts the points into
-toroidal cells of side >= threshold, tests each unordered pair within a cell
-once, and tests neighbouring cells through the half shell of offsets whose
-first nonzero component is +1, so every candidate pair is examined exactly
-once with no deduplication pass.  Grids with at most 2 cells per axis, where
-every cell neighbours every other, use one cell instead.  Both counters call
-the same exact comparison predicate, so their counts agree pair for pair,
-not just statistically.
+O(N^2) and is the reference; ppc_grid is a column sweep, the sorted-column
+form of the linked-cell method (Allen & Tildesley, Computer Simulation of
+Liquids, ch. 5).  It buckets the points into toroidal columns of side >= t
+over the first d - 1 axes, sorts them by column and then by the last
+coordinate, and pairs each point with a window of +-t on the last axis in
+its own column and in the half shell of neighbour columns (offsets whose
+first nonzero component is +1), each window found by binary search.  Every
+candidate pair is examined exactly once with no deduplication pass.  d = 1,
+and grids with at most 2 columns per axis, use one column: a sort and a
+window sweep.  Both counters call the same exact comparison predicate, so
+their counts agree pair for pair, not just statistically.
 
 The predicate is exact: with threshold t (a binary64 value), a pair is
 "near" iff its torus distance is <= t as real numbers.  Sup-norm compares
@@ -31,7 +33,7 @@ import numpy as np
 
 from .fixedpoint import SCALE, points_to_array
 
-_CHUNK_PAIRS = 1 << 22          # pair-predicate evaluations per vectorized chunk
+_CHUNK_PAIRS = 1 << 18          # pair-predicate evaluations per vectorized chunk
 _BORDER_BAND = 1e-11            # relative width of the exact-recheck band (2-norm)
 
 
@@ -183,17 +185,19 @@ def ppc_naive(points, s: float, norm: NormKind) -> PairCountResult:
     return _result(near, N, s, d, norm)
 
 
-def _cells_per_axis(t: float, d: int) -> int:
-    """Cells per axis: floor(1/t), capped so flattened cell ids fit an int64.
+def _columns_per_axis(t: float, d: int) -> int:
+    """Columns per axis of the grid over the first d - 1 axes: floor(1/t), capped.
 
-    The cap only lowers m, so the cell side 1/m stays >= t.  Below 3 cells
-    per axis every cell is adjacent to every other, so one cell (m = 1)
-    examines the same pairs and needs no wrap-around bookkeeping.
+    The cap keeps the m^(d-1) column ids below 2**62, so the sort key holds
+    at least two bits of the last coordinate, and keeps m * 2**32 inside a
+    uint64 for _cell_coords.  It only lowers m, so the column side 1/m stays
+    >= t.  Below 3 columns per axis every column is adjacent to every other,
+    and for d = 1 there are no column axes: both use one column (m = 1).
     """
     m_exact = int(1 / Fraction(t))
     cap = min((1 << 31) - 1, int((1 << 62) ** (1.0 / d)))
     m = min(m_exact, cap)
-    return m if m >= 3 else 1
+    return m if m >= 3 and d > 1 else 1
 
 
 def _cell_coords(pts: np.ndarray, m: int) -> np.ndarray:
@@ -235,54 +239,78 @@ def _segment_pairs(a: np.ndarray, b_start: np.ndarray, length: np.ndarray):
 
 
 def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
-    """Half-shell cell-list counter; identical count to ppc_naive by construction.
+    """Column-sweep counter; identical count to ppc_naive by construction.
 
-    [0,1)^d is split into m^d congruent toroidal cells with side 1/m >= t,
-    so any pair within distance t (either norm) lies in one cell or in two
-    coordinate-adjacent cells.  Points are sorted by cell, so each occupied
-    cell is a contiguous run.  Same-cell pairs are tested once as i < j.
-    Cross-cell pairs are tested only against the half shell of neighbour
-    offsets whose first nonzero component is +1; with m >= 3 every unordered
-    pair of adjacent cells is reached by exactly one such offset.  Grids
-    with m <= 2 collapse to the single cell m = 1, where every pair is a
-    same-cell pair.  Each tested unordered pair counts twice (ordered pairs).
+    The first d - 1 axes are split into m^(d-1) toroidal columns of side
+    1/m >= t, so a pair within distance t (either norm) lies in one column
+    or in two adjacent ones, and its last coordinates y are within t on the
+    circle.  Points are sorted by one uint64 key: the column id in the top B
+    bits, then y shifted right by B.  With T = floor(t * 2**64), each point
+    is paired with the later points of its own column inside [y, y + T],
+    plus [y - T + 2**64, end) when y < T, and with each half-shell
+    neighbour column (first nonzero offset +1; one at d = 2, four at d = 3)
+    inside [y - T, y + T], two ranges where that wraps.  Every range comes
+    from searchsorted on the key.  Truncating y widens a range by less than
+    2**B / 2**64, so the ranges hold every near pair, and each unordered
+    pair lies in exactly one of them.  d = 1 and m <= 2 use one column,
+    where this is a sort and a window sweep.  Each tested unordered pair
+    counts twice (ordered pairs).
     """
     pts = points_to_array(points)
     N, d = pts.shape
     if N < 2:
         raise ValueError("need at least 2 points")
     thr = _threshold_for(s, N, d)
-    m = _cells_per_axis(thr.t, d)
+    m = _columns_per_axis(thr.t, d)
+    axes = d - 1 if m > 1 else 0
+    bits = (m ** axes - 1).bit_length()
+    shift = np.uint64(bits)
+    weights = [np.uint64(m ** (axes - 1 - k) << (64 - bits)) for k in range(axes)]
 
-    coords = _cell_coords(pts, m).astype(np.int64)
-    weights = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    ids = coords @ weights
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
+    def column_base(cells, delta):
+        # id of the column at offset delta from each point's, times 2**(64 - bits)
+        base = np.zeros(N, dtype=np.uint64)
+        for c, o, wk in zip(cells, delta, weights):
+            base += ((c + np.uint64(o % m)) % np.uint64(m)) * wk
+        return base
+
+    cells = _cell_coords(pts[:, :axes], m).T
+    key = column_base(cells, (0,) * axes) | (pts[:, -1] >> shift)
+    order = np.argsort(key)
+    key, cells = key[order], cells[:, order]
     cols = np.take(pts.T, order, axis=1)     # C-contiguous (d, N)
 
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    ends = np.append(starts[1:], N)
-    counts = ends - starts
-    cell_of = np.repeat(np.arange(starts.size), counts)
+    # key bits below the column id of each point's window [y - T, y + T]:
+    # [first, last], or [0, last] then [second, end] where it wraps
+    y = cols[-1]
+    first = y - np.uint64(thr.sup_num)
+    last = y + np.uint64(thr.sup_num)
+    wrap = np.flatnonzero(first > last)
+    second = first[wrap] >> shift
+    first[wrap] = 0
+    first >>= shift
+    last >>= shift
+    end = np.uint64(SCALE - 1) >> shift
     a = np.arange(N)
 
-    def count(b_start, length):
+    def count(rows, start, stop):
         return sum(_count_near(cols, ia, ib, norm, thr)
-                   for ia, ib in _segment_pairs(a, b_start, length))
+                   for ia, ib in _segment_pairs(rows, start, stop - start))
 
-    near = count(a + 1, ends[cell_of] - a - 1)
-    if m >= 3:
-        uniq = ids[starts]
-        occ = coords[order[starts]]
-        # id contribution of each axis after a -1 / 0 / +1 step, with wrap
-        shifted = [{o: ((occ[:, k] + o) % m) * weights[k] for o in (-1, 0, 1)}
-                   for k in range(d)]
-        for delta in _half_shell(d):
-            nids = sum(shifted[k][o] for k, o in enumerate(delta))
-            j = np.minimum(np.searchsorted(uniq, nids), uniq.size - 1)
-            hit = uniq[j] == nids
-            near += count(np.where(hit, starts[j], 0)[cell_of],
-                          np.where(hit, counts[j], 0)[cell_of])
+    def sweep(nbase, own):
+        # candidates of each point in column nbase; in its own, later positions only
+        stop = np.searchsorted(key, nbase | last, side="right")
+        start = a + 1 if own else np.searchsorted(key, nbase | first)
+        # a wrapped window's second range starts after the first one ends:
+        # bits > 0 needs m >= 3, so 2**64 - 2T > 2**62 >= 2**bits and second > last
+        start_w = np.searchsorted(key, nbase[wrap] | second)
+        if own:
+            start_w = np.maximum(start_w, wrap + 1)
+        stop_w = np.searchsorted(key, nbase[wrap] | end, side="right")
+        return count(a, start, stop) + count(wrap, start_w, stop_w)
+
+    near = sweep(key & ~end, own=True)
+    for delta in _half_shell(axes):
+        near += sweep(column_base(cells, delta), own=False)
 
     return _result(2 * near, N, s, d, norm)

@@ -111,18 +111,23 @@ class SequenceData:
 def _floor_nlog(start: int, N: int, exponent: float) -> np.ndarray:
     """floor(n * (log n)**A) for n = start .. start+N-1, exact.
 
-    A float evaluation can misfloor when n*(log n)**A sits within rounding
-    distance of an integer.  Every term within a relative 1e-9 of an integer
-    (far wider than any rounding error of the float evaluation) is settled
-    at 50 significant digits.  Once n*(log n)**A exceeds 5e8 the band holds
-    every term, so a float value is kept only where n is exact in float64.
+    A float evaluation can misfloor only when x = n*(log n)**A sits within
+    its rounding error of an integer.  For n < 2**53, n is exact, np.log is
+    within a few ulp, raising to A <= 2 at most doubles that relative error,
+    and pow and the product add an ulp each: under 2**-47 relative in all,
+    far inside the band of 2**-40 (about 4096 ulp).  The largest numpy-vs-
+    math gap measured on the first 10^6 terms is 4.6e-16.  Every term within
+    a relative 2**-40 of an integer is settled at 50 significant digits.
+    Once x > 2**39 the band is wider than 1/2 and holds every term; this
+    covers x >= 2**52, where float64 has no fractional part (so the distance
+    is 0), and n >= 2**53, where n itself may be inexact.
     """
     n = np.arange(start, start + N, dtype=np.float64)
     x = n * np.log(n) ** exponent
     if x[-1] >= 2.0 ** 63:        # the int64 cast would wrap silently
         raise OverflowError(f"n (log n)^{exponent:g} exceeds 2**63 by n = {start + N - 1}")
     values = np.floor(x).astype(np.int64)
-    band = np.flatnonzero(np.abs(x - np.round(x)) < 1e-9 * np.maximum(x, 1.0))
+    band = np.flatnonzero(np.abs(x - np.round(x)) < 2.0 ** -40 * np.maximum(x, 1.0))
     with mpmath.workdps(50):
         for i in band:
             k = start + int(i)

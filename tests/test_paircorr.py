@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torusppc import paircorr
 from torusppc.fixedpoint import SCALE, TorusPoint
@@ -63,7 +63,7 @@ def test_result_invariants():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.integers(min_value=2, max_value=250),
-    d=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=1, max_value=4),
     t_log=st.floats(min_value=math.log(1e-4), max_value=math.log(0.45)),
     norm=st.sampled_from([NormKind.SUP, NormKind.TWO]),
     seed=st.integers(min_value=0, max_value=2 ** 31),
@@ -179,13 +179,25 @@ def _stencil_inputs(rng, d):
     base = np.uint64(SCALE - (1 << 58))
     clustered = base + rng.integers(0, 1 << 59, size=(n, d), dtype=np.uint64)
     yield "clustered", clustered, (0.02, 0.05, 1 / 3 - 1e-3)
-    yield "coarse", rand_points(rng, 40, d), (0.3, 1 / 3 - 1e-3, 1 / 3 + 1e-3, 0.45)
+    # t = 0.4999: a wrapped window's two ranges nearly meet
+    yield "coarse", rand_points(rng, 40, d), (0.3, 1 / 3 - 1e-3, 1 / 3 + 1e-3, 0.45, 0.4999)
+    # distinct rows in a few columns whose last coordinates tie: equal sort keys
+    tied = rng.integers(0, 1 << 62, size=(n, d), dtype=np.uint64)
+    tied[:, -1] = rng.choice(np.array([0, 7, SCALE - 3], dtype=np.uint64), size=n)
+    yield "tied", tied, (0.06, 0.3, 1 / 3 + 1e-3)
+    if d == 4:
+        # about 2^46 columns leave 17 or 18 bits of the last coordinate in the key,
+        # so keys tie between distinct last coordinates; the cluster straddles
+        # the wrap of every axis
+        base = np.uint64(SCALE - (1 << 49))
+        narrow = base + rng.integers(0, 1 << 50, size=(n, d), dtype=np.uint64)
+        yield "narrow", narrow, (3e-5, 2e-5)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_grid_stencil_tests_each_candidate_pair_once(d, predicate_calls):
-    # ppc_grid hands the predicate cell-sorted points, coordinate-major: map
-    # them back to input rows, then check that the half shell covers every
+    # ppc_grid hands the predicate key-sorted points, coordinate-major: map
+    # them back to input rows, then check that the column sweep covers every
     # near pair once
     rng = np.random.default_rng(100 + d)
     seen_m = set()
@@ -196,7 +208,7 @@ def test_grid_stencil_tests_each_candidate_pair_once(d, predicate_calls):
         index = {row.tobytes(): i for i, row in enumerate(pts)}
         lo, hi = np.triu_indices(n, 1)
         for t in t_values:
-            seen_m.add(paircorr._cells_per_axis(t, d))
+            seen_m.add(paircorr._columns_per_axis(t, d))
             s = t * n ** (1.0 / d)
             thr = paircorr._threshold_for(s, n, d)
             for norm in NormKind:
@@ -216,7 +228,12 @@ def test_grid_stencil_tests_each_candidate_pair_once(d, predicate_calls):
                 missed = ~np.isin(lo * n + hi, keys)
                 cols = np.ascontiguousarray(pts.T)
                 assert _count_near(cols, lo[missed], hi[missed], norm, thr) == 0, (name, t)
-    assert {1, 3} <= seen_m
+    # d >= 2 needs the single column and the smallest grid, m = 3, where
+    # every column has a neighbour across the wrap; d = 1 sweeps one column
+    if d == 1:
+        assert seen_m == {1}
+    else:
+        assert {1, 3} <= seen_m
 
 
 def test_grid_matches_naive_across_chunk_boundaries(monkeypatch, predicate_calls):
@@ -234,3 +251,60 @@ def test_grid_matches_naive_across_chunk_boundaries(monkeypatch, predicate_calls
                 predicate_calls.clear()
                 assert ppc_grid(pts, s, norm).near_pairs == naive
                 assert len(predicate_calls) > n // 2
+
+
+@pytest.mark.parametrize("chunk", [paircorr._CHUNK_PAIRS, 5])
+def test_grid_predicate_chunks_stay_bounded(chunk, monkeypatch, predicate_calls):
+    # every predicate call from ppc_grid holds at most _CHUNK_PAIRS pairs,
+    # unless it is one segment (one point against a run of neighbours)
+    # longer than that on its own; this bounds the predicate's working set
+    monkeypatch.setattr(paircorr, "_CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng(29)
+    n = 60 if chunk == 5 else 1500
+    for d in (1, 2, 3):
+        pts = np.uint64(1 << 62) + rng.integers(0, 1 << 50, size=(n, d), dtype=np.uint64)
+        s = 0.05 * n ** (1.0 / d)       # every pair is a candidate
+        predicate_calls.clear()
+        near = ppc_grid(pts, s, NormKind.SUP).near_pairs
+        assert near == n * (n - 1)
+        sizes = []
+        for _, ia, ib in predicate_calls:
+            sizes.append(ia.size)
+            one_segment = np.all(ia == ia[0]) and np.all(np.diff(ib) == 1)
+            assert ia.size <= chunk or one_segment, (d, ia.size)
+        assert sum(sizes) == n * (n - 1) // 2
+        if chunk == 5:
+            assert max(sizes) > chunk       # a lone long segment was passed whole
+        else:
+            assert max(sizes) > chunk // 2  # chunks are filled, not one per segment
+
+
+def _lattice_s(t, n, d):
+    """An s whose threshold s / n^(1/d) is exactly t, or None."""
+    s = t * n ** (1.0 / d)
+    for _ in range(8):
+        got = paircorr.threshold(s, n, d)
+        if got == t:
+            return s
+        s = math.nextafter(s, math.inf if got < t else -math.inf)
+    return None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=2, max_value=200),
+    d=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=2, max_value=7),
+    j=st.integers(min_value=1, max_value=63),
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+)
+def test_grid_matches_naive_lattice(n, d, k, j, seed):
+    # points on the 2^-k lattice and t = j * 2^-k: last coordinates tie, many
+    # distances equal t exactly (ties count as inside), points may repeat
+    t = (j % (1 << (k - 1)) or 1) / (1 << k)
+    s = _lattice_s(t, n, d)
+    assume(s is not None)
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 1 << k, size=(n, d), dtype=np.uint64) << np.uint64(64 - k)
+    for norm in NormKind:
+        assert ppc_grid(pts, s, norm).near_pairs == ppc_naive(pts, s, norm).near_pairs

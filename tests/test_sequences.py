@@ -22,12 +22,14 @@ def test_generate_examples():
 
 
 def test_floor_family_matches_oracle():
-    # the first terms, then seeded windows near 10^6 and 10^7, where most
-    # terms fall in the band that is rechecked at high precision
+    # the first terms, seeded windows near 10^6 and 10^7, where nearly every
+    # term keeps its float floor, and a window past x = 2^52 (across
+    # n = 2^53 where A < 2), where every term is rechecked at high precision
     rng = np.random.default_rng(31)
     for a in (1.0, 1.25, 1.5, 2.0):
         windows = [(2 if a < 2 else 3, 200)]
         windows += [(int(rng.integers(c, 2 * c)), 2000) for c in (10 ** 6, 10 ** 7)]
+        windows += [(2 ** 53 - 100 if a < 2 else 6 * 10 ** 12, 200)]
         for start, count in windows:
             got = generate(SequenceSpec.floor_nlog(a, start=start), count).values
             want = [floor_nlog_oracle(n, a) for n in range(start, start + count)]
