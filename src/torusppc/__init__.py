@@ -33,7 +33,6 @@ from .energy import (
     vinogradov_J2d,
 )
 from .gcdsum import (
-    RandomMultiplicativeSample,
     WeightedSupport,
     gcd_sum,
     gcd_sum_from_representations,
@@ -68,7 +67,7 @@ __all__ = [
     "RepresentationTable", "EnergyReport", "additive_energy",
     "joint_additive_energy", "representation_counts", "count_Jl",
     "vinogradov_J2d", "energy_bound_report",
-    "WeightedSupport", "RandomMultiplicativeSample", "gcd_sum",
+    "WeightedSupport", "gcd_sum",
     "gcd_sum_from_representations", "sample_random_multiplicative",
     "zeta_trunc", "verify_eq0", "moment_growth_probe",
     "BesselEval", "bessel_j", "bessel_asymptotic", "fourier_coeff_ball",

@@ -231,23 +231,13 @@ def fourier_coeff_ball(r, s: float, N: int, d: int) -> float:
 def fourier_coeff_box(r: int, s: float, N: int, d: int) -> float:
     """Per-coordinate Fourier coefficient of the box indicator |x| <= s/N^(1/d).
 
-    The full d-dimensional coefficient is the product over coordinates
-    (see box_coeff_vector); |c_r| <= min(2 s N^(-1/d), 1/|r|).
+    The full d-dimensional coefficient is the product over coordinates;
+    |c_r| <= min(2 s N^(-1/d), 1/|r|).
     """
     t = threshold(s, N, d)
     if r == 0:
         return 2.0 * t
     return math.sin(2.0 * math.pi * r * t) / (math.pi * r)
-
-
-def box_coeff_vector(r, s: float, N: int, d: int) -> float:
-    rv = np.asarray(r, dtype=np.int64).reshape(-1)
-    if rv.shape[0] != d:
-        raise ValueError(f"frequency vector has dimension {rv.shape[0]}, expected {d}")
-    out = 1.0
-    for ri in rv:
-        out *= fourier_coeff_box(int(ri), s, N, d)
-    return out
 
 
 @dataclass(frozen=True)

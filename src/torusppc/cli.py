@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("experiment", help="Monte Carlo experiment over random alphas")
     p.add_argument("--mode", default="convergence",
-                   choices=["convergence", "variance-decay", "counterexample", "energy-scan"])
+                   choices=["convergence", "variance-decay", "counterexample"])
     p.add_argument("--family", default=None,
                    help="default n,n^2 (counterexample mode takes no family)")
     p.add_argument("--norm", default="sup")
@@ -157,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true",
                    help="record wall time per row (breaks byte reproducibility)")
     p.add_argument("--alpha", type=float, default=None, help="fixed alpha (counterexample mode)")
-    p.add_argument("--ratios", default="", help="ratio columns (energy-scan mode)")
     p.add_argument("--floor-start", type=int, default=2)
     p.add_argument("--out", default=None, help="CSV output path")
 
@@ -301,17 +300,6 @@ def _cmd_experiment(args) -> int:
             "mode": mode, "alpha": args.alpha, "s": list(s_values),
             "N": list(n_values), "timing": bool(args.timing), "out": args.out,
         }
-    elif mode == "energy-scan":
-        ratios = [r.strip() for r in args.ratios.split(",") if r.strip()]
-        scan = run_energy_scan(family, n_values, ratios)
-        rows_json = [r.to_json_dict() for r in scan]
-        extra = {}
-        csv_text = energy_rows_to_csv(scan)
-        config_echo = {
-            "mode": mode, "family": [f.label() for f in family],
-            "floor_start": args.floor_start, "N": list(n_values),
-            "ratios": ratios, "out": args.out,
-        }
     else:
         config = ExperimentConfig(
             family=family, norm=NormKind.parse(args.norm), s_values=s_values,
@@ -330,7 +318,7 @@ def _cmd_experiment(args) -> int:
     summary = {
         "command": "experiment",
         "config": config_echo,
-        "seed": config_echo.get("seed", 0),     # counterexample and energy-scan draw nothing
+        "seed": config_echo.get("seed", 0),     # counterexample draws nothing
         "rows": rows_json,
         **extra,
     }

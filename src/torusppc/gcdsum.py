@@ -6,12 +6,16 @@ expanding each gcd^(2 alpha) over the common divisors with Jordan's totient
 (the positive-definite form of Gal and Dyer-Harman) costs O(T log T) in the
 number T <= sum_a prod_i tau(a_i) of divisor tuples of the support, not
 the O(K^2) of the Gram matrix, which pays off when the coordinates have few
-divisors (T << K^2), as differences of polynomial sequences do.  A seeded
-random completely multiplicative function with uniform unit-circle values at
-primes drives Monte Carlo checks of the second-moment identity
+divisors (T << K^2), as differences of polynomial sequences do.
+
+A seeded random completely multiplicative function with uniform unit-circle
+values at primes drives Monte Carlo checks of the second-moment identity
 E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a): under a cutoff M the identity
 becomes exact and finite (the h-sums truncate), which is what verify_eq0
-tests against simulation.
+tests against simulation.  _model_values is the one place that model is
+drawn and extended: verify_eq0, moment_growth_probe and
+sample_random_multiplicative all read it, sample i from the stream
+(seed, i), and zeta_trunc sums any batch of its values.
 """
 
 from __future__ import annotations
@@ -64,11 +68,6 @@ class WeightedSupport:
     @property
     def K(self) -> int:
         return self.points.shape[0]
-
-    def verify_cached_norms(self, tol: float = 1e-12) -> bool:
-        l1 = sum(abs(complex(w)) for w in self.entries.values())
-        l2 = sum(abs(complex(w)) ** 2 for w in self.entries.values())
-        return abs(l1 - self.norm_l1) <= tol * (1 + l1) and abs(l2 - self.norm_l2_sq) <= tol * (1 + l2)
 
     @classmethod
     def ones(cls, points: Sequence[Sequence[int]]) -> "WeightedSupport":
@@ -277,20 +276,21 @@ def gcd_sum_enumerate(f: WeightedSupport, alpha: float) -> float:
 
 
 def support_from_representations(table: RepresentationTable) -> WeightedSupport:
-    """Fold the nonzero difference vectors of a table onto N^d by absolute value.
+    """Weights f(v) = 2 D(v) on the difference vectors v with every component > 0.
 
-    gcd and |v_i| ignore signs, so the double sum over signed vectors equals
-    the folded sum with weights f(|v|) accumulating the counts of every sign
-    pattern mapping to |v|.
+    gcd and |v_i| ignore signs, and a table of strictly increasing sequences
+    has D(-v) = D(v) and no vector mixing signs, so the double sum over the
+    signed all-nonzero vectors equals the sum over this positive half with
+    each weight doubled.
     """
-    vectors, counts = table.restrict_nonzero()
-    if vectors.shape[0] == 0:
+    positive = (table.vectors > 0).all(axis=1)
+    if not positive.any():
         raise ValueError(
             "no all-nonzero difference vectors: the sequences share no repeated "
             "differences beyond the diagonal"
         )
-    folded, summed = _unique_counts_rows(np.abs(vectors), counts)
-    entries = {tuple(int(c) for c in row): float(cnt) for row, cnt in zip(folded, summed)}
+    entries = {tuple(int(c) for c in row): float(2 * cnt)
+               for row, cnt in zip(table.vectors[positive], table.counts[positive])}
     return WeightedSupport(d=table.d, entries=entries)
 
 
@@ -326,63 +326,54 @@ def primes_up_to(m: int) -> list[int]:
     return _prime_table(m)[1]
 
 
-@dataclass(frozen=True)
-class RandomMultiplicativeSample:
-    """One realization X of a random completely multiplicative function.
+def _model_values(seed: int, M: int, samples: int, fields: int):
+    """Values at n <= M of independent random completely multiplicative
+    functions X_1, ..., X_fields, in batches of samples.
 
-    X(p) is uniform on the unit circle, independently per prime <= cutoff;
-    X(n) extends by X(p^a || n) -> X(p)^a, so |X(n)| = 1 and
-    X(mn) = X(m) X(n) whenever mn <= cutoff.
+    X(p) = exp(2 pi i u_p) with u_p uniform on [0, 1), independently per
+    prime p <= M, and X(n) = X(n / p) X(p) for the smallest prime p | n, so
+    |X(n)| = 1 and X(mn) = X(m) X(n) whenever mn <= M.  Sample i draws the
+    u_p of X_1 at every prime first, then those of X_2, and so on, from its
+    own stream (seed, i), so its first fields depend neither on the batching
+    nor on how many samples or further fields are drawn.  Yields (lo, hi,
+    values) with values of shape (fields, hi - lo, M + 1); column 0 is 0 and
+    unused.
     """
-
-    cutoff: int
-    prime_phases: dict[int, complex]
-    values: np.ndarray          # complex128, index n in [0, cutoff]; values[0] unused
-
-    def value(self, n: int) -> complex:
-        if not 1 <= n <= self.cutoff:
-            raise ValueError(f"n = {n} outside cutoff {self.cutoff}")
-        return complex(self.values[n])
-
-
-def _phases_to_values(phases: np.ndarray, spf: np.ndarray, m: int,
-                      prime_index: dict[int, int]) -> np.ndarray:
-    """Extend per-prime unit phases multiplicatively to all n <= m.
-
-    phases has shape (..., n_primes); the result has shape (..., m+1).
-    """
-    out = np.zeros(phases.shape[:-1] + (m + 1,), dtype=np.complex128)
-    out[..., 1] = 1.0
-    for n in range(2, m + 1):
-        p = int(spf[n])
-        out[..., n] = out[..., n // p] * phases[..., prime_index[p]]
-    return out
+    spf, primes, prime_index = _prime_table(M)
+    n_p = len(primes)
+    for lo in range(0, samples, _PHASE_BATCH):
+        hi = min(samples, lo + _PHASE_BATCH)
+        u = np.empty((hi - lo, fields * n_p))
+        for i in range(hi - lo):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), lo + i))))
+            u[i] = rng.uniform(0.0, 1.0, size=fields * n_p)
+        phases = np.exp(2j * np.pi * u).reshape(hi - lo, fields, n_p).transpose(1, 0, 2)
+        values = np.zeros((fields, hi - lo, M + 1), dtype=np.complex128)
+        values[..., 1] = 1.0
+        for n in range(2, M + 1):
+            p = int(spf[n])
+            values[..., n] = values[..., n // p] * phases[..., prime_index[p]]
+        yield lo, hi, values
 
 
-def sample_random_multiplicative(seed: int, M: int) -> RandomMultiplicativeSample:
-    """Deterministic-in-seed sample with independent uniform phases per prime."""
+def sample_random_multiplicative(seed: int, M: int) -> np.ndarray:
+    """X(n) for 0 <= n <= M (X(0) = 0 unused) of one seeded random completely
+    multiplicative function: sample 0 of _model_values, which is also the X
+    of verify_eq0's sample 0 at the same seed and cutoff."""
     if M < 1:
         raise ValueError("cutoff must be >= 1")
-    spf, primes, prime_index = _prime_table(M)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-    u = rng.uniform(0.0, 1.0, size=len(primes))
-    phases = np.exp(2j * np.pi * u)
-    values = _phases_to_values(phases, spf, M, prime_index)
-    return RandomMultiplicativeSample(
-        cutoff=M,
-        prime_phases={p: complex(phases[i]) for i, p in enumerate(primes)},
-        values=values,
-    )
+    return next(_model_values(seed, M, 1, 1))[2][0, 0]
 
 
-def zeta_trunc(sample: RandomMultiplicativeSample, alpha: float, M: int) -> complex:
-    """Truncated random zeta value sum_{n <= M} X(n) / n^alpha."""
+def zeta_trunc(values: np.ndarray, alpha: float, M: int):
+    """Truncated random zeta sum_{n <= M} X(n) / n^alpha over the last axis
+    of values (X(n) at index n, any leading shape)."""
     if alpha <= 0.5:
         raise ValueError("alpha must exceed 1/2")
-    if M > sample.cutoff:
-        raise ValueError(f"M = {M} exceeds sample cutoff {sample.cutoff}")
+    if M > values.shape[-1] - 1:
+        raise ValueError(f"M = {M} exceeds sample cutoff {values.shape[-1] - 1}")
     n = np.arange(1, M + 1, dtype=np.float64)
-    return complex(sample.values[1:M + 1] @ (n ** -alpha))
+    return values[..., 1:M + 1] @ (n ** -alpha)
 
 
 def zeta_riemann(s: float, cutoff: int = 64) -> float:
@@ -453,43 +444,16 @@ def truncated_rhs(f: WeightedSupport, alpha: float, M: int) -> float:
     return total.real
 
 
-def _sample_phases(seed: int, n_phases: int, samples: int):
-    """Per-sample uniform unit phases, in batches of rows.
-
-    Row i is drawn from its own stream (seed, i), so a sample's phases do
-    not depend on the batching or evaluation order.  Yields (lo, hi,
-    phases) with phases of shape (hi - lo, n_phases).
-    """
-    for lo in range(0, samples, _PHASE_BATCH):
-        hi = min(samples, lo + _PHASE_BATCH)
-        u = np.empty((hi - lo, n_phases))
-        for i in range(hi - lo):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), lo + i))))
-            u[i] = rng.uniform(0.0, 1.0, size=n_phases)
-        yield lo, hi, np.exp(2j * np.pi * u)
-
-
 def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int, seed: int):
-    """Per-sample |zeta_X zeta_Y D|^2 and |D|^2.
-
-    Sample i takes the phases of X at every prime <= M first, then those
-    of Y, from one row of _sample_phases.
-    """
-    spf, primes, prime_index = _prime_table(M)
-    n_p = len(primes)
-    n_pow = np.arange(1, M + 1, dtype=np.float64) ** -alpha
+    """Per-sample |zeta_X zeta_Y D|^2 and |D|^2, X and Y the two fields of
+    _model_values."""
     a_idx = f.points[:, 0]
     b_idx = f.points[:, 1]
-    w = f.weights
     zd_sq = np.empty(samples, dtype=np.float64)
     d_sq = np.empty(samples, dtype=np.float64)
-    for lo, hi, phases in _sample_phases(seed, 2 * n_p, samples):
-        x_vals = _phases_to_values(phases[:, :n_p], spf, M, prime_index)
-        y_vals = _phases_to_values(phases[:, n_p:], spf, M, prime_index)
-        zx = x_vals[:, 1:] @ n_pow
-        zy = y_vals[:, 1:] @ n_pow
-        d = (x_vals[:, a_idx] * y_vals[:, b_idx]) @ w
-        zd_sq[lo:hi] = np.abs(zx * zy * d) ** 2
+    for lo, hi, (x_vals, y_vals) in _model_values(seed, M, samples, 2):
+        d = (x_vals[:, a_idx] * y_vals[:, b_idx]) @ f.weights
+        zd_sq[lo:hi] = np.abs(zeta_trunc(x_vals, alpha, M) * zeta_trunc(y_vals, alpha, M) * d) ** 2
         d_sq[lo:hi] = np.abs(d) ** 2
     return zd_sq, d_sq
 
@@ -527,12 +491,9 @@ def moment_growth_probe(alpha: float, l_values: Sequence[float], samples: int,
     """Monte Carlo E|zeta_X^(M)(alpha)|^(2l) for each l; observational only."""
     if alpha <= 0.5:
         raise ValueError("alpha must exceed 1/2")
-    spf, primes, prime_index = _prime_table(M)
-    n_pow = np.arange(1, M + 1, dtype=np.float64) ** -alpha
     z_abs_sq = np.empty(samples, dtype=np.float64)
-    for lo, hi, phases in _sample_phases(seed, len(primes), samples):
-        vals = _phases_to_values(phases, spf, M, prime_index)
-        z_abs_sq[lo:hi] = np.abs(vals[:, 1:] @ n_pow) ** 2
+    for lo, hi, (vals,) in _model_values(seed, M, samples, 1):
+        z_abs_sq[lo:hi] = np.abs(zeta_trunc(vals, alpha, M)) ** 2
     rows = []
     for l in l_values:
         powered = z_abs_sq ** float(l)

@@ -8,7 +8,6 @@ from torusppc.bessel import (
     BoundsReport,
     bessel_asymptotic,
     bessel_j,
-    box_coeff_vector,
     check_bessel_bounds,
     fourier_coeff_ball,
     fourier_coeff_box,
@@ -188,8 +187,6 @@ def test_box_coefficients():
     assert fourier_coeff_box(1, 1.0, 16, 2) == pytest.approx(1 / math.pi)
     # first sinc zero at r=2: sin(pi) = 0
     assert fourier_coeff_box(2, 1.0, 16, 2) == pytest.approx(0.0, abs=1e-15)
-    assert box_coeff_vector([1, 2], 1.0, 16, 2) == pytest.approx(
-        fourier_coeff_box(1, 1.0, 16, 2) * fourier_coeff_box(2, 1.0, 16, 2), abs=1e-18)
     with pytest.raises(ValueError):
         fourier_coeff_box(1, 1.0, 2, 1)   # threshold 1/2 saturates
 

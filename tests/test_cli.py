@@ -151,9 +151,6 @@ REPLAY_LINES = {
     "experiment-counterexample": ["experiment", "--mode", "counterexample",
                                   "--alpha", "0.6180339887498949", "--s", "0.5",
                                   "--N", "100,300", "--out", "{out}"],
-    "experiment-energy-scan": ["experiment", "--mode", "energy-scan",
-                               "--family", "n,[n log^2 n]", "--floor-start", "3",
-                               "--N", "64,128", "--ratios", "N^2", "--out", "{out}"],
     "verify-eq0": ["verify-eq0", "--alpha-exp", "0.75", "--M", "40", "--samples", "300",
                    "--seed", "9"],
 }
@@ -224,12 +221,11 @@ def test_config_unknown_key_is_usage_error(capsys, tmp_path):
 
 
 def test_seedless_modes_echo_seed_zero(capsys):
-    for argv in (["--mode", "counterexample", "--alpha", "0.3", "--s", "0.5", "--N", "100"],
-                 ["--mode", "energy-scan", "--N", "16"]):
-        code, out, _ = run_cli(capsys, "experiment", *argv, "--seed", "5")
-        assert code == 0
-        summary = json.loads(out)
-        assert summary["seed"] == 0 and "seed" not in summary["config"]
+    code, out, _ = run_cli(capsys, "experiment", "--mode", "counterexample", "--alpha", "0.3",
+                           "--s", "0.5", "--N", "100", "--seed", "5")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["seed"] == 0 and "seed" not in summary["config"]
 
 
 def test_experiment_counterexample(capsys):
@@ -248,15 +244,6 @@ def test_experiment_counterexample(capsys):
     code, _, err = run_cli(capsys, "experiment", "--mode", "counterexample", "--alpha", "0.3",
                            "--s", "0.5", "--N", "100", "--family", "n^2")
     assert code == 3 and "family" in err
-
-
-def test_experiment_energy_scan(capsys):
-    code, out, _ = run_cli(capsys, "experiment", "--mode", "energy-scan",
-                           "--family", "n,[n log^2 n]", "--floor-start", "3",
-                           "--N", "64,128", "--ratios", "N^2")
-    assert code == 0
-    summary = json.loads(out)
-    assert len(summary["rows"]) == 2
 
 
 def test_verify_eq0_command(capsys):

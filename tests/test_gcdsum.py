@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from torusppc.energy import representation_counts
 from torusppc.gcdsum import (
     WeightedSupport,
+    _batched_mc_moments,
     _coprime_base,
+    _model_values,
     gcd_sum,
     gcd_sum_enumerate,
     gcd_sum_from_representations,
@@ -55,7 +57,6 @@ def test_cached_norms():
     f = WeightedSupport(d=1, entries={(1,): 3 + 4j, (2,): 1.0})
     assert f.norm_l1 == pytest.approx(6.0)
     assert f.norm_l2_sq == pytest.approx(26.0)
-    assert f.verify_cached_norms()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -260,39 +261,61 @@ def test_empty_restricted_table():
 
 def test_random_multiplicative_invariants():
     s = sample_random_multiplicative(99, 120)
-    assert s.value(1) == 1
-    assert np.allclose(np.abs(s.values[1:]), 1.0)
-    assert s.value(12) == pytest.approx(s.value(2) ** 2 * s.value(3))
+    assert s[1] == 1
+    assert np.allclose(np.abs(s[1:]), 1.0)
+    assert s[12] == pytest.approx(s[2] ** 2 * s[3])
     for m, n in ((2, 3), (4, 5), (6, 20), (7, 17)):
-        assert s.value(m * n) == pytest.approx(s.value(m) * s.value(n))
-    assert sample_random_multiplicative(99, 120).value(7) == s.value(7)   # deterministic
-    assert sample_random_multiplicative(98, 120).value(7) != s.value(7)
+        assert s[m * n] == pytest.approx(s[m] * s[n])
+    assert sample_random_multiplicative(99, 120)[7] == s[7]   # deterministic
+    assert sample_random_multiplicative(98, 120)[7] != s[7]
 
 
 def test_prime_phase_mean():
     n = 20_000
     acc = 0j
     for seed in range(n):
-        acc += sample_random_multiplicative(seed, 2).value(2)
+        acc += sample_random_multiplicative(seed, 2)[2]
     mean = acc / n
     se = 1.0 / math.sqrt(2 * n)   # component std of a uniform phase is 1/sqrt(2)
     assert abs(mean.real) <= 3 * se and abs(mean.imag) <= 3 * se
 
 
 def test_zeta_trunc():
-    from torusppc.gcdsum import RandomMultiplicativeSample
-
     s = sample_random_multiplicative(3, 50)
     assert zeta_trunc(s, 0.8, 1) == pytest.approx(1.0)
     # degenerate all-ones sample: the sum is the real partial zeta
-    degenerate = RandomMultiplicativeSample(
-        cutoff=50, prime_phases={}, values=np.ones(51, dtype=np.complex128))
+    degenerate = np.ones(51, dtype=np.complex128)
     want = sum(n ** -0.8 for n in range(1, 51))
     assert zeta_trunc(degenerate, 0.8, 50) == pytest.approx(want)
     with pytest.raises(ValueError):
         zeta_trunc(s, 0.8, 51)
     with pytest.raises(ValueError):
         zeta_trunc(s, 0.5, 10)
+
+
+def test_zeta_trunc_batch_matches_rows():
+    _, _, (vals,) = next(_model_values(5, 80, 6, 1))
+    batch = zeta_trunc(vals, 0.7, 50)
+    assert batch.shape == (6,)
+    for row, z in zip(vals, batch):
+        assert z == pytest.approx(zeta_trunc(row, 0.7, 50), rel=1e-14)
+    stacked = zeta_trunc(vals.reshape(2, 3, 81), 0.7, 50)
+    assert stacked.shape == (2, 3)
+    assert np.allclose(stacked.ravel(), batch, rtol=1e-14, atol=0)
+
+
+def test_sample_is_the_x_of_verify_eq0_sample_zero():
+    seed, m, alpha, samples = 7, 60, 0.75, 700
+    f = WeightedSupport(d=2, entries={(1, 2): 1.0, (3, 1): 0.5 - 1j, (2, 5): 2.0})
+    x = sample_random_multiplicative(seed, m)
+    _, _, (x_vals, y_vals) = next(_model_values(seed, m, samples, 2))
+    assert np.array_equal(x_vals[0], x)
+    y = y_vals[0]
+    d = sum(w * x[a] * y[b] for (a, b), w in f.entries.items())
+    zd_sq, d_sq = _batched_mc_moments(f, alpha, m, samples, seed)
+    assert d_sq[0] == pytest.approx(abs(d) ** 2, rel=1e-12)
+    assert zd_sq[0] == pytest.approx(
+        abs(zeta_trunc(x, alpha, m) * zeta_trunc(y, alpha, m) * d) ** 2, rel=1e-12)
 
 
 def test_zeta_trunc_second_moment():
