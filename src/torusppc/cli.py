@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -85,9 +86,15 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 def _load_support(path: str) -> WeightedSupport:
     data = _read_json(path)
+    entries = {}
     try:
-        entries = {tuple(int(c) for c in coords): complex(float(re_w), float(im_w))
-                   for *coords, re_w, im_w in data["entries"]}
+        for *coords, re_w, im_w in data["entries"]:
+            point = tuple(int(c) for c in coords)
+            if point != tuple(coords):
+                raise ConfigError(f"support point {coords} has a non-integer coordinate")
+            if point in entries:
+                raise ConfigError(f"support point {coords} appears more than once")
+            entries[point] = complex(float(re_w), float(im_w))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f'support file is not {{"entries": [[a1..ad, re, im], ...]}}: '
                           f'{exc!r}') from exc
@@ -229,7 +236,7 @@ def _cmd_energy(args) -> int:
             "out": args.out,
         },
         "seed": 0,
-        "rows": [r.to_json_dict() for r in rows],
+        "rows": [asdict(r) for r in rows],
     }
     _emit(summary, args.out, energy_rows_to_csv(rows))
     return EXIT_OK
@@ -278,6 +285,9 @@ def _cmd_bessel(args) -> int:
 def _cmd_experiment(args) -> int:
     mode = args.mode
     if mode != "counterexample":
+        if args.alpha is not None:
+            raise ConfigError(f"{mode} mode draws alpha from --seed; --alpha belongs to "
+                              "counterexample mode")
         family = _parse_family("n,n^2" if args.family is None else args.family,
                                args.floor_start)
     elif args.family is not None:
@@ -290,7 +300,7 @@ def _cmd_experiment(args) -> int:
         if len(s_values) != 1:
             raise ConfigError("counterexample mode takes a single s value")
         result = run_counterexample(args.alpha, s_values[0], n_values, timing=args.timing)
-        rows_json = [r.to_json_dict() for r in result.rows]
+        rows_json = [asdict(r) for r in result.rows]
         extra = {
             "dispersion": result.dispersion,
             "max_abs_deviation": result.max_abs_deviation,
@@ -312,7 +322,7 @@ def _cmd_experiment(args) -> int:
         else:
             rows = run_convergence(config)
             extra = {}
-        rows_json = [r.to_json_dict() for r in rows]
+        rows_json = [asdict(r) for r in rows]
         csv_text = rows_to_csv(rows)
         config_echo = {"mode": mode, **config.to_json_dict(), "out": args.out}
     summary = {
@@ -339,7 +349,7 @@ def _cmd_verify_eq0(args) -> int:
             "seed": args.seed, "support_json": args.support_json,
         },
         "seed": args.seed,
-        "result": record.to_json_dict(),
+        "result": asdict(record),
     }
     _emit(summary)
     return EXIT_OK

@@ -4,22 +4,23 @@ Each (N, s, sample-index) cell derives its own PCG64 seed from the master
 seed, so a table depends only on the configuration and replays byte for
 byte.  A fresh alpha is drawn per sample (never reused across N), which
 makes the sample variance at each N an estimate of the variance of the
-statistic over the dilation measure.
+statistic over the dilation measure.  The random-alpha table and the
+fixed-alpha counterexample trajectory come from one loop (_table), which
+differs between them only in where the k-th alpha of a cell comes from.
 """
 
 from __future__ import annotations
 
 import io
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .fixedpoint import sample_alpha
-from .errors import InternalError
-from .paircorr import NormKind, ppc_grid, ppc_limit, ppc_naive, threshold
-from .sequences import SequenceData, SequenceSpec, generate, orbit
+from .fixedpoint import TorusPoint, frac_of_real, sample_alpha
+from .paircorr import NormKind, ppc_grid, ppc_limit, threshold
+from .sequences import SequenceSpec, generate, orbit
 from . import energy as energy_mod
 
 DEFAULT_N_VALUES = (1_000, 10_000, 100_000)
@@ -77,26 +78,11 @@ class ExperimentRow:
     expectation: float          # limit * (N-1)/N
     seconds: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def cell_seed(master: int, N: int, s_index: int, k: int) -> int:
     """Splittable per-cell seed: one derived PCG64 stream per (N, s, sample)."""
     ss = np.random.SeedSequence((int(master), int(N), int(s_index), int(k)))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _sample_statistic(seqs: Sequence[SequenceData], s: float, norm: NormKind,
-                      master: int, N: int, s_index: int, k: int) -> float:
-    alpha = sample_alpha(cell_seed(master, N, s_index, k), len(seqs))
-    pts = orbit(seqs, alpha)
-    return ppc_grid(pts, s, norm).statistic
-
-
-def _collect_samples(seqs, s, norm, master, N, s_index, samples) -> np.ndarray:
-    return np.array([_sample_statistic(seqs, s, norm, master, N, s_index, k)
-                     for k in range(samples)], dtype=np.float64)
 
 
 def _aggregate(values: np.ndarray) -> tuple[float, float]:
@@ -105,25 +91,35 @@ def _aggregate(values: np.ndarray) -> tuple[float, float]:
     return mean, var
 
 
-def run_convergence(config: ExperimentConfig) -> list[ExperimentRow]:
-    """Mean and variance of the statistic over K random alphas per (N, s)."""
+def _table(family: Sequence[SequenceSpec], norm: NormKind, s_values: Sequence[float],
+           N_values: Sequence[int], samples: int, timing: bool,
+           alpha_for: Callable[[int, int, int], TorusPoint]) -> list[ExperimentRow]:
+    """Mean and variance of the statistic over `samples` dilations per (N, s);
+    alpha_for(N, s_index, k) is the k-th dilation of that cell."""
     rows = []
-    d = config.dimension
-    for n in config.N_values:
-        seqs = [generate(spec, n) for spec in config.family]
-        for s_index, s in enumerate(config.s_values):
+    for n in N_values:
+        seqs = [generate(spec, n) for spec in family]
+        for s_index, s in enumerate(s_values):
             t0 = time.perf_counter()
-            values = _collect_samples(seqs, s, config.norm, config.seed, n,
-                                      s_index, config.samples)
+            values = np.array([ppc_grid(orbit(seqs, alpha_for(n, s_index, k)), s, norm).statistic
+                               for k in range(samples)], dtype=np.float64)
             elapsed = time.perf_counter() - t0
             mean, var = _aggregate(values)
-            limit = ppc_limit(s, d, config.norm)
+            limit = ppc_limit(s, len(family), norm)
             rows.append(ExperimentRow(
-                N=n, s=s, K=config.samples, mean_R=mean, var_R=var,
+                N=n, s=s, K=samples, mean_R=mean, var_R=var,
                 limit=limit, expectation=limit * (n - 1) / n,
-                seconds=elapsed if config.timing else 0.0,
+                seconds=elapsed if timing else 0.0,
             ))
     return rows
+
+
+def run_convergence(config: ExperimentConfig) -> list[ExperimentRow]:
+    """Mean and variance of the statistic over K random alphas per (N, s)."""
+    d, seed = config.dimension, config.seed
+    return _table(config.family, config.norm, config.s_values, config.N_values,
+                  config.samples, config.timing,
+                  lambda n, s_index, k: sample_alpha(cell_seed(seed, n, s_index, k), d))
 
 
 @dataclass(frozen=True)
@@ -140,35 +136,21 @@ def run_counterexample(alpha: float, s: float, N_values: Sequence[int],
     The family is the identity sequence; non-convergence to 2s shows up as
     dispersion of the trajectory across the N grid.
     """
-    from .fixedpoint import TorusPoint, frac_of_real
-
     point = TorusPoint((frac_of_real(alpha),))
-    rows = []
-    stats = []
-    for n in N_values:
-        seqs = [generate(SequenceSpec.identity(), n)]
-        t0 = time.perf_counter()
-        res = ppc_grid(orbit(seqs, point), s, NormKind.SUP)
-        elapsed = time.perf_counter() - t0
-        stats.append(res.statistic)
-        rows.append(ExperimentRow(
-            N=n, s=s, K=1, mean_R=res.statistic, var_R=0.0,
-            limit=res.limit, expectation=res.expectation,
-            seconds=elapsed if timing else 0.0,
-        ))
-    stats_arr = np.array(stats)
-    limit = 2.0 * s
+    rows = _table((SequenceSpec.identity(),), NormKind.SUP, (s,), N_values, 1, timing,
+                  lambda n, s_index, k: point)
+    stats = np.array([r.mean_R for r in rows])
     return CounterexampleResult(
         rows=tuple(rows),
-        dispersion=float(stats_arr.max() - stats_arr.min()),
-        max_abs_deviation=float(np.abs(stats_arr - limit).max()),
+        dispersion=float(stats.max() - stats.min()),
+        max_abs_deviation=float(np.abs(stats - 2.0 * s).max()),
     )
 
 
 @dataclass(frozen=True)
 class VarianceDecayResult:
     rows: tuple[ExperimentRow, ...]
-    slope: float                # fitted d log(var) / d log(N)
+    slope: float | None         # fitted d log(var) / d log(N); None below two N or at var 0
 
 
 def run_variance_decay(config: ExperimentConfig) -> VarianceDecayResult:
@@ -181,65 +163,19 @@ def run_variance_decay(config: ExperimentConfig) -> VarianceDecayResult:
         by_n.setdefault(row.N, []).append(row.var_R)
     ns = sorted(by_n)
     var_means = [float(np.mean(by_n[n])) for n in ns]
+    slope = None
     if len(ns) >= 2 and all(v > 0 for v in var_means):
         slope = float(np.polyfit(np.log(ns), np.log(var_means), 1)[0])
-    else:
-        slope = float("nan")
     return VarianceDecayResult(rows=tuple(rows), slope=slope)
 
 
-@dataclass(frozen=True)
-class EnergyScanRow:
-    N: int
-    E: int
-    ratios: dict[str, float] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
 def run_energy_scan(family: Sequence[SequenceSpec], N_values: Sequence[int],
-                    comparisons: Sequence[str] = (),
-                    pair_budget: int = energy_mod.DEFAULT_PAIR_BUDGET) -> list[EnergyScanRow]:
+                    comparisons: Sequence[str] = ()) -> list[energy_mod.EnergyReport]:
     """Energy (joint for d >= 2) and ratio columns along an ascending N grid."""
     if list(N_values) != sorted(N_values):
         raise ValueError("N grid must be ascending")
-    rows = []
-    for n in N_values:
-        seqs = [generate(spec, n) for spec in family]
-        report = energy_mod.energy_bound_report(seqs, comparisons, pair_budget=pair_budget)
-        rows.append(EnergyScanRow(N=n, E=report.E, ratios=dict(report.ratios)))
-    return rows
-
-
-def spot_check_convergence(config: ExperimentConfig, fraction: float = 0.1,
-                           max_naive_n: int = 4000) -> int:
-    """Recompute a deterministic subsample of cells with the naive counter.
-
-    Returns the number of cells re-verified; raises InternalError on any
-    grid/naive mismatch.  Cells with N above max_naive_n are skipped (the
-    O(N^2) oracle is a test tool, not a production path).
-    """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0xC0FFEE))))
-    checked = 0
-    for n in config.N_values:
-        if n > max_naive_n:
-            continue
-        seqs = [generate(spec, n) for spec in config.family]
-        for s_index, s in enumerate(config.s_values):
-            for k in range(config.samples):
-                if rng.uniform() > fraction:
-                    continue
-                alpha = sample_alpha(cell_seed(config.seed, n, s_index, k), config.dimension)
-                pts = orbit(seqs, alpha)
-                a = ppc_grid(pts, s, config.norm).near_pairs
-                b = ppc_naive(pts, s, config.norm).near_pairs
-                if a != b:
-                    raise InternalError(
-                        f"grid/naive mismatch at N={n} s={s} k={k}: {a} != {b}"
-                    )
-                checked += 1
-    return checked
+    return [energy_mod.energy_bound_report([generate(spec, n) for spec in family], comparisons)
+            for n in N_values]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +198,7 @@ def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
     return buf.getvalue()
 
 
-def energy_rows_to_csv(rows: Sequence[EnergyScanRow]) -> str:
+def energy_rows_to_csv(rows: Sequence[energy_mod.EnergyReport]) -> str:
     names = list(rows[0].ratios) if rows else []
     buf = io.StringIO()
     buf.write(",".join(["N", "E"] + names) + "\n")

@@ -21,7 +21,7 @@ sample_random_multiplicative all read it, sample i from the stream
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -412,9 +412,6 @@ class Eq0Record:
     M: int
     alpha: float
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def truncated_rhs(f: WeightedSupport, alpha: float, M: int) -> float:

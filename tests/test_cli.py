@@ -14,6 +14,15 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which strict parsers refuse."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_stat_with_fixed_alpha(capsys):
     code, out, _ = run_cli(capsys, "stat", "--family", "n,n^2", "--norm", "sup",
                            "--s", "1", "--N", "500", "--alpha", "0.123,0.456",
@@ -171,6 +180,7 @@ def test_replay_and_config_reproduce_the_run(capsys, tmp_path, name):
         out_csv.unlink(missing_ok=True)
         code, out, err = run_cli(capsys, *run)
         assert code == 0, err
+        strict_json(out)
         outs.append(out)
         csvs.append(out_csv.read_bytes() if "{out}" in REPLAY_LINES[name] else None)
         if len(outs) == 1:
@@ -195,7 +205,9 @@ def test_replay_refuses_a_command_or_config(capsys, tmp_path):
 
 def test_malformed_support_json_is_config_error(capsys, tmp_path):
     path = tmp_path / "support.json"
-    for bad in ({"entries": []}, [1, 2], {}, {"entries": [[1, 0]]}):
+    for bad in ({"entries": []}, [1, 2], {}, {"entries": [[1, 0]]},
+                {"entries": [[1, 1, 1, 0], [1, 1, 2, 0]]},    # a point given twice
+                {"entries": [[1.5, 1, 1, 0]]}):               # a fractional coordinate
         path.write_text(json.dumps(bad), encoding="utf-8")
         for command in (["gcdsum", "--alpha-exp", "1.0"], ["verify-eq0"]):
             code, out, err = run_cli(capsys, *command, "--support-json", str(path))
@@ -244,6 +256,30 @@ def test_experiment_counterexample(capsys):
     code, _, err = run_cli(capsys, "experiment", "--mode", "counterexample", "--alpha", "0.3",
                            "--s", "0.5", "--N", "100", "--family", "n^2")
     assert code == 3 and "family" in err
+
+
+def test_alpha_outside_counterexample_is_config_error(capsys):
+    for mode in ("convergence", "variance-decay"):
+        code, out, err = run_cli(capsys, "experiment", "--mode", mode, "--alpha", "0.3",
+                                 "--s", "1", "--N", "100", "--K", "30")
+        assert code == 3 and out == "", mode
+        assert "--alpha belongs to counterexample mode" in err
+
+
+def test_variance_decay_slope_is_null_without_a_fit(capsys):
+    # one N gives no log-log fit: the summary holds null, not the invalid NaN
+    code, out, err = run_cli(capsys, "experiment", "--mode", "variance-decay",
+                             "--N", "100", "--K", "30")
+    assert code == 0, err
+    assert strict_json(out)["slope"] is None
+
+
+def test_log_ratio_at_n_one_is_config_error(capsys):
+    for ratio in ("N^3 log^-1", "N^2 log^1"):      # log 1 = 0: 0^-1 and E / 0
+        code, out, err = run_cli(capsys, "energy", "--family", "n", "--N", "1",
+                                 "--ratios", ratio)
+        assert code == 3 and out == "", ratio
+        assert repr(ratio) in err and "N = 1" in err
 
 
 def test_verify_eq0_command(capsys):

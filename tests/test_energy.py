@@ -199,11 +199,10 @@ def test_vinogradov_equals_power_family_joint_energy():
 def test_energy_report():
     a = generate(SequenceSpec.power_of(2), 128)
     rep = energy_bound_report([a], ["N^2", "N^3"])
-    assert rep.lower_trivial == 128 ** 2 and rep.upper_trivial == 128 ** 3
-    assert rep.lower_trivial <= rep.E <= rep.upper_trivial
+    assert 128 ** 2 <= rep.E <= 128 ** 3
     assert rep.ratios["N^2"] == rep.E / 128 ** 2
     with pytest.raises(InternalError, match="counting bug"):
-        EnergyReport(E=5, N=10, lower_trivial=100, upper_trivial=1000)
+        EnergyReport(N=10, E=5)
 
 
 def test_comparison_parser():

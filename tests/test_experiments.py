@@ -15,7 +15,6 @@ from torusppc.experiments import (
     run_counterexample,
     run_energy_scan,
     run_variance_decay,
-    spot_check_convergence,
 )
 from torusppc.paircorr import NormKind
 from torusppc.sequences import SequenceSpec
@@ -132,32 +131,6 @@ def test_energy_scan():
     assert csv_text.splitlines()[0] == "N,E,N^2"
     with pytest.raises(ValueError, match="ascending"):
         run_energy_scan(FAMILY, [64, 32], [])
-
-
-def test_spot_check_harness():
-    cfg = small_config(samples=6)
-    checked = spot_check_convergence(cfg, fraction=1.0)
-    assert checked == 2 * 2 * 6
-    # cells beyond the naive cap are skipped rather than run quadratically
-    cfg_big = small_config(N_values=(200, 5000), samples=2)
-    assert spot_check_convergence(cfg_big, fraction=1.0) == 2 * 2
-
-
-def test_spot_check_mismatch_is_internal_error(monkeypatch):
-    import dataclasses
-
-    from torusppc import experiments
-    from torusppc.errors import InternalError
-
-    real = experiments.ppc_naive
-
-    def off_by_two(*args):
-        res = real(*args)
-        return dataclasses.replace(res, near_pairs=res.near_pairs + 2)
-
-    monkeypatch.setattr(experiments, "ppc_naive", off_by_two)
-    with pytest.raises(InternalError, match="grid/naive mismatch at N=200"):
-        spot_check_convergence(small_config(samples=2), fraction=1.0)
 
 
 def test_config_validation():
