@@ -45,7 +45,6 @@ from .bessel import (
     BesselEval,
     bessel_asymptotic,
     bessel_j,
-    check_bessel_bounds,
     fourier_coeff_ball,
     fourier_coeff_box,
 )
@@ -71,7 +70,7 @@ __all__ = [
     "gcd_sum_from_representations", "sample_random_multiplicative",
     "zeta_trunc", "verify_eq0", "moment_growth_probe",
     "BesselEval", "bessel_j", "bessel_asymptotic", "fourier_coeff_ball",
-    "fourier_coeff_box", "check_bessel_bounds",
+    "fourier_coeff_box",
     "ExperimentConfig", "ExperimentRow", "run_convergence",
     "run_counterexample", "run_variance_decay", "run_energy_scan",
 ]

@@ -239,46 +239,3 @@ def fourier_coeff_box(r: int, s: float, N: int, d: int) -> float:
         return 2.0 * t
     return math.sin(2.0 * math.pi * r * t) / (math.pi * r)
 
-
-@dataclass(frozen=True)
-class BoundsRow:
-    nu: float
-    max_small_t: float          # max |J_nu(t)| over t <= 1
-    max_sqrt_scaled: float      # max |J_nu(t)| sqrt(t) over t > 1
-    max_abs: float              # max |J_nu(t)| over the whole grid
-    small_t_ratio: float        # |J_nu(t)/t^nu| at the smallest grid t
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    rows: tuple[BoundsRow, ...]
-    bounded_small: bool         # every |J| <= 1 for t <= 1
-    sqrt_constant: float        # max over nus of max_sqrt_scaled
-    integer_le_one: bool        # |J_mu| <= 1 on the grid for integer mu
-
-
-def check_bessel_bounds(nus=(1.0, 1.5, 2.0, 2.5, 3.0), t_grid=None) -> BoundsReport:
-    """Scan magnitude bounds: boundedness below t = 1, the 1/sqrt(t) envelope
-    above, and |J| <= 1 for integer orders.  Reports the observed maxima."""
-    if t_grid is None:
-        t_grid = np.geomspace(1e-2, T_MAX, 241)
-    rows = []
-    for nu in nus:
-        vals = np.array([bessel_j(nu, float(t)).value for t in t_grid])
-        small = np.abs(vals[t_grid <= 1.0])
-        large = np.abs(vals[t_grid > 1.0]) * np.sqrt(t_grid[t_grid > 1.0])
-        t0 = float(t_grid[0])
-        rows.append(BoundsRow(
-            nu=float(nu),
-            max_small_t=float(small.max()) if small.size else 0.0,
-            max_sqrt_scaled=float(large.max()) if large.size else 0.0,
-            max_abs=float(np.abs(vals).max()),
-            small_t_ratio=abs(bessel_j(nu, t0).value) / t0 ** nu,
-        ))
-    integer_ok = all(r.max_abs <= 1.0 + 1e-12 for r in rows if r.nu == int(r.nu))
-    return BoundsReport(
-        rows=tuple(rows),
-        bounded_small=all(r.max_small_t <= 1.0 for r in rows),
-        sqrt_constant=max(r.max_sqrt_scaled for r in rows),
-        integer_le_one=integer_ok,
-    )

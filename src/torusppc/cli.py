@@ -26,8 +26,12 @@ from pathlib import Path
 from . import __version__
 from .bessel import bessel_j
 from .experiments import (
+    DEFAULT_FAMILY,
+    DEFAULT_FLOOR_START,
     DEFAULT_N_VALUES,
+    DEFAULT_NORM,
     DEFAULT_S_VALUES,
+    DEFAULT_SAMPLES,
     ExperimentConfig,
     energy_rows_to_csv,
     rows_to_csv,
@@ -50,6 +54,21 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 DEFAULT_EQ0_SUPPORT = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+# The experiment flags only some modes read, and their defaults (None: required).
+# Every mode reads --mode, --s, --N, --timing and --out and accepts --seed; a flag
+# below that the chosen mode does not read is refused.
+_RANDOM_ALPHA_FLAGS = {
+    "family": ",".join(spec.label() for spec in DEFAULT_FAMILY),
+    "norm": DEFAULT_NORM.value,
+    "K": DEFAULT_SAMPLES,
+    "floor_start": DEFAULT_FLOOR_START,
+}
+_MODE_FLAGS = {
+    "convergence": _RANDOM_ALPHA_FLAGS,
+    "variance-decay": _RANDOM_ALPHA_FLAGS,
+    "counterexample": {"alpha": None},
+}
 
 
 class ConfigError(ValueError):
@@ -99,6 +118,30 @@ def _load_support(path: str) -> WeightedSupport:
         raise ConfigError(f'support file is not {{"entries": [[a1..ad, re, im], ...]}}: '
                           f'{exc!r}') from exc
     return WeightedSupport(d=len(next(iter(entries), ())), entries=entries)
+
+
+def _read_by(name: str) -> str:
+    return " and ".join(mode for mode, flags in _MODE_FLAGS.items() if name in flags) + " mode"
+
+
+def _mode_help(name: str, text: str) -> str:
+    default = next(flags[name] for flags in _MODE_FLAGS.values() if name in flags)
+    return (f"{text}; {_read_by(name)} only, "
+            + ("required" if default is None else f"default {default}"))
+
+
+def _mode_flags(args) -> None:
+    """Fill in the defaults of the flags args.mode reads, and refuse a missing
+    required one or any other mode-dependent flag given."""
+    reads = _MODE_FLAGS[args.mode]
+    for name in dict.fromkeys(name for flags in _MODE_FLAGS.values() for name in flags):
+        flag, given = "--" + name.replace("_", "-"), getattr(args, name) is not None
+        if name not in reads and given:
+            raise ConfigError(f"{flag} belongs to {_read_by(name)}, not {args.mode}")
+        if name in reads and not given:
+            if reads[name] is None:
+                raise ConfigError(f"{args.mode} mode needs {flag}")
+            setattr(args, name, reads[name])
 
 
 def _emit(summary: dict, out_csv: "str | None" = None, csv_text: "str | None" = None) -> None:
@@ -154,17 +197,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("experiment", help="Monte Carlo experiment over random alphas")
     p.add_argument("--mode", default="convergence",
                    choices=["convergence", "variance-decay", "counterexample"])
-    p.add_argument("--family", default=None,
-                   help="default n,n^2 (counterexample mode takes no family)")
-    p.add_argument("--norm", default="sup")
-    p.add_argument("--s", default=",".join(str(s) for s in DEFAULT_S_VALUES))
-    p.add_argument("--N", default=",".join(str(n) for n in DEFAULT_N_VALUES))
-    p.add_argument("--K", type=int, default=20, help="alpha samples per cell")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--family", help=_mode_help("family", "comma list of families"))
+    p.add_argument("--norm", help=_mode_help("norm", "sup or two"))
+    p.add_argument("--K", type=int, help=_mode_help("K", "alpha samples per cell"))
+    p.add_argument("--floor-start", type=int,
+                   help=_mode_help("floor_start", "first index of [n log^A n]"))
+    p.add_argument("--alpha", type=float, help=_mode_help("alpha", "the fixed dilation"))
+    p.add_argument("--s", default=",".join(str(s) for s in DEFAULT_S_VALUES),
+                   help="comma list; counterexample mode takes one value")
+    p.add_argument("--N", default=",".join(str(n) for n in DEFAULT_N_VALUES), help="comma list")
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed (counterexample mode draws nothing)")
     p.add_argument("--timing", action="store_true",
                    help="record wall time per row (breaks byte reproducibility)")
-    p.add_argument("--alpha", type=float, default=None, help="fixed alpha (counterexample mode)")
-    p.add_argument("--floor-start", type=int, default=2)
     p.add_argument("--out", default=None, help="CSV output path")
 
     p = add("verify-eq0", help="random-model second-moment identity check")
@@ -245,6 +290,9 @@ def _cmd_energy(args) -> int:
 def _cmd_gcdsum(args) -> int:
     alpha = args.alpha_exp
     if args.support_json is not None:
+        if args.family is not None or args.N is not None:
+            raise ConfigError("gcdsum reads one support: --support-json, or --family "
+                              "with --N, not both")
         support = _load_support(args.support_json)
         value = gcd_sum(support, alpha)
         source = {"support_json": args.support_json}
@@ -283,20 +331,11 @@ def _cmd_bessel(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _mode_flags(args)
     mode = args.mode
-    if mode != "counterexample":
-        if args.alpha is not None:
-            raise ConfigError(f"{mode} mode draws alpha from --seed; --alpha belongs to "
-                              "counterexample mode")
-        family = _parse_family("n,n^2" if args.family is None else args.family,
-                               args.floor_start)
-    elif args.family is not None:
-        raise ConfigError("counterexample mode runs the identity sequence; drop --family")
     n_values = _parse_int_list(args.N)
     s_values = _parse_float_list(args.s)
     if mode == "counterexample":
-        if args.alpha is None:
-            raise ConfigError("counterexample mode needs --alpha")
         if len(s_values) != 1:
             raise ConfigError("counterexample mode takes a single s value")
         result = run_counterexample(args.alpha, s_values[0], n_values, timing=args.timing)
@@ -312,8 +351,9 @@ def _cmd_experiment(args) -> int:
         }
     else:
         config = ExperimentConfig(
-            family=family, norm=NormKind.parse(args.norm), s_values=s_values,
-            N_values=n_values, samples=args.K, seed=args.seed, timing=args.timing,
+            family=_parse_family(args.family, args.floor_start), norm=NormKind.parse(args.norm),
+            s_values=s_values, N_values=n_values, samples=args.K, seed=args.seed,
+            timing=args.timing,
         )
         if mode == "variance-decay":
             result = run_variance_decay(config)

@@ -14,10 +14,10 @@ and the full table is the half table over i > j, negated and reversed, then
 the zero row with count N, then the half table.  Only the N(N-1)/2 pairs
 i > j are enumerated, in bands [L, U) of the first-component difference:
 row i meets a band in one contiguous run of j, and the band edges are chosen
-so each band holds at most a pair budget (a single first-difference value
-is never split).  Bands are disjoint in v, so each adds its sum of squared
-counts to E directly, and their grouped rows concatenate in lexicographic
-order.  The same table drives the GCD-sum variance proxy.
+so each band holds at most a fixed budget of 2^20 index pairs (_PAIR_BUDGET;
+a single first-difference value is never split).  Bands are disjoint in v,
+so each adds its sum of squared counts to E directly, and their grouped rows
+concatenate in lexicographic order.  The same table drives the GCD-sum variance proxy.
 
 Brute-force oracles (O(N^4) quadruple and O(N^3) triple enumerations) live
 here too; they exist for the test suite and stay independent of the banded
@@ -36,7 +36,7 @@ from .errors import InternalError
 from .sequences import SequenceData
 
 MAX_ENERGY_N = 2_000_000        # keeps E <= N^3 < 2**63
-DEFAULT_PAIR_BUDGET = 1 << 20   # index pairs per first-difference band
+_PAIR_BUDGET = 1 << 20          # index pairs per first-difference band
 
 
 def _run_indices(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarray:
@@ -117,13 +117,12 @@ def _difference_columns(seqs: Sequence[SequenceData]) -> list[np.ndarray]:
     return cols
 
 
-def _half_table_bands(cols: list[np.ndarray],
-                      pair_budget: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _half_table_bands(cols: list[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(vectors, counts) of D(v) over the pairs i > j, one band at a time.
 
     A band holds the pairs whose first difference lies in [L, U); row i
     meets it in the run of j with a_i - U < a_j <= a_i - L.  U is the
-    largest edge keeping the band within pair_budget pairs, found by
+    largest edge keeping the band within _PAIR_BUDGET pairs, found by
     bisection on C(x) = #{i > j : a_i - a_j < x}, unless the first value
     left alone exceeds the budget: then the band is that one value.
     Raises InternalError if the grouped counts do not add up to the pairs.
@@ -131,7 +130,6 @@ def _half_table_bands(cols: list[np.ndarray],
     a = cols[0]
     n = a.size
     half = n * (n - 1) // 2
-    budget = max(1, int(pair_budget))
 
     def below(x: int) -> int:
         return half - int(np.searchsorted(a, a - x, side="right").sum())
@@ -140,14 +138,14 @@ def _half_table_bands(cols: list[np.ndarray],
     lo_edge, c_lo, held = 1, 0, 0
     while c_lo < half:
         lo, c_at_lo, hi, c_at_hi = lo_edge, c_lo, top, half
-        while hi - lo > 1 and c_at_hi - c_lo > budget:
+        while hi - lo > 1 and c_at_hi - c_lo > _PAIR_BUDGET:
             mid = (lo + hi) // 2
             c = below(mid)
-            if c - c_lo <= budget:
+            if c - c_lo <= _PAIR_BUDGET:
                 lo, c_at_lo = mid, c
             else:
                 hi, c_at_hi = mid, c
-        if c_at_hi - c_lo > budget and c_at_lo > c_lo:
+        if c_at_hi - c_lo > _PAIR_BUDGET and c_at_lo > c_lo:
             hi, c_at_hi = lo, c_at_lo
         start = np.searchsorted(a, a - hi, side="right")
         length = np.searchsorted(a, a - lo_edge, side="right") - start
@@ -166,9 +164,9 @@ def _half_table_bands(cols: list[np.ndarray],
                             f"expected N^2 = {n * n}")
 
 
-def _energy(cols: list[np.ndarray], pair_budget: int) -> int:
+def _energy(cols: list[np.ndarray]) -> int:
     n = cols[0].size
-    return n * n + 2 * sum(int(c @ c) for _, c in _half_table_bands(cols, pair_budget))
+    return n * n + 2 * sum(int(c @ c) for _, c in _half_table_bands(cols))
 
 
 @dataclass(frozen=True)
@@ -213,17 +211,16 @@ class RepresentationTable:
         return int((c * c).sum())
 
 
-def representation_counts(seqs: Sequence[SequenceData],
-                          pair_budget: int = DEFAULT_PAIR_BUDGET) -> RepresentationTable:
+def representation_counts(seqs: Sequence[SequenceData]) -> RepresentationTable:
     """Exact difference-vector table over all N^2 ordered index pairs.
 
     Built from the half table over i > j, enumerated in first-difference
-    bands of at most pair_budget pairs, then mirrored; peak memory is one
+    bands of at most _PAIR_BUDGET pairs, then mirrored; peak memory is one
     band plus the distinct-vector table itself.
     """
     cols = _difference_columns(seqs)
     n, d = cols[0].size, len(cols)
-    bands = list(_half_table_bands(cols, pair_budget))
+    bands = list(_half_table_bands(cols))
     half_v = np.concatenate([v for v, _ in bands] or [np.empty((0, d), dtype=np.int64)])
     half_c = np.concatenate([c for _, c in bands] or [np.empty(0, dtype=np.int64)])
     del bands
@@ -233,15 +230,14 @@ def representation_counts(seqs: Sequence[SequenceData],
     return RepresentationTable(d=d, N=n, vectors=vectors, counts=counts)
 
 
-def additive_energy(A: SequenceData, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
+def additive_energy(A: SequenceData) -> int:
     """E(A) = #{(a,b,c,d) in A^4 : a+b = c+d}: the d = 1 banded difference count."""
-    return _energy(_difference_columns([A]), pair_budget)
+    return _energy(_difference_columns([A]))
 
 
-def joint_additive_energy(seqs: Sequence[SequenceData],
-                          pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
+def joint_additive_energy(seqs: Sequence[SequenceData]) -> int:
     """Quadruples solving the energy equation in every component simultaneously."""
-    return _energy(_difference_columns(seqs), pair_budget)
+    return _energy(_difference_columns(seqs))
 
 
 def additive_energy_brute(values: np.ndarray) -> int:
@@ -376,13 +372,13 @@ def comparison_from_name(name: str) -> ComparisonFn:
     return fn
 
 
-def energy_bound_report(seqs: Sequence[SequenceData], comparisons: Sequence[str] = (),
-                        pair_budget: int = DEFAULT_PAIR_BUDGET) -> EnergyReport:
+def energy_bound_report(seqs: Sequence[SequenceData],
+                        comparisons: Sequence[str] = ()) -> EnergyReport:
     """Energy (joint for d >= 2) with observational ratios E / g(N)."""
     if len(seqs) == 1:
-        e = additive_energy(seqs[0], pair_budget=pair_budget)
+        e = additive_energy(seqs[0])
     else:
-        e = joint_additive_energy(seqs, pair_budget=pair_budget)
+        e = joint_additive_energy(seqs)
     n = seqs[0].N
     ratios = {name: e / comparison_from_name(name)(n) for name in comparisons}
     return EnergyReport(N=n, E=e, ratios=ratios)

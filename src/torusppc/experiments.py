@@ -23,6 +23,9 @@ from .paircorr import NormKind, ppc_grid, ppc_limit, threshold
 from .sequences import SequenceSpec, generate, orbit
 from . import energy as energy_mod
 
+DEFAULT_FAMILY = (SequenceSpec.identity(), SequenceSpec.power_of(2))
+DEFAULT_FLOOR_START = 2         # first index of a [n log^A n] family
+DEFAULT_NORM = NormKind.SUP
 DEFAULT_N_VALUES = (1_000, 10_000, 100_000)
 DEFAULT_S_VALUES = (0.5, 1.0, 2.0)
 DEFAULT_SAMPLES = 20
@@ -33,7 +36,7 @@ CSV_HEADER = "N,s,K,mean_R,var_R,limit,expectation,seconds"
 @dataclass(frozen=True)
 class ExperimentConfig:
     family: tuple[SequenceSpec, ...]
-    norm: NormKind = NormKind.SUP
+    norm: NormKind = DEFAULT_NORM
     s_values: tuple[float, ...] = DEFAULT_S_VALUES
     N_values: tuple[int, ...] = DEFAULT_N_VALUES
     samples: int = DEFAULT_SAMPLES
@@ -57,7 +60,7 @@ class ExperimentConfig:
         return {
             "family": [spec.label() for spec in self.family],
             "floor_start": max((spec.start for spec in self.family
-                                if spec.kind == "floor_nlog"), default=2),
+                                if spec.kind == "floor_nlog"), default=DEFAULT_FLOOR_START),
             "norm": self.norm.value,
             "s_values": list(self.s_values),
             "N_values": list(self.N_values),

@@ -39,14 +39,13 @@ class WeightedSupport:
     """Finitely supported complex weight function on N^d.
 
     entries maps support tuples (all components >= 1) to complex weights;
-    the canonical array form plus both norms are cached at construction.
+    the canonical array form and the squared 2-norm are cached at construction.
     """
 
     d: int
     entries: Mapping[tuple[int, ...], complex]
     points: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
-    norm_l1: float = field(init=False)
     norm_l2_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -62,7 +61,6 @@ class WeightedSupport:
                 raise ValueError(f"support point {key} has a component < 1")
         self.points = np.array(keys, dtype=np.int64)
         self.weights = np.array([complex(self.entries[k]) for k in keys], dtype=np.complex128)
-        self.norm_l1 = float(np.abs(self.weights).sum())
         self.norm_l2_sq = float((np.abs(self.weights) ** 2).sum())
 
     @property
@@ -376,16 +374,16 @@ def zeta_trunc(values: np.ndarray, alpha: float, M: int):
     return values[..., 1:M + 1] @ (n ** -alpha)
 
 
-def zeta_riemann(s: float, cutoff: int = 64) -> float:
+def zeta_riemann(s: float) -> float:
     """zeta(s) for s > 1 by Euler-Maclaurin with absolute error < 1e-10.
 
-    Partial sum to cutoff plus tail corrections through the B_8 term; for
-    s in (1, 2] and cutoff 64 the first omitted term is below 1e-16.
+    Partial sum below 64 plus tail corrections at 64 through the B_8 term;
+    for s in (1, 2] the first omitted term is below 1e-16.
     """
     if s <= 1:
         raise ValueError("need s > 1")
-    k = float(cutoff)
-    total = sum(n ** -s for n in range(1, cutoff))
+    k = 64.0
+    total = sum(n ** -s for n in range(1, 64))
     total += k ** (1 - s) / (s - 1) + 0.5 * k ** -s
     # Bernoulli corrections B_2/2!, B_4/4!, B_6/6!, B_8/8! times rising factorials
     coeffs = [(1.0 / 12.0, 1), (-1.0 / 720.0, 3), (1.0 / 30240.0, 5), (-1.0 / 1209600.0, 7)]

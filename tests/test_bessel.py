@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from torusppc.bessel import (
-    BoundsReport,
+    T_MAX,
     bessel_asymptotic,
     bessel_j,
-    check_bessel_bounds,
     fourier_coeff_ball,
     fourier_coeff_box,
     _gamma,
@@ -220,13 +219,16 @@ def test_box_partial_sums_converge_to_indicator():
 
 
 def test_check_bessel_bounds_report():
-    report = check_bessel_bounds()
-    assert isinstance(report, BoundsReport)
-    assert report.bounded_small           # |J| <= 1 below t = 1
-    assert report.integer_le_one          # |J_mu| <= 1 for integer mu
-    assert report.sqrt_constant <= 1.0    # scanned sqrt(t)-envelope constant
-    row1 = next(r for r in report.rows if r.nu == 1.0)
-    assert row1.max_abs <= 1.0
-    assert row1.small_t_ratio == pytest.approx(0.5, rel=1e-3)   # J_1(t)/t -> 1/2
+    t_grid = np.geomspace(1e-2, T_MAX, 241)
+    large = t_grid > 1.0
+    scans = {nu: np.abs([bessel_j(nu, float(t)).value for t in t_grid])
+             for nu in (1.0, 1.5, 2.0, 2.5, 3.0)}
+    assert all(v[~large].max() <= 1.0 for v in scans.values())      # |J| <= 1 below t = 1
+    assert all(v.max() <= 1.0 + 1e-12 for nu, v in scans.items()
+               if nu == int(nu))                                     # |J_mu| <= 1 for integer mu
+    # scanned sqrt(t)-envelope constant
+    assert max((v[large] * np.sqrt(t_grid[large])).max() for v in scans.values()) <= 1.0
+    assert scans[1.0].max() <= 1.0
+    assert scans[1.0][0] / t_grid[0] == pytest.approx(0.5, rel=1e-3)   # J_1(t)/t -> 1/2
     # t = 1e4 spot value from the sup-norm envelope
     assert abs(bessel_j(1, 1e4).value) <= 0.8 / math.sqrt(1e4)

@@ -96,7 +96,7 @@ def test_gcdsum_table_mismatch_is_internal_error(capsys, monkeypatch):
 def test_energy_out_of_trivial_bounds_is_internal_error(capsys, monkeypatch):
     from torusppc import energy
 
-    monkeypatch.setattr(energy, "_energy", lambda cols, pair_budget: 0)   # below N^2
+    monkeypatch.setattr(energy, "_energy", lambda cols: 0)   # below N^2
     code, out, err = run_cli(capsys, "energy", "--family", "n^2", "--N", "8")
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""
@@ -110,6 +110,15 @@ def test_gcdsum_support_json(capsys, tmp_path):
                            "--support-json", str(path))
     assert code == 0
     assert json.loads(out)["result"]["gcd_sum"] == pytest.approx(3.0)
+
+
+def test_gcdsum_support_json_with_family_is_config_error(capsys, tmp_path):
+    path = tmp_path / "support.json"
+    path.write_text(json.dumps({"entries": [[1, 1, 0], [2, 1, 0]]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "gcdsum", "--alpha-exp", "1", "--support-json", str(path),
+                             "--family", "n,n^2", "--N", "10")
+    assert code == 3 and out == ""
+    assert "--support-json" in err and "--family" in err
 
 
 def test_gcdsum_support_too_large_to_expand(capsys, tmp_path):
@@ -264,6 +273,22 @@ def test_alpha_outside_counterexample_is_config_error(capsys):
                                  "--s", "1", "--N", "100", "--K", "30")
         assert code == 3 and out == "", mode
         assert "--alpha belongs to counterexample mode" in err
+
+
+@pytest.mark.parametrize("mode,flag,value", [
+    ("counterexample", "--norm", "two"),
+    ("counterexample", "--K", "7"),
+    ("counterexample", "--floor-start", "5"),
+    ("counterexample", "--family", "n^2"),
+    ("convergence", "--alpha", "0.3"),
+    ("variance-decay", "--alpha", "0.3"),
+])
+def test_flag_the_mode_does_not_read_is_config_error(capsys, mode, flag, value):
+    mode_argv = ["--alpha", "0.3"] if mode == "counterexample" else ["--K", "30"]
+    code, out, err = run_cli(capsys, "experiment", "--mode", mode, *mode_argv,
+                             "--s", "0.5", "--N", "100", flag, value)
+    assert code == 3 and out == ""
+    assert f"{flag} belongs to" in err and f"not {mode}" in err
 
 
 def test_variance_decay_slope_is_null_without_a_fit(capsys):

@@ -98,16 +98,19 @@ def test_table_symmetry_and_total():
         assert t.get(list(-row)) == c
 
 
-def test_streaming_matches_direct():
+def test_streaming_matches_direct(monkeypatch):
     rng = np.random.default_rng(7)
     vals1 = np.sort(rng.choice(10 ** 6, size=150, replace=False) + 1)
     vals2 = np.sort(rng.choice(10 ** 6, size=150, replace=False) + 1)
     seqs = [seq(vals1), seq(vals2)]
     direct = representation_counts(seqs)
-    tiny = representation_counts(seqs, pair_budget=777)   # ~15 first-difference bands
+    direct_energy = additive_energy(seqs[0])
+    monkeypatch.setattr(energy, "_PAIR_BUDGET", 777)
+    tiny = representation_counts(seqs)   # ~15 first-difference bands
     assert direct.sum_sq() == tiny.sum_sq()
     assert int(tiny.counts.sum()) == 150 * 150
-    assert additive_energy(seqs[0]) == additive_energy(seqs[0], pair_budget=523)
+    monkeypatch.setattr(energy, "_PAIR_BUDGET", 523)
+    assert direct_energy == additive_energy(seqs[0])
 
 
 def _full_table_reference(cols):
@@ -143,7 +146,8 @@ def test_banded_table_matches_full_unique_sweep(monkeypatch):
         budget = 1 + trial % 5 if trial % 4 else int(rng.integers(1, n * n + 2))
         seqs = [seq(c) for c in cols]
 
-        table = representation_counts(seqs, pair_budget=budget)
+        monkeypatch.setattr(energy, "_PAIR_BUDGET", budget)
+        table = representation_counts(seqs)
         rows, counts = _full_table_reference(cols)
         assert table.vectors.dtype == rows.dtype and table.vectors.shape == rows.shape
         assert table.vectors.flags.c_contiguous
@@ -152,9 +156,9 @@ def test_banded_table_matches_full_unique_sweep(monkeypatch):
         assert table.counts.tobytes() == counts.astype(np.int64).tobytes()
 
         brute = joint_additive_energy_brute(cols)
-        assert joint_additive_energy(seqs, pair_budget=budget) == brute
+        assert joint_additive_energy(seqs) == brute
         if d == 1:
-            assert additive_energy(seqs[0], pair_budget=budget) == additive_energy_brute(cols[0])
+            assert additive_energy(seqs[0]) == additive_energy_brute(cols[0])
     assert any(fallbacks) and not all(fallbacks)
 
 

