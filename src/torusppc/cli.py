@@ -172,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--alpha", default=None, help="comma list of dilation coordinates")
-    p.add_argument("--seed", type=int, default=0, help="draw alpha from this seed if --alpha absent")
+    p.add_argument("--seed", type=int, default=0,
+                   help="draw alpha from this seed (with --alpha nothing is drawn)")
     p.add_argument("--floor-start", type=int, default=2)
     p.add_argument("--check-naive", action="store_true", help="cross-check with the O(N^2) counter")
 
@@ -232,9 +233,11 @@ def _cmd_stat(args) -> int:
             raise ConfigError(f"alpha has {len(coords)} coordinates, family has {d}")
         alpha = TorusPoint(tuple(frac_of_real(c) for c in coords))
         alpha_echo = list(coords)
+        seed_echo = {}                  # a fixed dilation draws nothing
     else:
         alpha = sample_alpha(args.seed, d)
         alpha_echo = None
+        seed_echo = {"seed": args.seed}
     seqs = [generate(spec, args.N) for spec in family]
     res = ppc_grid(orbit(seqs, alpha), args.s, norm)
     if args.check_naive:
@@ -251,10 +254,10 @@ def _cmd_stat(args) -> int:
             "s": args.s,
             "N": args.N,
             "alpha": alpha_echo,
-            "seed": args.seed,
+            **seed_echo,
             "check_naive": bool(args.check_naive),
         },
-        "seed": args.seed,
+        "seed": seed_echo.get("seed", 0),
         "result": {
             "near_pairs": res.near_pairs,
             "statistic": res.statistic,

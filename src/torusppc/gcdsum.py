@@ -14,8 +14,9 @@ E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a): under a cutoff M the identity
 becomes exact and finite (the h-sums truncate), which is what verify_eq0
 tests against simulation.  _model_values is the one place that model is
 drawn and extended: verify_eq0, moment_growth_probe and
-sample_random_multiplicative all read it, sample i from the stream
-(seed, i), and zeta_trunc sums any batch of its values.
+sample_random_multiplicative all read it, field j (X, then Y) from one
+PCG64 stream (seed, j) of which sample i reads a fixed window, and
+zeta_trunc sums any batch of its values.
 """
 
 from __future__ import annotations
@@ -330,22 +331,22 @@ def _model_values(seed: int, M: int, samples: int, fields: int):
 
     X(p) = exp(2 pi i u_p) with u_p uniform on [0, 1), independently per
     prime p <= M, and X(n) = X(n / p) X(p) for the smallest prime p | n, so
-    |X(n)| = 1 and X(mn) = X(m) X(n) whenever mn <= M.  Sample i draws the
-    u_p of X_1 at every prime first, then those of X_2, and so on, from its
-    own stream (seed, i), so its first fields depend neither on the batching
+    |X(n)| = 1 and X(mn) = X(m) X(n) whenever mn <= M.  Field j draws from
+    one PCG64 stream seeded by SeedSequence((seed, j)), and sample i of it
+    reads the P = pi(M) uniforms [i P, (i + 1) P) of that stream, one per
+    prime in increasing order; so a sample depends neither on the batching
     nor on how many samples or further fields are drawn.  Yields (lo, hi,
     values) with values of shape (fields, hi - lo, M + 1); column 0 is 0 and
     unused.
     """
     spf, primes, prime_index = _prime_table(M)
     n_p = len(primes)
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), j))))
+            for j in range(fields)]
     for lo in range(0, samples, _PHASE_BATCH):
         hi = min(samples, lo + _PHASE_BATCH)
-        u = np.empty((hi - lo, fields * n_p))
-        for i in range(hi - lo):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), lo + i))))
-            u[i] = rng.uniform(0.0, 1.0, size=fields * n_p)
-        phases = np.exp(2j * np.pi * u).reshape(hi - lo, fields, n_p).transpose(1, 0, 2)
+        u = np.stack([rng.random((hi - lo) * n_p) for rng in rngs])
+        phases = np.exp(2j * np.pi * u).reshape(fields, hi - lo, n_p)
         values = np.zeros((fields, hi - lo, M + 1), dtype=np.complex128)
         values[..., 1] = 1.0
         for n in range(2, M + 1):
@@ -419,24 +420,29 @@ def truncated_rhs(f: WeightedSupport, alpha: float, M: int) -> float:
     n1 = h c/(a,c), n2 = h a/(a,c); the truncation n1, n2 <= M caps h at
     floor(M (a,c) / max(a,c)).  Each coordinate pair contributes
         G(a,c) = (a,c)^(2 alpha) / (a c)^alpha * sum_{h <= cap} h^(-2 alpha),
-    and the total is sum f(a,b) conj(f(c,d)) G(a,c) G(b,d).
+    and the total is sum f(a,b) conj(f(c,d)) G(a,c) G(b,d).  With F the
+    dense weight matrix over the distinct first and second coordinates and
+    G_1, G_2 the symmetric G tables over them, that is
+    Re sum_{a,b} F[a,b] (G_1 conj(F) G_2)[a,b]; verify_eq0 keeps every
+    coordinate <= M/2, so no table there exceeds M/2 x M/2.
     """
     if f.d != 2:
         raise ValueError("identity check is two-dimensional")
     h = np.arange(1, M + 1, dtype=np.float64)
     h_cum = np.concatenate(([0.0], np.cumsum(h ** (-2.0 * alpha))))
 
-    def g_factor(a: int, c: int) -> float:
-        g = math.gcd(a, c)
-        cap = (M * g) // max(a, c)
-        return g ** (2 * alpha) / (a * c) ** alpha * h_cum[cap]
+    def g_table(vals: np.ndarray) -> np.ndarray:
+        g = np.gcd.outer(vals, vals)
+        cap = M * g // np.maximum.outer(vals, vals)
+        v = vals.astype(np.float64)
+        return g.astype(np.float64) ** (2 * alpha) / np.multiply.outer(v, v) ** alpha * h_cum[cap]
 
-    items = [(k, complex(v)) for k, v in sorted(f.entries.items())]
-    total = 0.0 + 0.0j
-    for (a, b), fab in items:
-        for (c, dd), fcd in items:
-            total += fab * fcd.conjugate() * g_factor(a, c) * g_factor(b, dd)
-    return total.real
+    (first, row), (second, col) = (np.unique(f.points[:, i], return_inverse=True)
+                                   for i in range(2))
+    weights = np.zeros((first.size, second.size), dtype=np.complex128)
+    weights[row, col] = f.weights
+    inner = g_table(first) @ weights.conj() @ g_table(second)
+    return float((weights * inner).sum().real)
 
 
 def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int, seed: int):

@@ -249,6 +249,23 @@ def test_seedless_modes_echo_seed_zero(capsys):
     assert summary["seed"] == 0 and "seed" not in summary["config"]
 
 
+def test_stat_with_fixed_alpha_echoes_seed_zero(capsys, tmp_path):
+    argv = ["stat", "--family", "n", "--alpha", "0.3", "--s", "1", "--N", "50"]
+    code, out, _ = run_cli(capsys, *argv, "--seed", "5")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["seed"] == 0 and "seed" not in summary["config"]
+    assert run_cli(capsys, *argv) == (0, out, "")
+    path = tmp_path / "summary.json"
+    path.write_text(out, encoding="utf-8")
+    assert run_cli(capsys, "--replay", str(path)) == (0, out, "")
+    # a drawn dilation still echoes its seed in both places
+    code, out, _ = run_cli(capsys, "stat", "--family", "n", "--s", "1", "--N", "50",
+                           "--seed", "5")
+    summary = json.loads(out)
+    assert summary["seed"] == 5 and summary["config"]["seed"] == 5
+
+
 def test_experiment_counterexample(capsys):
     code, out, _ = run_cli(capsys, "experiment", "--mode", "counterexample",
                            "--alpha", str((math.sqrt(5) - 1) / 2), "--s", "0.5",

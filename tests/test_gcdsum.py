@@ -303,6 +303,48 @@ def test_zeta_trunc_batch_matches_rows():
     assert np.allclose(stacked.ravel(), batch, rtol=1e-14, atol=0)
 
 
+def _model_array(seed, m, samples, fields):
+    """All values of _model_values, joined over its batches."""
+    return np.concatenate([vals for _, _, vals in _model_values(seed, m, samples, fields)],
+                          axis=1)
+
+
+def test_model_values_sample_is_a_window_of_its_field_stream():
+    seed, m, samples = 11, 60, 1200       # crosses the 512-sample batch boundaries
+    primes = primes_up_to(m)
+    n_p = len(primes)
+    vals = _model_array(seed, m, samples, 2)
+    assert vals.shape == (2, samples, m + 1)
+    for j in (0, 1):
+        for i in (0, 1, 511, 512, 777, 1199):
+            bg = np.random.PCG64(np.random.SeedSequence((seed, j)))
+            bg.advance(i * n_p)
+            u = np.random.Generator(bg).random(n_p)
+            assert np.array_equal(vals[j, i, primes], np.exp(2j * np.pi * u)), (i, j)
+
+
+def test_model_values_field_zero_ignores_sample_and_field_counts():
+    seed, m = 11, 60
+    full = _model_array(seed, m, 1200, 2)[0]
+    assert np.array_equal(_model_array(seed, m, 5, 2)[0], full[:5])
+    assert np.array_equal(_model_array(seed, m, 1200, 1)[0], full)
+    assert np.array_equal(_model_array(seed, m, 5, 1)[0], full[:5])
+
+
+def test_model_values_seeds_one_stream_per_field(monkeypatch):
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    for _ in _model_values(3, 60, 2000, 2):
+        pass
+    assert len(built) == 2
+
+
 def test_sample_is_the_x_of_verify_eq0_sample_zero():
     seed, m, alpha, samples = 7, 60, 0.75, 700
     f = WeightedSupport(d=2, entries={(1, 2): 1.0, (3, 1): 0.5 - 1j, (2, 5): 2.0})
@@ -354,6 +396,66 @@ def test_truncated_rhs_matches_brute_force():
                             if m1 * b == m2 * d:
                                 total += (n1 * n2 * m1 * m2) ** -alpha
     assert truncated_rhs(f, alpha, m) == pytest.approx(total, rel=1e-12)
+
+
+def _g_oracle(alpha, m):
+    """G(a, c) of truncated_rhs's docstring, from math.gcd and a Python h-sum."""
+    h_cum = [0.0]
+    for h in range(1, m + 1):
+        h_cum.append(h_cum[-1] + h ** (-2.0 * alpha))
+
+    def g_factor(a, c):
+        g = math.gcd(a, c)
+        return g ** (2 * alpha) / (a * c) ** alpha * h_cum[(m * g) // max(a, c)]
+
+    return g_factor
+
+
+def truncated_rhs_enumerate(f, alpha, m):
+    """Double loop over support pairs (test oracle for truncated_rhs)."""
+    g_factor = _g_oracle(alpha, m)
+    items = [(k, complex(v)) for k, v in sorted(f.entries.items())]
+    total = 0j
+    for (a, b), fab in items:
+        for (c, d), fcd in items:
+            total += fab * fcd.conjugate() * g_factor(a, c) * g_factor(b, d)
+    return total.real
+
+
+def test_truncated_rhs_matches_enumeration_real_weights():
+    rng = np.random.default_rng(2024)
+    for trial in range(40):
+        m = int(rng.choice([4, 20, 100, 400]))
+        k = int(rng.integers(1, min(40, (m // 2) ** 2) + 1))
+        alpha = float(rng.uniform(0.55, 1.0))
+        pts = set()
+        while len(pts) < k:
+            pts.add(tuple(int(c) for c in rng.integers(1, m // 2 + 1, size=2)))
+        f = WeightedSupport(d=2, entries={p: float(rng.uniform(0.1, 3.0)) for p in pts})
+        want = truncated_rhs_enumerate(f, alpha, m)
+        assert truncated_rhs(f, alpha, m) == pytest.approx(want, rel=1e-12), trial
+
+
+def test_truncated_rhs_matches_enumeration_cancelling_weights():
+    # weights along the bottom eigenvector of the form on a dense box of points,
+    # so the total is a small fraction of sum |f(a,b)| |f(c,d)| G(a,c) G(b,d)
+    rng = np.random.default_rng(2025)
+    for trial in range(12):
+        r = int(rng.integers(4, 9))
+        m = int(rng.choice([2 * r, 100, 400]))
+        alpha = float(rng.uniform(0.55, 1.0))
+        box = [(a, b) for a in range(1, r + 1) for b in range(1, r + 1)]
+        pts = [box[i] for i in sorted(rng.choice(len(box), size=len(box) * 3 // 4,
+                                                 replace=False))]
+        g_factor = _g_oracle(alpha, m)
+        form = np.array([[g_factor(a, c) * g_factor(b, d) for c, d in pts] for a, b in pts])
+        vec = np.linalg.eigh(form)[1][:, 0] * np.exp(2j * np.pi * rng.uniform())
+        f = WeightedSupport(d=2, entries={p: complex(w) for p, w in zip(pts, vec)})
+        scale = truncated_rhs_enumerate(
+            WeightedSupport(d=2, entries={p: abs(w) for p, w in zip(pts, vec)}), alpha, m)
+        want = truncated_rhs_enumerate(f, alpha, m)
+        assert want < 0.2 * scale, trial
+        assert abs(truncated_rhs(f, alpha, m) - want) <= 1e-12 * scale, trial
 
 
 def test_truncated_rhs_degenerate_support():
