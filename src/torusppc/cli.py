@@ -368,6 +368,8 @@ def _cmd_experiment(args) -> int:
         rows_json = [asdict(r) for r in rows]
         csv_text = rows_to_csv(rows)
         config_echo = {"mode": mode, **config.to_json_dict(), "out": args.out}
+        # the flag as given: the config only knows the start of a floor family
+        config_echo["floor_start"] = args.floor_start
     summary = {
         "command": "experiment",
         "config": config_echo,

@@ -11,11 +11,15 @@ first nonzero component is +1), each window found by binary search.  Every
 candidate pair is examined exactly once with no deduplication pass.  d = 1,
 and grids with at most 2 columns per axis, use one column: a sort and a
 window sweep.  Both counters call the same exact comparison predicate, so
-their counts agree pair for pair, not just statistically.
+their counts agree pair for pair, not just statistically.  They hand it
+candidate pairs in blocks of up to _CHUNK_PAIRS = 2**15 (only a longer
+single segment goes whole), so that a block's index, gather and difference
+arrays fit in one core's L2 cache together.
 
 The predicate is exact: with threshold t (a binary64 value), a pair is
 "near" iff its torus distance is <= t as real numbers.  Sup-norm compares
-integer numerators against floor(t * 2**64); 2-norm compares the integer
+integer numerators against T = floor(t * 2**64), one wrapped compare
+(du + T) mod 2**64 <= 2T per axis; 2-norm compares the integer
 sum of squared coordinate numerators against floor(t**2 * 2**128), using a
 float64 filter plus an exact big-integer re-check for the rare borderline
 pairs.  Boundary ties (distance exactly t) count as inside.
@@ -33,7 +37,7 @@ import numpy as np
 
 from .fixedpoint import SCALE, points_to_array
 
-_CHUNK_PAIRS = 1 << 18          # pair-predicate evaluations per vectorized chunk
+_CHUNK_PAIRS = 1 << 15          # pairs per predicate call: 256 KiB per uint64 temporary
 _BORDER_BAND = 1e-11            # relative width of the exact-recheck band (2-norm)
 
 
@@ -116,18 +120,22 @@ def _count_near(cols: np.ndarray, ia: np.ndarray, ib: np.ndarray,
 
     This is the single comparison predicate shared by both counters.  The
     points come coordinate-major: cols is a C-contiguous (d, N) array, so
-    each axis is a 1-D gather.
+    each axis is a 1-D gather.  For the sup norm each axis costs one wrapped
+    compare of its difference du: the circle distance min(du, -du) is <= T
+    iff (du + T) mod 2**64 <= 2T, exact because t < 1/2 gives T < 2**63.
     """
     if ia.size == 0:
         return 0
     if norm is NormKind.SUP:
-        lim = np.uint64(thr.sup_num)    # < 2**63 since t < 1/2
-        dmax = np.zeros(ia.size, dtype=np.uint64)
+        lim = np.uint64(thr.sup_num)
+        width = np.uint64(2 * thr.sup_num)
+        inside = None
         for col in cols:
             du = col[ia] - col[ib]
-            dn = np.minimum(du, -du)
-            np.maximum(dmax, dn, out=dmax)
-        return int(np.count_nonzero(dmax <= lim))
+            du += lim
+            near = du <= width
+            inside = near if inside is None else np.logical_and(inside, near, out=inside)
+        return int(np.count_nonzero(inside))
 
     acc = np.zeros(ia.size, dtype=np.float64)
     for col in cols:

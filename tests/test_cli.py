@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +201,30 @@ def test_replay_and_config_reproduce_the_run(capsys, tmp_path, name):
             config_path.write_text(json.dumps(json.loads(out)["config"]), encoding="utf-8")
     assert outs[1] == outs[0] and outs[2] == outs[0]
     assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+
+def test_experiment_echoes_floor_start_without_floor_family(capsys, tmp_path):
+    # with no [n log^A n] family the start index changes nothing, but it is
+    # echoed as given, as stat and energy do
+    code, out, err = run_cli(capsys, "experiment", "--family", "n,n^2", "--floor-start", "5",
+                             "--s", "1", "--N", "100", "--K", "2")
+    assert code == 0, err
+    assert json.loads(out)["config"]["floor_start"] == 5
+    summary_path = tmp_path / "summary.json"
+    summary_path.write_text(out, encoding="utf-8")
+    code, replayed, err = run_cli(capsys, "--replay", str(summary_path))
+    assert code == 0, err
+    assert replayed == out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "torusppc", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: torusppc")
 
 
 def test_replay_refuses_a_command_or_config(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,57 @@ def test_min_points():
 _count_near = paircorr._count_near
 
 
+@pytest.mark.parametrize("t", [2.0 ** -4, 0.1, 0.49])
+def test_sup_predicate_edges(t):
+    # one axis differs by a value at an edge of the wrapped window; the other
+    # axes differ by at most T, so that axis decides
+    thr = paircorr._Threshold.make(t)
+    T = thr.sup_num
+    diffs = (0, T, T + 1, SCALE - T, SCALE - T - 1, 1 << 63)
+    rng = np.random.default_rng(37)
+    for d in (1, 2, 3):
+        for axis in range(d):
+            for diff in diffs:
+                a = rng.integers(0, SCALE, size=d, dtype=np.uint64)
+                step = [int(x) for x in rng.integers(0, T + 1, size=d)]
+                step[axis] = diff
+                b = np.array([(int(x) - k) % SCALE for x, k in zip(a, step)], dtype=np.uint64)
+                cols = np.ascontiguousarray(np.stack([a, b]).T)
+                dist = max(Fraction(min(k, SCALE - k), SCALE) for k in step)
+                expect = 2 if dist <= Fraction(t) else 0
+                got = _count_near(cols, np.array([0, 1]), np.array([1, 0]), NormKind.SUP, thr)
+                assert got == expect, (t, d, axis, diff)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    T=st.integers(min_value=0, max_value=(1 << 63) - 1),
+    # per pair and axis: a coordinate, and a difference that is either free
+    # (sign 0) or +-T + k, on or next to an edge of the window
+    axes=st.lists(st.tuples(st.integers(min_value=0, max_value=SCALE - 1),
+                            st.sampled_from((0, 1, -1)), st.integers(min_value=-1, max_value=1),
+                            st.integers(min_value=0, max_value=SCALE - 1)),
+                  min_size=3, max_size=60),
+)
+def test_sup_predicate_matches_min_formula(d, T, axes):
+    # against the two-sided form: max over axes of min(du, -du) <= T
+    n = len(axes) // d
+    x = np.array([a[0] for a in axes[:d * n]], dtype=np.uint64)
+    du = np.array([(sign * T + k) % SCALE if sign else free
+                   for _, sign, k, free in axes[:d * n]], dtype=np.uint64)
+    cols = np.ascontiguousarray(np.concatenate([x, x - du]).reshape(2, n, d).transpose(2, 0, 1)
+                                .reshape(d, 2 * n))
+    thr = paircorr._Threshold(t=T / SCALE, sup_num=T, two_num=0, two_num_f=0.0)
+    du = du.reshape(n, d)
+    old = np.max(np.minimum(du, -du), axis=1) <= np.uint64(T)
+    for j in range(n):
+        got = _count_near(cols, np.array([j]), np.array([n + j]), NormKind.SUP, thr)
+        assert got == int(old[j]), (j, T)
+    assert _count_near(cols, np.arange(n), np.arange(n, 2 * n),
+                       NormKind.SUP, thr) == int(np.count_nonzero(old))
+
+
 @pytest.fixture
 def predicate_calls(monkeypatch):
     """Record every (cols, ia, ib) handed to the shared predicate."""
@@ -253,7 +305,7 @@ def test_grid_matches_naive_across_chunk_boundaries(monkeypatch, predicate_calls
                 assert len(predicate_calls) > n // 2
 
 
-@pytest.mark.parametrize("chunk", [paircorr._CHUNK_PAIRS, 5])
+@pytest.mark.parametrize("chunk", [paircorr._CHUNK_PAIRS, 1 << 18, 5, 1])
 def test_grid_predicate_chunks_stay_bounded(chunk, monkeypatch, predicate_calls):
     # every predicate call from ppc_grid holds at most _CHUNK_PAIRS pairs,
     # unless it is one segment (one point against a run of neighbours)
