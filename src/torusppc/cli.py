@@ -2,7 +2,11 @@
 
 Every command prints a JSON summary to stdout that echoes the fully
 resolved configuration and master seed; tabular results additionally go to
---out as CSV.  A summary written by any command can be re-executed with
+--out as CSV.  A summary has one route: each handler returns its config
+echo, its result keys and its CSV text, and parse_and_dispatch alone writes
+the CSV to the config's "out", builds {"command", "config", "seed", ...result}
+with seed the config's "seed" (0 for a run that draws nothing) and prints
+it.  A summary written by any command can be re-executed with
 ``torusppc --replay summary.json`` and reproduces the identical output;
 --replay takes no command name and no --config next to it.  Both --replay
 and ``--config file.json`` turn a config object into flags by one rule (see
@@ -40,7 +44,7 @@ from .experiments import (
     run_energy_scan,
     run_variance_decay,
 )
-from .fixedpoint import TorusPoint, frac_of_real, sample_alpha
+from .fixedpoint import TorusPoint, sample_alpha
 from .gcdsum import WeightedSupport, gcd_sum, gcd_sum_from_representations, verify_eq0
 from .energy import representation_counts
 from .errors import InternalError
@@ -144,12 +148,6 @@ def _mode_flags(args) -> None:
             setattr(args, name, reads[name])
 
 
-def _emit(summary: dict, out_csv: "str | None" = None, csv_text: "str | None" = None) -> None:
-    if out_csv is not None and csv_text is not None:
-        Path(out_csv).write_text(csv_text, encoding="utf-8")
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
     # no abbreviated flags: a --config or summary key must name its flag in full
     parser = argparse.ArgumentParser(
@@ -223,21 +221,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_stat(args) -> int:
+def _cmd_stat(args):
     family = _parse_family(args.family, args.floor_start)
     norm = NormKind.parse(args.norm)
     d = len(family)
+    config = {"family": [f.label() for f in family], "floor_start": args.floor_start,
+              "norm": norm.value, "s": args.s, "N": args.N}
     if args.alpha is not None:
         coords = _parse_float_list(args.alpha)
         if len(coords) != d:
             raise ConfigError(f"alpha has {len(coords)} coordinates, family has {d}")
-        alpha = TorusPoint(tuple(frac_of_real(c) for c in coords))
-        alpha_echo = list(coords)
-        seed_echo = {}                  # a fixed dilation draws nothing
+        alpha = TorusPoint.from_floats(coords)
+        config["alpha"] = list(coords)      # a fixed dilation draws nothing: no seed
     else:
         alpha = sample_alpha(args.seed, d)
-        alpha_echo = None
-        seed_echo = {"seed": args.seed}
+        config.update(alpha=None, seed=args.seed)
+    config["check_naive"] = bool(args.check_naive)
     seqs = [generate(spec, args.N) for spec in family]
     res = ppc_grid(orbit(seqs, alpha), args.s, norm)
     if args.check_naive:
@@ -245,52 +244,22 @@ def _cmd_stat(args) -> int:
         if ref.near_pairs != res.near_pairs:
             raise InternalError(f"grid and naive counters disagree: "
                                 f"{res.near_pairs} != {ref.near_pairs}")
-    summary = {
-        "command": "stat",
-        "config": {
-            "family": [f.label() for f in family],
-            "floor_start": args.floor_start,
-            "norm": norm.value,
-            "s": args.s,
-            "N": args.N,
-            "alpha": alpha_echo,
-            **seed_echo,
-            "check_naive": bool(args.check_naive),
-        },
-        "seed": seed_echo.get("seed", 0),
-        "result": {
-            "near_pairs": res.near_pairs,
-            "statistic": res.statistic,
-            "limit": res.limit,
-            "expectation": res.expectation,
-        },
-    }
-    _emit(summary)
-    return EXIT_OK
+    result = {"near_pairs": res.near_pairs, "statistic": res.statistic,
+              "limit": res.limit, "expectation": res.expectation}
+    return config, {"result": result}, None
 
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args):
     family = _parse_family(args.family, args.floor_start)
     n_values = _parse_int_list(args.N)
     ratios = [r.strip() for r in args.ratios.split(",") if r.strip()]
     rows = run_energy_scan(family, n_values, ratios)
-    summary = {
-        "command": "energy",
-        "config": {
-            "family": [f.label() for f in family],
-            "floor_start": args.floor_start,
-            "N": list(n_values),
-            "ratios": ratios,
-            "out": args.out,
-        },
-        "seed": 0,
-        "rows": [asdict(r) for r in rows],
-    }
-    _emit(summary, args.out, energy_rows_to_csv(rows))
-    return EXIT_OK
+    config = {"family": [f.label() for f in family], "floor_start": args.floor_start,
+              "N": list(n_values), "ratios": ratios, "out": args.out}
+    return config, {"rows": [asdict(r) for r in rows]}, energy_rows_to_csv(rows)
 
 
-def _cmd_gcdsum(args) -> int:
+def _cmd_gcdsum(args):
     alpha = args.alpha_exp
     if args.support_json is not None:
         if args.family is not None or args.N is not None:
@@ -307,99 +276,58 @@ def _cmd_gcdsum(args) -> int:
         source = {"family": [f.label() for f in family], "N": args.N}
     else:
         raise ConfigError("gcdsum needs either --support-json or both --family and --N")
-    summary = {
-        "command": "gcdsum",
-        "config": {"alpha_exp": alpha, "floor_start": args.floor_start, **source},
-        "seed": 0,
-        "result": {"gcd_sum": value},
-    }
-    _emit(summary)
-    return EXIT_OK
+    config = {"alpha_exp": alpha, "floor_start": args.floor_start, **source}
+    return config, {"result": {"gcd_sum": value}}, None
 
 
-def _cmd_bessel(args) -> int:
+def _cmd_bessel(args):
     ev = bessel_j(args.nu, args.t)
-    summary = {
-        "command": "bessel",
-        "config": {"nu": args.nu, "t": args.t},
-        "seed": 0,
-        "result": {
-            "value": ev.value,
-            "method": ev.method,
-            "abs_error_bound": ev.abs_error_bound,
-        },
-    }
-    _emit(summary)
-    return EXIT_OK
+    result = {"value": ev.value, "method": ev.method, "abs_error_bound": ev.abs_error_bound}
+    return {"nu": args.nu, "t": args.t}, {"result": result}, None
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args):
     _mode_flags(args)
-    mode = args.mode
     n_values = _parse_int_list(args.N)
     s_values = _parse_float_list(args.s)
-    if mode == "counterexample":
+    if args.mode == "counterexample":
         if len(s_values) != 1:
             raise ConfigError("counterexample mode takes a single s value")
         result = run_counterexample(args.alpha, s_values[0], n_values, timing=args.timing)
-        rows_json = [asdict(r) for r in result.rows]
-        extra = {
-            "dispersion": result.dispersion,
-            "max_abs_deviation": result.max_abs_deviation,
-        }
-        csv_text = rows_to_csv(result.rows)
-        config_echo = {
-            "mode": mode, "alpha": args.alpha, "s": list(s_values),
-            "N": list(n_values), "timing": bool(args.timing), "out": args.out,
-        }
+        rows = result.rows
+        extra = {"dispersion": result.dispersion, "max_abs_deviation": result.max_abs_deviation}
+        config = {"mode": args.mode, "alpha": args.alpha, "s": list(s_values),
+                  "N": list(n_values), "timing": bool(args.timing), "out": args.out}
     else:
-        config = ExperimentConfig(
+        experiment = ExperimentConfig(
             family=_parse_family(args.family, args.floor_start), norm=NormKind.parse(args.norm),
             s_values=s_values, N_values=n_values, samples=args.K, seed=args.seed,
             timing=args.timing,
         )
-        if mode == "variance-decay":
-            result = run_variance_decay(config)
-            rows = result.rows
-            extra = {"slope": result.slope}
+        if args.mode == "variance-decay":
+            result = run_variance_decay(experiment)
+            rows, extra = result.rows, {"slope": result.slope}
         else:
-            rows = run_convergence(config)
-            extra = {}
-        rows_json = [asdict(r) for r in rows]
-        csv_text = rows_to_csv(rows)
-        config_echo = {"mode": mode, **config.to_json_dict(), "out": args.out}
+            rows, extra = run_convergence(experiment), {}
+        config = {"mode": args.mode, **experiment.to_json_dict(), "out": args.out}
         # the flag as given: the config only knows the start of a floor family
-        config_echo["floor_start"] = args.floor_start
-    summary = {
-        "command": "experiment",
-        "config": config_echo,
-        "seed": config_echo.get("seed", 0),     # counterexample draws nothing
-        "rows": rows_json,
-        **extra,
-    }
-    _emit(summary, args.out, csv_text)
-    return EXIT_OK
+        config["floor_start"] = args.floor_start
+    return config, {"rows": [asdict(r) for r in rows], **extra}, rows_to_csv(rows)
 
 
-def _cmd_verify_eq0(args) -> int:
+def _cmd_verify_eq0(args):
     if args.support_json is not None:
         support = _load_support(args.support_json)
     else:
         support = WeightedSupport.ones(DEFAULT_EQ0_SUPPORT)
     record = verify_eq0(support, args.alpha_exp, args.M, args.samples, args.seed)
-    summary = {
-        "command": "verify-eq0",
-        "config": {
-            "alpha_exp": args.alpha_exp, "M": args.M, "samples": args.samples,
-            "seed": args.seed, "support_json": args.support_json,
-        },
-        "seed": args.seed,
-        "result": asdict(record),
-    }
-    _emit(summary)
-    return EXIT_OK
+    config = {"alpha_exp": args.alpha_exp, "M": args.M, "samples": args.samples,
+              "seed": args.seed, "support_json": args.support_json}
+    return config, {"result": asdict(record)}, None
 
 
+# each handler returns (config, body, csv_text), csv_text None for a command
+# without --out; parse_and_dispatch turns them into the summary
 _HANDLERS = {
     "stat": _cmd_stat,
     "energy": _cmd_energy,
@@ -479,7 +407,13 @@ def parse_and_dispatch(argv=None) -> int:
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        return _HANDLERS[args.command](args)
+        config, body, csv_text = _HANDLERS[args.command](args)
+        if csv_text is not None and config["out"] is not None:
+            Path(config["out"]).write_text(csv_text, encoding="utf-8")
+        summary = {"command": args.command, "config": config, "seed": config.get("seed", 0),
+                   **body}
+        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+        return EXIT_OK
     except (ConfigError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"torusppc: invalid configuration: {exc}\n")
         return EXIT_CONFIG

@@ -350,7 +350,8 @@ def comparison_from_name(name: str) -> ComparisonFn:
     """Named growth functions for ratio columns: ``N^a`` or ``N^a log^b``.
 
     Examples: "N^2", "N^3 log^-1" (N^3 / log N), "N^2 log^0.5".
-    Logs are natural.
+    Logs are natural.  The returned g raises ValueError, naming the ratio and
+    N, unless g(N) is finite and > 0.
     """
     parts = name.replace("*", " ").split()
     if not parts or not parts[0].startswith("N^"):
@@ -367,18 +368,26 @@ def comparison_from_name(name: str) -> ComparisonFn:
     def fn(N: int) -> float:
         if b != 0 and N == 1:
             raise ValueError(f"ratio {name!r} is undefined at N = 1, where log N = 0")
-        return N ** a * math.log(N) ** b
+        g = N ** a * math.log(N) ** b
+        if not (math.isfinite(g) and g > 0):
+            raise ValueError(f"ratio {name!r} divides by g(N) = {g} at N = {N}; "
+                             f"g(N) must be finite and > 0")
+        return g
 
     return fn
 
 
 def energy_bound_report(seqs: Sequence[SequenceData],
                         comparisons: Sequence[str] = ()) -> EnergyReport:
-    """Energy (joint for d >= 2) with observational ratios E / g(N)."""
+    """Energy (joint for d >= 2) with observational ratios E / g(N); a ratio
+    that is not finite raises ValueError."""
     if len(seqs) == 1:
         e = additive_energy(seqs[0])
     else:
         e = joint_additive_energy(seqs)
     n = seqs[0].N
     ratios = {name: e / comparison_from_name(name)(n) for name in comparisons}
+    for name, ratio in ratios.items():
+        if not math.isfinite(ratio):
+            raise ValueError(f"ratio {name!r} overflows at N = {n}: E / g(N) = {ratio}")
     return EnergyReport(N=n, E=e, ratios=ratios)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fixedpoint import TorusPoint, frac_of_real, sample_alpha
+from .fixedpoint import TorusPoint, sample_alpha
 from .paircorr import NormKind, ppc_grid, ppc_limit, threshold
 from .sequences import SequenceSpec, generate, orbit
 from . import energy as energy_mod
@@ -139,7 +139,7 @@ def run_counterexample(alpha: float, s: float, N_values: Sequence[int],
     The family is the identity sequence; non-convergence to 2s shows up as
     dispersion of the trajectory across the N grid.
     """
-    point = TorusPoint((frac_of_real(alpha),))
+    point = TorusPoint.from_floats((alpha,))
     rows = _table((SequenceSpec.identity(),), NormKind.SUP, (s,), N_values, 1, timing,
                   lambda n, s_index, k: point)
     stats = np.array([r.mean_R for r in rows])

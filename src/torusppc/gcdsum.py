@@ -40,7 +40,8 @@ class WeightedSupport:
     """Finitely supported complex weight function on N^d.
 
     entries maps support tuples (all components >= 1) to complex weights;
-    the canonical array form and the squared 2-norm are cached at construction.
+    the canonical array form and the squared 2-norm are cached at construction,
+    and a weight that is not finite, or a 2-norm that overflows, is refused.
     """
 
     d: int
@@ -62,7 +63,11 @@ class WeightedSupport:
                 raise ValueError(f"support point {key} has a component < 1")
         self.points = np.array(keys, dtype=np.int64)
         self.weights = np.array([complex(self.entries[k]) for k in keys], dtype=np.complex128)
-        self.norm_l2_sq = float((np.abs(self.weights) ** 2).sum())
+        with np.errstate(over="ignore"):     # an overflow is refused just below
+            self.norm_l2_sq = float((np.abs(self.weights) ** 2).sum())
+        if not math.isfinite(self.norm_l2_sq):
+            raise ValueError(f"support weights must be finite with a finite squared 2-norm, "
+                             f"got {self.norm_l2_sq}")
 
     @property
     def K(self) -> int:
@@ -463,8 +468,8 @@ def verify_eq0(f: WeightedSupport, alpha: float, M: int, samples: int, seed: int
     """Monte Carlo versus the exact truncated identity; see Eq0Record."""
     if f.d != 2:
         raise ValueError("verify_eq0 needs a two-dimensional support")
-    if alpha <= 0.5:
-        raise ValueError("alpha must exceed 1/2")
+    if not 0.5 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (1/2, 1], got {alpha}")
     if samples < 100:
         raise ValueError("need at least 100 samples for meaningful error bars")
     if int(f.points.max()) > M // 2:

@@ -99,8 +99,8 @@ class _Threshold:
 
 def threshold(s: float, N: int, d: int) -> float:
     """The threshold t = s / N^(1/d); raises ValueError unless s > 0 and t < 1/2."""
-    if s <= 0:
-        raise ValueError("s must be > 0")
+    if not s > 0:
+        raise ValueError(f"s must be > 0, got {s}")
     t = s * N ** (-1.0 / d)
     if t >= 0.5:
         raise ValueError(

@@ -193,8 +193,10 @@ def test_replay_and_config_reproduce_the_run(capsys, tmp_path, name):
         out_csv.unlink(missing_ok=True)
         code, out, err = run_cli(capsys, *run)
         assert code == 0, err
-        strict_json(out)
+        summary = strict_json(out)
         outs.append(out)
+        assert list(summary)[:3] == ["command", "config", "seed"]
+        assert summary["seed"] == summary["config"].get("seed", 0)
         csvs.append(out_csv.read_bytes() if "{out}" in REPLAY_LINES[name] else None)
         if len(outs) == 1:
             summary_path.write_text(out, encoding="utf-8")
@@ -244,7 +246,9 @@ def test_malformed_support_json_is_config_error(capsys, tmp_path):
     path = tmp_path / "support.json"
     for bad in ({"entries": []}, [1, 2], {}, {"entries": [[1, 0]]},
                 {"entries": [[1, 1, 1, 0], [1, 1, 2, 0]]},    # a point given twice
-                {"entries": [[1.5, 1, 1, 0]]}):               # a fractional coordinate
+                {"entries": [[1.5, 1, 1, 0]]},                # a fractional coordinate
+                {"entries": [[1, 2, math.nan, 0]]},           # a non-finite weight
+                {"entries": [[1, 2, 1e308, 0], [2, 1, 1e308, 0]]}):   # |f|^2 overflows
         path.write_text(json.dumps(bad), encoding="utf-8")
         for command in (["gcdsum", "--alpha-exp", "1.0"], ["verify-eq0"]):
             code, out, err = run_cli(capsys, *command, "--support-json", str(path))
@@ -352,6 +356,21 @@ def test_log_ratio_at_n_one_is_config_error(capsys):
         assert repr(ratio) in err and "N = 1" in err
 
 
+@pytest.mark.parametrize("family,n,ratio", [
+    ("n^2", 512, "N^-400"),             # g(N) underflows to 0
+    ("n", 64, "N^2 log^-1000"),
+    ("n", 64, "N^nan"),
+    ("n", 64, "N^inf"),
+    ("n", 1000, "N^-100"),              # g(N) > 0, but E / g(N) overflows
+])
+def test_vanishing_or_non_finite_ratio_is_config_error(capsys, family, n, ratio):
+    code, out, err = run_cli(capsys, "energy", "--family", family, "--N", str(n),
+                             "--ratios", ratio)
+    assert code == 3 and out == ""
+    assert err.startswith("torusppc: invalid configuration:")
+    assert repr(ratio) in err and f"N = {n}" in err
+
+
 def test_verify_eq0_command(capsys):
     code, out, _ = run_cli(capsys, "verify-eq0", "--alpha-exp", "0.75", "--M", "60",
                            "--samples", "400", "--seed", "1")
@@ -367,6 +386,11 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "stat", "--family", "n", "--N", "10", "--s", "9",
                            "--alpha", "0.5")
     assert code == 3 and "1/2" in err
+
+    for command in (["stat", "--family", "n", "--N", "10"], ["experiment", "--N", "100"]):
+        code, out, err = run_cli(capsys, *command, "--s", "nan")
+        assert code == 3 and out == "", command
+        assert "s must be > 0, got nan" in err
 
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusppc import gcdsum
 from torusppc.energy import representation_counts
 from torusppc.gcdsum import (
     WeightedSupport,
@@ -512,6 +513,17 @@ def test_verify_eq0_validations():
         verify_eq0(WeightedSupport.ones([(60, 1)]), 0.75, 100, 200, seed=0)
     with pytest.raises(ValueError):
         verify_eq0(WeightedSupport.ones([(1,)]), 0.75, 100, 200, seed=0)
+
+
+@pytest.mark.parametrize("alpha", [1.5, math.nan])
+def test_verify_eq0_refuses_alpha_before_drawing(monkeypatch, alpha):
+    def no_draw(*args):
+        pytest.fail("verify_eq0 drew the random model before checking alpha")
+
+    monkeypatch.setattr(gcdsum, "_model_values", no_draw)
+    f = WeightedSupport.ones([(1, 1), (1, 2), (2, 1), (2, 2)])
+    with pytest.raises(ValueError, match=rf"\(1/2, 1\], got {alpha}"):
+        verify_eq0(f, alpha, 400, 40_000, seed=0)
 
 
 def test_moment_growth_probe():

@@ -49,6 +49,9 @@ def test_threshold_rejection():
         ppc_naive(pts, 1.0, NormKind.SUP)
     with pytest.raises(ValueError, match="1/2"):
         ppc_grid(pts, 1.0, NormKind.SUP)
+    for count in (ppc_naive, ppc_grid):
+        with pytest.raises(ValueError, match="s must be > 0, got nan"):
+            count(pts, math.nan, NormKind.SUP)
 
 
 def test_result_invariants():
