@@ -4,15 +4,7 @@ d-dimensional torus."""
 
 __version__ = "0.1.0"
 
-from .fixedpoint import (
-    Frac64,
-    TorusPoint,
-    dist_2,
-    dist_sup,
-    frac_mul,
-    frac_of_real,
-    sample_alpha,
-)
+from .fixedpoint import frac_of_real, point_of_reals, sample_alpha
 from .sequences import SequenceData, SequenceSpec, generate, orbit
 from .paircorr import (
     NormKind,
@@ -58,8 +50,7 @@ from .experiments import (
 )
 
 __all__ = [
-    "Frac64", "TorusPoint", "frac_of_real", "frac_mul", "dist_sup", "dist_2",
-    "sample_alpha",
+    "frac_of_real", "point_of_reals", "sample_alpha",
     "SequenceSpec", "SequenceData", "generate", "orbit",
     "NormKind", "PairCountResult", "ppc_naive", "ppc_grid", "ppc_limit",
     "unit_ball_volume",

@@ -44,7 +44,7 @@ from .experiments import (
     run_energy_scan,
     run_variance_decay,
 )
-from .fixedpoint import TorusPoint, sample_alpha
+from .fixedpoint import point_of_reals, sample_alpha
 from .gcdsum import WeightedSupport, gcd_sum, gcd_sum_from_representations, verify_eq0
 from .energy import representation_counts
 from .errors import InternalError
@@ -231,7 +231,7 @@ def _cmd_stat(args):
         coords = _parse_float_list(args.alpha)
         if len(coords) != d:
             raise ConfigError(f"alpha has {len(coords)} coordinates, family has {d}")
-        alpha = TorusPoint.from_floats(coords)
+        alpha = point_of_reals(coords)
         config["alpha"] = list(coords)      # a fixed dilation draws nothing: no seed
     else:
         alpha = sample_alpha(args.seed, d)

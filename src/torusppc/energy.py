@@ -354,16 +354,13 @@ def comparison_from_name(name: str) -> ComparisonFn:
     N, unless g(N) is finite and > 0.
     """
     parts = name.replace("*", " ").split()
-    if not parts or not parts[0].startswith("N^"):
+    exps = [p[len(pre):] for p, pre in zip(parts, ("N^", "log^")) if p.startswith(pre)]
+    if not 1 <= len(exps) == len(parts):
         raise ValueError(f"cannot parse comparison function {name!r}")
-    a = float(parts[0][2:])
-    b = 0.0
-    if len(parts) == 2:
-        if not parts[1].startswith("log^"):
-            raise ValueError(f"cannot parse comparison function {name!r}")
-        b = float(parts[1][4:])
-    elif len(parts) > 2:
-        raise ValueError(f"cannot parse comparison function {name!r}")
+    try:
+        a, b = float(exps[0]), float(exps[1]) if len(exps) == 2 else 0.0
+    except ValueError:
+        raise ValueError(f"cannot parse comparison function {name!r}") from None
 
     def fn(N: int) -> float:
         if b != 0 and N == 1:

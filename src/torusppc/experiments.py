@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fixedpoint import TorusPoint, sample_alpha
+from .fixedpoint import point_of_reals, sample_alpha
 from .paircorr import NormKind, ppc_grid, ppc_limit, threshold
 from .sequences import SequenceSpec, generate, orbit
 from . import energy as energy_mod
@@ -84,6 +84,8 @@ class ExperimentRow:
 
 def cell_seed(master: int, N: int, s_index: int, k: int) -> int:
     """Splittable per-cell seed: one derived PCG64 stream per (N, s, sample)."""
+    if master < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {master}")
     ss = np.random.SeedSequence((int(master), int(N), int(s_index), int(k)))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -96,7 +98,7 @@ def _aggregate(values: np.ndarray) -> tuple[float, float]:
 
 def _table(family: Sequence[SequenceSpec], norm: NormKind, s_values: Sequence[float],
            N_values: Sequence[int], samples: int, timing: bool,
-           alpha_for: Callable[[int, int, int], TorusPoint]) -> list[ExperimentRow]:
+           alpha_for: Callable[[int, int, int], np.ndarray]) -> list[ExperimentRow]:
     """Mean and variance of the statistic over `samples` dilations per (N, s);
     alpha_for(N, s_index, k) is the k-th dilation of that cell."""
     rows = []
@@ -139,7 +141,7 @@ def run_counterexample(alpha: float, s: float, N_values: Sequence[int],
     The family is the identity sequence; non-convergence to 2s shows up as
     dispersion of the trajectory across the N grid.
     """
-    point = TorusPoint.from_floats((alpha,))
+    point = point_of_reals((alpha,))
     rows = _table((SequenceSpec.identity(),), NormKind.SUP, (s,), N_values, 1, timing,
                   lambda n, s_index, k: point)
     stats = np.array([r.mean_R for r in rows])

@@ -236,7 +236,7 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
     coprime base.
     """
     if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     columns = []
     tuples = np.ones(f.K)
     for i in range(f.d):
@@ -344,6 +344,8 @@ def _model_values(seed: int, M: int, samples: int, fields: int):
     values) with values of shape (fields, hi - lo, M + 1); column 0 is 0 and
     unused.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     spf, primes, prime_index = _prime_table(M)
     n_p = len(primes)
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), j))))
@@ -372,8 +374,8 @@ def sample_random_multiplicative(seed: int, M: int) -> np.ndarray:
 def zeta_trunc(values: np.ndarray, alpha: float, M: int):
     """Truncated random zeta sum_{n <= M} X(n) / n^alpha over the last axis
     of values (X(n) at index n, any leading shape)."""
-    if alpha <= 0.5:
-        raise ValueError("alpha must exceed 1/2")
+    if not alpha > 0.5:
+        raise ValueError(f"alpha must exceed 1/2, got {alpha}")
     if M > values.shape[-1] - 1:
         raise ValueError(f"M = {M} exceeds sample cutoff {values.shape[-1] - 1}")
     n = np.arange(1, M + 1, dtype=np.float64)
@@ -495,8 +497,8 @@ def verify_eq0(f: WeightedSupport, alpha: float, M: int, samples: int, seed: int
 def moment_growth_probe(alpha: float, l_values: Sequence[float], samples: int,
                         M: int, seed: int) -> list[dict]:
     """Monte Carlo E|zeta_X^(M)(alpha)|^(2l) for each l; observational only."""
-    if alpha <= 0.5:
-        raise ValueError("alpha must exceed 1/2")
+    if not alpha > 0.5:
+        raise ValueError(f"alpha must exceed 1/2, got {alpha}")
     z_abs_sq = np.empty(samples, dtype=np.float64)
     for lo, hi, (vals,) in _model_values(seed, M, samples, 1):
         z_abs_sq[lo:hi] = np.abs(zeta_trunc(vals, alpha, M)) ** 2

@@ -15,8 +15,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from .fixedpoint import TorusPoint
-
 MAX_VALUE = (1 << 63) - 1
 
 KIND_IDENTITY = "identity"
@@ -196,23 +194,25 @@ def _read_explicit(path: str) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def orbit(seqs: "list[SequenceData] | tuple[SequenceData, ...]", alpha: TorusPoint) -> np.ndarray:
+def orbit(seqs: "list[SequenceData] | tuple[SequenceData, ...]", alpha: np.ndarray) -> np.ndarray:
     """Points ({a_n^(1) alpha_1}, ..., {a_n^(d) alpha_d}) for n = 1..N.
 
-    Returned as an (N, d) uint64 numerator array, exact on the fixed-point
-    grid: coordinate i of point n is (a_n^(i) * alpha_i.numerator) mod 2**64.
+    alpha is a (d,) uint64 numerator array (see fixedpoint).  Returned as an
+    (N, d) uint64 numerator array, exact on the fixed-point grid: coordinate
+    i of point n is (a_n^(i) * alpha[i]) mod 2**64.
     """
     if len(seqs) == 0:
         raise ValueError("need at least one sequence")
     d = len(seqs)
-    if alpha.dimension != d:
-        raise ValueError(f"alpha has dimension {alpha.dimension}, expected {d}")
+    if not isinstance(alpha, np.ndarray) or alpha.dtype != np.uint64:
+        raise ValueError("alpha must be a uint64 numerator array")
+    if alpha.shape != (d,):
+        raise ValueError(f"alpha has shape {alpha.shape}, expected ({d},)")
     n = seqs[0].N
     for s in seqs:
         if s.N != n:
             raise ValueError("all sequences must have equal length")
     out = np.empty((n, d), dtype=np.uint64)
     for i, s in enumerate(seqs):
-        mult = np.uint64(alpha.coords[i].numerator)
-        out[:, i] = s.values.astype(np.uint64) * mult
+        out[:, i] = s.values.astype(np.uint64) * alpha[i]
     return out

@@ -76,6 +76,9 @@ def test_gcdsum_command(capsys):
     assert value > 0
     code, out, _ = run_cli(capsys, "gcdsum", "--alpha-exp", "1.0")
     assert code == 3
+    code, out, err = run_cli(capsys, "gcdsum", "--alpha-exp", "nan", "--family", "n", "--N", "5")
+    assert code == 3 and out == ""
+    assert "alpha must lie in (0, 1], got nan" in err
 
 
 def test_gcdsum_table_mismatch_is_internal_error(capsys, monkeypatch):
@@ -391,6 +394,12 @@ def test_exit_codes(capsys):
         code, out, err = run_cli(capsys, *command, "--s", "nan")
         assert code == 3 and out == "", command
         assert "s must be > 0, got nan" in err
+
+    for command in (["stat", "--family", "n", "--N", "10"], ["experiment", "--N", "100"],
+                    ["verify-eq0"]):
+        code, out, err = run_cli(capsys, *command, "--seed", "-1")
+        assert code == 3 and out == "", command
+        assert "seed must be a non-negative integer, got -1" in err
 
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2

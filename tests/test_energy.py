@@ -219,6 +219,9 @@ def test_comparison_parser():
         comparison_from_name("2^N")
     with pytest.raises(ValueError):
         comparison_from_name("N^2 ln N")
+    for name in ("N^2x", "N^2 log^y"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            comparison_from_name(name)
 
 
 def test_overflow_guard():

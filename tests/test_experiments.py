@@ -79,13 +79,13 @@ def test_mean_tracks_expectation():
 
 def test_degenerate_coincident_orbit():
     # both points on the same torus position: statistic is exactly 1
-    from torusppc.fixedpoint import TorusPoint, frac_of_real
+    from torusppc.fixedpoint import point_of_reals
     from torusppc.paircorr import ppc_grid
     from torusppc.sequences import SequenceData, orbit
 
     seqs = [SequenceData(values=np.array([2, 4], dtype=np.int64),
                          spec=SequenceSpec.explicit("x"))]
-    alpha = TorusPoint((frac_of_real(0.5),))   # {2 * 0.5} = {4 * 0.5} = 0
+    alpha = point_of_reals([0.5])   # {2 * 0.5} = {4 * 0.5} = 0
     res = ppc_grid(orbit(seqs, alpha), 0.25, NormKind.SUP)
     assert res.statistic == 1.0
 

@@ -52,6 +52,8 @@ def test_gcd_sum_validations():
         gcd_sum(f, 0.0)
     with pytest.raises(ValueError):
         gcd_sum(f, 1.5)
+    with pytest.raises(ValueError, match="got nan"):
+        gcd_sum(f, math.nan)
 
 
 def test_cached_norms():
@@ -291,6 +293,10 @@ def test_zeta_trunc():
         zeta_trunc(s, 0.8, 51)
     with pytest.raises(ValueError):
         zeta_trunc(s, 0.5, 10)
+    with pytest.raises(ValueError, match="alpha must exceed 1/2, got nan"):
+        zeta_trunc(s, math.nan, 10)
+    with pytest.raises(ValueError, match="alpha must exceed 1/2, got 0.5"):
+        moment_growth_probe(0.5, [1.0], samples=10, M=10, seed=0)
 
 
 def test_zeta_trunc_batch_matches_rows():

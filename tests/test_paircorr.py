@@ -6,12 +6,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torusppc import paircorr
-from torusppc.fixedpoint import SCALE, TorusPoint
+from torusppc.fixedpoint import SCALE, point_of_reals
 from torusppc.paircorr import NormKind, ppc_grid, ppc_limit, ppc_naive, unit_ball_volume
 
 
 def rand_points(rng, n, d):
     return rng.integers(0, SCALE, size=(n, d), dtype=np.uint64)
+
+
+def points(*rows):
+    return np.array([point_of_reals(r) for r in rows])
 
 
 def test_limits():
@@ -23,7 +27,7 @@ def test_limits():
 
 
 def test_hand_count_d1():
-    pts = [TorusPoint.from_floats([v]) for v in (0.0, 0.1, 0.5)]
+    pts = points([0.0], [0.1], [0.5])
     res = ppc_naive(pts, 0.45, NormKind.SUP)
     assert res.near_pairs == 2
     assert res.statistic == pytest.approx(2 / 3)
@@ -31,20 +35,20 @@ def test_hand_count_d1():
 
 
 def test_identical_points():
-    pts = [TorusPoint.from_floats([0.37, 0.91])] * 2
+    pts = points([0.37, 0.91], [0.37, 0.91])
     for norm in NormKind:
         res = ppc_naive(pts, 0.01, norm)
         assert res.statistic == 1.0
 
 
 def test_far_points():
-    pts = [TorusPoint.from_floats([0.1]), TorusPoint.from_floats([0.5])]
+    pts = points([0.1], [0.5])
     res = ppc_naive(pts, 0.2, NormKind.SUP)   # threshold 0.1 < distance 0.4
     assert res.near_pairs == 0
 
 
 def test_threshold_rejection():
-    pts = [TorusPoint.from_floats([0.1]), TorusPoint.from_floats([0.5])]
+    pts = points([0.1], [0.5])
     with pytest.raises(ValueError, match="1/2"):
         ppc_naive(pts, 1.0, NormKind.SUP)
     with pytest.raises(ValueError, match="1/2"):
@@ -112,7 +116,7 @@ def test_grid_matches_naive_coarse_grid():
 
 def test_boundary_tie_counts_inside():
     # distance exactly at the threshold: 0.25 apart with t = 0.25
-    pts = [TorusPoint.from_floats([0.0]), TorusPoint.from_floats([0.25])]
+    pts = points([0.0], [0.25])
     res = ppc_naive(pts, 0.5, NormKind.SUP)          # t = 0.25 exactly (dyadic)
     assert res.near_pairs == 2
     assert ppc_grid(pts, 0.5, NormKind.SUP).near_pairs == 2
@@ -143,16 +147,6 @@ def test_permutation_invariance():
     perm = rng.permutation(150)
     for norm in NormKind:
         assert ppc_grid(pts, 1.0, norm).near_pairs == ppc_grid(pts[perm], 1.0, norm).near_pairs
-
-
-def test_accepts_point_lists_and_arrays():
-    pts_list = [TorusPoint.from_floats([0.1, 0.2]), TorusPoint.from_floats([0.15, 0.22]),
-                TorusPoint.from_floats([0.7, 0.9])]
-    from torusppc.fixedpoint import points_to_array
-
-    arr = points_to_array(pts_list)
-    for norm in NormKind:
-        assert ppc_naive(pts_list, 0.6, norm).near_pairs == ppc_naive(arr, 0.6, norm).near_pairs
 
 
 def test_min_points():
