@@ -28,7 +28,6 @@ from .gcdsum import (
     WeightedSupport,
     gcd_sum,
     gcd_sum_from_representations,
-    moment_growth_probe,
     sample_random_multiplicative,
     verify_eq0,
     zeta_trunc,
@@ -59,7 +58,7 @@ __all__ = [
     "vinogradov_J2d", "energy_bound_report",
     "WeightedSupport", "gcd_sum",
     "gcd_sum_from_representations", "sample_random_multiplicative",
-    "zeta_trunc", "verify_eq0", "moment_growth_probe",
+    "zeta_trunc", "verify_eq0",
     "BesselEval", "bessel_j", "bessel_asymptotic", "fourier_coeff_ball",
     "fourier_coeff_box",
     "ExperimentConfig", "ExperimentRow", "run_convergence",

@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--alpha", default=None, help="comma list of dilation coordinates")
-    p.add_argument("--seed", type=int, default=0,
-                   help="draw alpha from this seed (with --alpha nothing is drawn)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="draw alpha from this seed, default 0 (refused with --alpha)")
     p.add_argument("--floor-start", type=int, default=2)
     p.add_argument("--check-naive", action="store_true", help="cross-check with the O(N^2) counter")
 
@@ -187,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None, help="build the weight from this family's differences")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--support-json", default=None, help='{"entries": [[a1..ad, re, im], ...]}')
-    p.add_argument("--floor-start", type=int, default=2)
+    p.add_argument("--floor-start", type=int, default=None,
+                   help=f"first index of [n log^A n], default {DEFAULT_FLOOR_START} "
+                        "(refused with --support-json)")
 
     p = add("bessel", help="spot-evaluate the Bessel function")
     p.add_argument("--nu", type=float, required=True)
@@ -228,14 +230,18 @@ def _cmd_stat(args):
     config = {"family": [f.label() for f in family], "floor_start": args.floor_start,
               "norm": norm.value, "s": args.s, "N": args.N}
     if args.alpha is not None:
+        if args.seed is not None:
+            raise ConfigError("--alpha fixes the dilation, so stat draws nothing: "
+                              "give --alpha or --seed, not both")
         coords = _parse_float_list(args.alpha)
         if len(coords) != d:
             raise ConfigError(f"alpha has {len(coords)} coordinates, family has {d}")
         alpha = point_of_reals(coords)
         config["alpha"] = list(coords)      # a fixed dilation draws nothing: no seed
     else:
-        alpha = sample_alpha(args.seed, d)
-        config.update(alpha=None, seed=args.seed)
+        seed = 0 if args.seed is None else args.seed
+        alpha = sample_alpha(seed, d)
+        config.update(alpha=None, seed=seed)
     config["check_naive"] = bool(args.check_naive)
     seqs = [generate(spec, args.N) for spec in family]
     res = ppc_grid(orbit(seqs, alpha), args.s, norm)
@@ -265,18 +271,22 @@ def _cmd_gcdsum(args):
         if args.family is not None or args.N is not None:
             raise ConfigError("gcdsum reads one support: --support-json, or --family "
                               "with --N, not both")
+        if args.floor_start is not None:
+            raise ConfigError("--floor-start belongs to --family; a --support-json "
+                              "support has no family")
         support = _load_support(args.support_json)
         value = gcd_sum(support, alpha)
-        source = {"support_json": args.support_json}
+        config = {"alpha_exp": alpha, "support_json": args.support_json}
     elif args.family is not None and args.N is not None:
-        family = _parse_family(args.family, args.floor_start)
+        floor_start = DEFAULT_FLOOR_START if args.floor_start is None else args.floor_start
+        family = _parse_family(args.family, floor_start)
         seqs = [generate(spec, args.N) for spec in family]
         table = representation_counts(seqs)
         value = gcd_sum_from_representations(table, alpha)
-        source = {"family": [f.label() for f in family], "N": args.N}
+        config = {"alpha_exp": alpha, "floor_start": floor_start,
+                  "family": [f.label() for f in family], "N": args.N}
     else:
         raise ConfigError("gcdsum needs either --support-json or both --family and --N")
-    config = {"alpha_exp": alpha, "floor_start": args.floor_start, **source}
     return config, {"result": {"gcd_sum": value}}, None
 
 

@@ -200,12 +200,6 @@ class RepresentationTable:
         mask = (self.vectors != 0).all(axis=1)
         return self.vectors[mask], self.counts[mask]
 
-    def project(self, axis: int) -> "RepresentationTable":
-        """Marginal table of a single component (sums counts over the rest)."""
-        col = self.vectors[:, axis:axis + 1]
-        uv, counts = _unique_counts_rows(col, self.counts)
-        return RepresentationTable(d=1, N=self.N, vectors=uv, counts=counts)
-
     def sum_sq(self) -> int:
         c = self.counts.astype(object)
         return int((c * c).sum())

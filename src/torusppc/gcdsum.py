@@ -13,10 +13,10 @@ values at primes drives Monte Carlo checks of the second-moment identity
 E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a): under a cutoff M the identity
 becomes exact and finite (the h-sums truncate), which is what verify_eq0
 tests against simulation.  _model_values is the one place that model is
-drawn and extended: verify_eq0, moment_growth_probe and
-sample_random_multiplicative all read it, field j (X, then Y) from one
-PCG64 stream (seed, j) of which sample i reads a fixed window, and
-zeta_trunc sums any batch of its values.
+drawn and extended: verify_eq0 and sample_random_multiplicative both read
+it, field j (X, then Y) from one PCG64 stream (seed, j) of which sample i
+reads a fixed window.  Its batches are n-major, X(n) at index n of axis 0,
+and zeta_trunc sums any batch of its values over that axis.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .energy import RepresentationTable, _run_indices, _unique_counts_rows
 _FACTOR_BLOCK = 1 << 20         # value-prime pairs tested per trial-division round
 _TRIAL_BOUND = 1 << 16          # largest trial divisor; larger factors go to a coprime base
 _MAX_DIVISOR_TUPLES = 1 << 24   # divisor tuples gcd_sum expands at most (~1.4 GB peak)
-_PHASE_BATCH = 512              # Monte Carlo samples per vectorised batch
+_PHASE_BATCH = 256              # Monte Carlo samples per batch (3.3 MB of X, Y at M = 400)
 
 
 @dataclass
@@ -319,15 +319,29 @@ def _sieve_spf(m: int) -> np.ndarray:
     return spf
 
 
-def _prime_table(m: int) -> tuple[np.ndarray, list[int], dict[int, int]]:
-    """(smallest-prime-factor sieve, primes <= m, index of each prime)."""
+def _prime_table(m: int) -> tuple[np.ndarray, list[int]]:
+    """(smallest-prime-factor sieve, primes <= m)."""
     spf = _sieve_spf(m)
-    primes = (np.flatnonzero(spf[2:] == np.arange(2, m + 1)) + 2).tolist()
-    return spf, primes, {p: i for i, p in enumerate(primes)}
+    return spf, (np.flatnonzero(spf[2:] == np.arange(2, m + 1)) + 2).tolist()
 
 
 def primes_up_to(m: int) -> list[int]:
     return _prime_table(m)[1]
+
+
+def _omega_levels(spf: np.ndarray) -> list[np.ndarray]:
+    """n = 2..M grouped by Omega(n), the number of prime factors counted
+    with multiplicity: levels[k] holds the n with Omega(n) = k + 1, so each
+    n // spf[n] is 1 or lies in levels[k - 1]."""
+    n = np.arange(spf.size)
+    parent = n // np.maximum(spf, 1)
+    levels = []
+    prev = n == 1
+    while True:
+        prev = prev[parent] & (n >= 2)
+        if not prev.any():
+            return levels
+        levels.append(np.flatnonzero(prev))
 
 
 def _model_values(seed: int, M: int, samples: int, fields: int):
@@ -341,24 +355,29 @@ def _model_values(seed: int, M: int, samples: int, fields: int):
     reads the P = pi(M) uniforms [i P, (i + 1) P) of that stream, one per
     prime in increasing order; so a sample depends neither on the batching
     nor on how many samples or further fields are drawn.  Yields (lo, hi,
-    values) with values of shape (fields, hi - lo, M + 1); column 0 is 0 and
-    unused.
+    values) with values of shape (M + 1, fields, hi - lo), n on axis 0;
+    row 0 is 0 and unused.  The extension takes one gathered product per
+    level of Omega(n) (at most log2 M of them), each still X(n / p) X(p).
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    spf, primes, prime_index = _prime_table(M)
+    spf, primes = _prime_table(M)
     n_p = len(primes)
+    prime_index = np.zeros(M + 1, dtype=np.intp)
+    prime_index[primes] = np.arange(n_p)
+    steps = [(lev, lev // spf[lev], prime_index[spf[lev]]) for lev in _omega_levels(spf)]
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), j))))
             for j in range(fields)]
     for lo in range(0, samples, _PHASE_BATCH):
         hi = min(samples, lo + _PHASE_BATCH)
         u = np.stack([rng.random((hi - lo) * n_p) for rng in rngs])
         phases = np.exp(2j * np.pi * u).reshape(fields, hi - lo, n_p)
-        values = np.zeros((fields, hi - lo, M + 1), dtype=np.complex128)
-        values[..., 1] = 1.0
-        for n in range(2, M + 1):
-            p = int(spf[n])
-            values[..., n] = values[..., n // p] * phases[..., prime_index[p]]
+        phases = np.ascontiguousarray(phases.transpose(2, 0, 1))
+        values = np.empty((M + 1, fields, hi - lo), dtype=np.complex128)
+        values[0] = 0.0
+        values[1] = 1.0
+        for lev, parent, pidx in steps:
+            values[lev] = values[parent] * phases[pidx]
         yield lo, hi, values
 
 
@@ -368,18 +387,18 @@ def sample_random_multiplicative(seed: int, M: int) -> np.ndarray:
     of verify_eq0's sample 0 at the same seed and cutoff."""
     if M < 1:
         raise ValueError("cutoff must be >= 1")
-    return next(_model_values(seed, M, 1, 1))[2][0, 0]
+    return next(_model_values(seed, M, 1, 1))[2][:, 0, 0]
 
 
 def zeta_trunc(values: np.ndarray, alpha: float, M: int):
-    """Truncated random zeta sum_{n <= M} X(n) / n^alpha over the last axis
-    of values (X(n) at index n, any leading shape)."""
+    """Truncated random zeta sum_{n <= M} X(n) / n^alpha over axis 0 of
+    values (X(n) at index n, any trailing shape)."""
     if not alpha > 0.5:
         raise ValueError(f"alpha must exceed 1/2, got {alpha}")
-    if M > values.shape[-1] - 1:
-        raise ValueError(f"M = {M} exceeds sample cutoff {values.shape[-1] - 1}")
+    if M > values.shape[0] - 1:
+        raise ValueError(f"M = {M} exceeds sample cutoff {values.shape[0] - 1}")
     n = np.arange(1, M + 1, dtype=np.float64)
-    return values[..., 1:M + 1] @ (n ** -alpha)
+    return np.tensordot(n ** -alpha, values[1:M + 1], axes=1)
 
 
 def zeta_riemann(s: float) -> float:
@@ -459,9 +478,10 @@ def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int, 
     b_idx = f.points[:, 1]
     zd_sq = np.empty(samples, dtype=np.float64)
     d_sq = np.empty(samples, dtype=np.float64)
-    for lo, hi, (x_vals, y_vals) in _model_values(seed, M, samples, 2):
-        d = (x_vals[:, a_idx] * y_vals[:, b_idx]) @ f.weights
-        zd_sq[lo:hi] = np.abs(zeta_trunc(x_vals, alpha, M) * zeta_trunc(y_vals, alpha, M) * d) ** 2
+    for lo, hi, values in _model_values(seed, M, samples, 2):
+        d = f.weights @ (values[a_idx, 0] * values[b_idx, 1])
+        z_x, z_y = zeta_trunc(values, alpha, M)
+        zd_sq[lo:hi] = np.abs(z_x * z_y * d) ** 2
         d_sq[lo:hi] = np.abs(d) ** 2
     return zd_sq, d_sq
 
@@ -492,22 +512,3 @@ def verify_eq0(f: WeightedSupport, alpha: float, M: int, samples: int, seed: int
         alpha=alpha,
         seed=seed,
     )
-
-
-def moment_growth_probe(alpha: float, l_values: Sequence[float], samples: int,
-                        M: int, seed: int) -> list[dict]:
-    """Monte Carlo E|zeta_X^(M)(alpha)|^(2l) for each l; observational only."""
-    if not alpha > 0.5:
-        raise ValueError(f"alpha must exceed 1/2, got {alpha}")
-    z_abs_sq = np.empty(samples, dtype=np.float64)
-    for lo, hi, (vals,) in _model_values(seed, M, samples, 1):
-        z_abs_sq[lo:hi] = np.abs(zeta_trunc(vals, alpha, M)) ** 2
-    rows = []
-    for l in l_values:
-        powered = z_abs_sq ** float(l)
-        rows.append({
-            "l": float(l),
-            "estimate": float(powered.mean()),
-            "std_error": float(powered.std(ddof=1) / math.sqrt(samples)),
-        })
-    return rows

@@ -128,6 +128,31 @@ def test_gcdsum_support_json_with_family_is_config_error(capsys, tmp_path):
     assert "--support-json" in err and "--family" in err
 
 
+def test_gcdsum_floor_start_belongs_to_the_family_source(capsys, tmp_path):
+    path = tmp_path / "support.json"
+    path.write_text(json.dumps({"entries": [[1, 1, 0], [2, 1, 0]]}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "gcdsum", "--alpha-exp", "1.0", "--support-json", str(path))
+    assert code == 0
+    assert list(json.loads(out)["config"]) == ["alpha_exp", "support_json"]
+    # a support summary that still carries floor_start is refused on replay
+    old = json.loads(out)
+    old["config"] = {"alpha_exp": 1.0, "floor_start": 2, "support_json": str(path)}
+    summary_path = tmp_path / "summary.json"
+    summary_path.write_text(json.dumps(old), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--replay", str(summary_path))
+    assert code == 3 and out == ""
+    assert "--floor-start belongs to --family" in err
+    code, out, _ = run_cli(capsys, "gcdsum", "--alpha-exp", "0.5", "--family", "n,[n log^2 n]",
+                           "--N", "12", "--floor-start", "3")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert list(config) == ["alpha_exp", "floor_start", "family", "N"]
+    assert config["floor_start"] == 3
+    code, out, _ = run_cli(capsys, "gcdsum", "--alpha-exp", "0.5", "--family", "n,n^2",
+                           "--N", "12")
+    assert json.loads(out)["config"]["floor_start"] == 2
+
+
 def test_gcdsum_support_too_large_to_expand(capsys, tmp_path):
     path = tmp_path / "support.json"
     path.write_text(json.dumps({"entries": [[720720] * 4 + [1, 0]]}), encoding="utf-8")
@@ -286,11 +311,10 @@ def test_seedless_modes_echo_seed_zero(capsys):
 
 def test_stat_with_fixed_alpha_echoes_seed_zero(capsys, tmp_path):
     argv = ["stat", "--family", "n", "--alpha", "0.3", "--s", "1", "--N", "50"]
-    code, out, _ = run_cli(capsys, *argv, "--seed", "5")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     summary = json.loads(out)
     assert summary["seed"] == 0 and "seed" not in summary["config"]
-    assert run_cli(capsys, *argv) == (0, out, "")
     path = tmp_path / "summary.json"
     path.write_text(out, encoding="utf-8")
     assert run_cli(capsys, "--replay", str(path)) == (0, out, "")
@@ -385,10 +409,22 @@ def test_verify_eq0_command(capsys):
     assert abs(result["estimate"] - result["exact_truncated_rhs"]) <= 5 * result["std_error"]
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "stat", "--family", "n", "--N", "10", "--s", "9",
                            "--alpha", "0.5")
     assert code == 3 and "1/2" in err
+
+    code, out, err = run_cli(capsys, "stat", "--alpha", "0.3", "--seed", "7",
+                             "--family", "n", "--N", "10")
+    assert code == 3 and out == ""
+    assert "give --alpha or --seed, not both" in err
+
+    support = tmp_path / "support.json"
+    support.write_text(json.dumps({"entries": [[1, 1, 0]]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "gcdsum", "--alpha-exp", "0.5",
+                             "--support-json", str(support), "--floor-start", "9")
+    assert code == 3 and out == ""
+    assert "--floor-start belongs to --family" in err
 
     for command in (["stat", "--family", "n", "--N", "10"], ["experiment", "--N", "100"]):
         code, out, err = run_cli(capsys, *command, "--s", "nan")

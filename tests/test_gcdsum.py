@@ -15,7 +15,6 @@ from torusppc.gcdsum import (
     gcd_sum,
     gcd_sum_enumerate,
     gcd_sum_from_representations,
-    moment_growth_probe,
     primes_up_to,
     sample_random_multiplicative,
     support_from_representations,
@@ -243,18 +242,6 @@ def test_single_difference_vector():
     assert gcd_sum_from_representations(table, 0.8) == pytest.approx(4.0)
 
 
-def test_projection_consistency():
-    a = seq([1, 2, 3, 5])
-    b = seq([1, 4, 9, 16])
-    t2 = representation_counts([a, b])
-    t1 = representation_counts([a])
-    proj = t2.project(0)
-    for v in range(-5, 6):
-        assert proj.get([v]) == t1.get([v])
-    assert gcd_sum_from_representations(proj, 0.6) == pytest.approx(
-        gcd_sum_from_representations(t1, 0.6), rel=1e-12)
-
-
 def test_empty_restricted_table():
     table = representation_counts([seq([1])])
     with pytest.raises(ValueError, match="diagonal"):
@@ -295,47 +282,72 @@ def test_zeta_trunc():
         zeta_trunc(s, 0.5, 10)
     with pytest.raises(ValueError, match="alpha must exceed 1/2, got nan"):
         zeta_trunc(s, math.nan, 10)
-    with pytest.raises(ValueError, match="alpha must exceed 1/2, got 0.5"):
-        moment_growth_probe(0.5, [1.0], samples=10, M=10, seed=0)
 
 
 def test_zeta_trunc_batch_matches_rows():
-    _, _, (vals,) = next(_model_values(5, 80, 6, 1))
+    _, _, vals = next(_model_values(5, 80, 6, 1))
+    vals = vals[:, 0]
     batch = zeta_trunc(vals, 0.7, 50)
     assert batch.shape == (6,)
-    for row, z in zip(vals, batch):
+    for row, z in zip(vals.T, batch):
         assert z == pytest.approx(zeta_trunc(row, 0.7, 50), rel=1e-14)
-    stacked = zeta_trunc(vals.reshape(2, 3, 81), 0.7, 50)
+    stacked = zeta_trunc(vals.reshape(81, 2, 3), 0.7, 50)
     assert stacked.shape == (2, 3)
     assert np.allclose(stacked.ravel(), batch, rtol=1e-14, atol=0)
 
 
 def _model_array(seed, m, samples, fields):
-    """All values of _model_values, joined over its batches."""
+    """All values of _model_values, joined over its batches: (m + 1, fields, samples)."""
     return np.concatenate([vals for _, _, vals in _model_values(seed, m, samples, fields)],
-                          axis=1)
+                          axis=2)
+
+
+def _model_oracle(seed, m, samples, fields):
+    """The model one n at a time, X(n) = X(n / p) X(p) for p = spf(n), in the
+    sample-major layout (fields, samples, m + 1)."""
+    primes = primes_up_to(m)
+    index = {p: i for i, p in enumerate(primes)}
+    u = np.stack([np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, j))))
+                  .random(samples * len(primes)) for j in range(fields)])
+    phases = np.exp(2j * np.pi * u).reshape(fields, samples, len(primes))
+    values = np.zeros((fields, samples, m + 1), dtype=np.complex128)
+    values[..., 1] = 1.0
+    for n in range(2, m + 1):
+        p = min(q for q in primes if n % q == 0)
+        values[..., n] = values[..., n // p] * phases[..., index[p]]
+    return values
+
+
+@pytest.mark.parametrize("m", [1, 2, 60, 401])
+@pytest.mark.parametrize("fields", [1, 2])
+def test_model_values_match_the_one_step_per_n_recurrence_bit_for_bit(m, fields):
+    samples = 4 * gcdsum._PHASE_BATCH + 76          # four full batches and a part
+    got = _model_array(13, m, samples, fields)
+    want = np.ascontiguousarray(_model_oracle(13, m, samples, fields).transpose(2, 0, 1))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 def test_model_values_sample_is_a_window_of_its_field_stream():
-    seed, m, samples = 11, 60, 1200       # crosses the 512-sample batch boundaries
+    seed, m, samples = 11, 60, 1200       # crosses the batch boundaries
     primes = primes_up_to(m)
     n_p = len(primes)
     vals = _model_array(seed, m, samples, 2)
-    assert vals.shape == (2, samples, m + 1)
+    assert vals.shape == (m + 1, 2, samples)
     for j in (0, 1):
-        for i in (0, 1, 511, 512, 777, 1199):
+        for i in (0, 1, 255, 256, 511, 512, 777, 1199):
             bg = np.random.PCG64(np.random.SeedSequence((seed, j)))
             bg.advance(i * n_p)
             u = np.random.Generator(bg).random(n_p)
-            assert np.array_equal(vals[j, i, primes], np.exp(2j * np.pi * u)), (i, j)
+            assert np.array_equal(vals[primes, j, i], np.exp(2j * np.pi * u)), (i, j)
 
 
 def test_model_values_field_zero_ignores_sample_and_field_counts():
     seed, m = 11, 60
-    full = _model_array(seed, m, 1200, 2)[0]
-    assert np.array_equal(_model_array(seed, m, 5, 2)[0], full[:5])
-    assert np.array_equal(_model_array(seed, m, 1200, 1)[0], full)
-    assert np.array_equal(_model_array(seed, m, 5, 1)[0], full[:5])
+    full = _model_array(seed, m, 1200, 2)[:, 0]
+    assert np.array_equal(_model_array(seed, m, 5, 2)[:, 0], full[:, :5])
+    assert np.array_equal(_model_array(seed, m, 1200, 1)[:, 0], full)
+    assert np.array_equal(_model_array(seed, m, 5, 1)[:, 0], full[:, :5])
 
 
 def test_model_values_seeds_one_stream_per_field(monkeypatch):
@@ -356,9 +368,9 @@ def test_sample_is_the_x_of_verify_eq0_sample_zero():
     seed, m, alpha, samples = 7, 60, 0.75, 700
     f = WeightedSupport(d=2, entries={(1, 2): 1.0, (3, 1): 0.5 - 1j, (2, 5): 2.0})
     x = sample_random_multiplicative(seed, m)
-    _, _, (x_vals, y_vals) = next(_model_values(seed, m, samples, 2))
-    assert np.array_equal(x_vals[0], x)
-    y = y_vals[0]
+    _, _, vals = next(_model_values(seed, m, samples, 2))
+    assert np.array_equal(vals[:, 0, 0], x)
+    y = vals[:, 1, 0]
     d = sum(w * x[a] * y[b] for (a, b), w in f.entries.items())
     zd_sq, d_sq = _batched_mc_moments(f, alpha, m, samples, seed)
     assert d_sq[0] == pytest.approx(abs(d) ** 2, rel=1e-12)
@@ -530,15 +542,6 @@ def test_verify_eq0_refuses_alpha_before_drawing(monkeypatch, alpha):
     f = WeightedSupport.ones([(1, 1), (1, 2), (2, 1), (2, 2)])
     with pytest.raises(ValueError, match=rf"\(1/2, 1\], got {alpha}"):
         verify_eq0(f, alpha, 400, 40_000, seed=0)
-
-
-def test_moment_growth_probe():
-    rows = moment_growth_probe(1.0, [0.0, 1.0, 2.0, 3.0], samples=3000, M=50, seed=5)
-    by_l = {r["l"]: r for r in rows}
-    assert by_l[0.0]["estimate"] == pytest.approx(1.0)
-    want = sum(n ** -2.0 for n in range(1, 51))
-    assert abs(by_l[1.0]["estimate"] - want) <= 3 * by_l[1.0]["std_error"]
-    assert by_l[1.0]["estimate"] < by_l[2.0]["estimate"] < by_l[3.0]["estimate"]
 
 
 def test_primes_up_to():
