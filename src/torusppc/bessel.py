@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import InternalError
@@ -87,6 +86,8 @@ def _series_f64(nu: float, t: float) -> tuple[float, float]:
 
 def _series_mp(nu: float, t: float) -> tuple[float, float]:
     """Same series at 40 digits; tail certified alternating, rounding negligible."""
+    import mpmath       # here, not at module level: only this path needs it
+
     with mpmath.workdps(40):
         nu_m = mpmath.mpf(nu)
         half = mpmath.mpf(t) / 2

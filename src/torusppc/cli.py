@@ -60,13 +60,14 @@ EXIT_INTERNAL = 5
 DEFAULT_EQ0_SUPPORT = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 # The experiment flags only some modes read, and their defaults (None: required).
-# Every mode reads --mode, --s, --N, --timing and --out and accepts --seed; a flag
-# below that the chosen mode does not read is refused.
+# Every mode reads --mode, --s, --N, --timing and --out; a flag below that the
+# chosen mode does not read is refused.
 _RANDOM_ALPHA_FLAGS = {
     "family": ",".join(spec.label() for spec in DEFAULT_FAMILY),
     "norm": DEFAULT_NORM.value,
     "K": DEFAULT_SAMPLES,
     "floor_start": DEFAULT_FLOOR_START,
+    "seed": 0,
 }
 _MODE_FLAGS = {
     "convergence": _RANDOM_ALPHA_FLAGS,
@@ -207,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", default=",".join(str(s) for s in DEFAULT_S_VALUES),
                    help="comma list; counterexample mode takes one value")
     p.add_argument("--N", default=",".join(str(n) for n in DEFAULT_N_VALUES), help="comma list")
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed (counterexample mode draws nothing)")
+    p.add_argument("--seed", type=int, help=_mode_help("seed", "master seed"))
     p.add_argument("--timing", action="store_true",
                    help="record wall time per row (breaks byte reproducibility)")
     p.add_argument("--out", default=None, help="CSV output path")

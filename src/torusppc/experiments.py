@@ -12,7 +12,9 @@ differs between them only in where the k-th alpha of a cell comes from.
 from __future__ import annotations
 
 import io
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -96,26 +98,51 @@ def _aggregate(values: np.ndarray) -> tuple[float, float]:
     return mean, var
 
 
+def _workers(samples: int) -> int:
+    """Threads for the samples of one cell: one per core this process may use."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:          # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(samples, cores))
+
+
 def _table(family: Sequence[SequenceSpec], norm: NormKind, s_values: Sequence[float],
            N_values: Sequence[int], samples: int, timing: bool,
            alpha_for: Callable[[int, int, int], np.ndarray]) -> list[ExperimentRow]:
     """Mean and variance of the statistic over `samples` dilations per (N, s);
-    alpha_for(N, s_index, k) is the k-th dilation of that cell."""
+    alpha_for(N, s_index, k) is the k-th dilation of that cell.
+
+    The samples of a cell are counted concurrently, one thread per core
+    (numpy releases the GIL in the sort, search, gather and ufunc kernels of
+    ppc_grid), in waves of one sample per thread.  The calling thread draws
+    the dilations and builds the orbits of a wave, then the threads count
+    them, so only ppc_grid runs concurrently and at most one orbit per
+    thread is alive.  The values are collected in k order, so the table
+    does not depend on the thread count.
+    """
+    workers = _workers(samples)
     rows = []
-    for n in N_values:
-        seqs = [generate(spec, n) for spec in family]
-        for s_index, s in enumerate(s_values):
-            t0 = time.perf_counter()
-            values = np.array([ppc_grid(orbit(seqs, alpha_for(n, s_index, k)), s, norm).statistic
-                               for k in range(samples)], dtype=np.float64)
-            elapsed = time.perf_counter() - t0
-            mean, var = _aggregate(values)
-            limit = ppc_limit(s, len(family), norm)
-            rows.append(ExperimentRow(
-                N=n, s=s, K=samples, mean_R=mean, var_R=var,
-                limit=limit, expectation=limit * (n - 1) / n,
-                seconds=elapsed if timing else 0.0,
-            ))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for n in N_values:
+            seqs = [generate(spec, n) for spec in family]
+            for s_index, s in enumerate(s_values):
+                t0 = time.perf_counter()
+                values = np.empty(samples, dtype=np.float64)
+                for lo in range(0, samples, workers):
+                    wave = [orbit(seqs, alpha_for(n, s_index, k))
+                            for k in range(lo, min(samples, lo + workers))]
+                    counts = pool.map(ppc_grid, wave, [s] * len(wave), [norm] * len(wave))
+                    values[lo:lo + len(wave)] = [c.statistic for c in counts]
+                    del wave        # before the next wave's orbits are built
+                elapsed = time.perf_counter() - t0
+                mean, var = _aggregate(values)
+                limit = ppc_limit(s, len(family), norm)
+                rows.append(ExperimentRow(
+                    N=n, s=s, K=samples, mean_R=mean, var_R=var,
+                    limit=limit, expectation=limit * (n - 1) / n,
+                    seconds=elapsed if timing else 0.0,
+                ))
     return rows
 
 

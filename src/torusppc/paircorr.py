@@ -10,11 +10,14 @@ its own column and in the half shell of neighbour columns (offsets whose
 first nonzero component is +1), each window found by binary search.  Every
 candidate pair is examined exactly once with no deduplication pass.  d = 1,
 and grids with at most 2 columns per axis, use one column: a sort and a
-window sweep.  Both counters call the same exact comparison predicate, so
-their counts agree pair for pair, not just statistically.  They hand it
-candidate pairs in blocks of up to _CHUNK_PAIRS = 2**15 (only a longer
-single segment goes whole), so that a block's index, gather and difference
-arrays fit in one core's L2 cache together.
+window sweep.  After the sort, ppc_grid walks the sorted points in blocks
+of _BLOCK = 2**13, so that only the sort key and the sorted points are N
+long: a count at N = 10**5 (d = 2) needs about 5 MB besides its input.
+Both counters call the same exact comparison predicate, so their counts
+agree pair for pair, not just statistically.  They hand it candidate pairs
+in blocks of up to _CHUNK_PAIRS = 2**15 (only a longer single segment goes
+whole), so that a block's index, gather and difference arrays fit in one
+core's L2 cache together.
 
 The predicate is exact: with threshold t (a binary64 value), a pair is
 "near" iff its torus distance is <= t as real numbers.  Sup-norm compares
@@ -38,6 +41,7 @@ import numpy as np
 from .fixedpoint import SCALE, points_to_array
 
 _CHUNK_PAIRS = 1 << 15          # pairs per predicate call: 256 KiB per uint64 temporary
+_BLOCK = 1 << 13                # sorted points per sweep block: 64 KiB per uint64 temporary
 _BORDER_BAND = 1e-11            # relative width of the exact-recheck band (2-norm)
 
 
@@ -131,7 +135,8 @@ def _count_near(cols: np.ndarray, ia: np.ndarray, ib: np.ndarray,
         width = np.uint64(2 * thr.sup_num)
         inside = None
         for col in cols:
-            du = col[ia] - col[ib]
+            du = col[ia]
+            du -= col[ib]
             du += lim
             near = du <= width
             inside = near if inside is None else np.logical_and(inside, near, out=inside)
@@ -139,7 +144,8 @@ def _count_near(cols: np.ndarray, ia: np.ndarray, ib: np.ndarray,
 
     acc = np.zeros(ia.size, dtype=np.float64)
     for col in cols:
-        du = col[ia] - col[ib]
+        du = col[ia]
+        du -= col[ib]
         dn = np.minimum(du, -du).astype(np.float64)
         acc += dn * dn
     bound = thr.two_num_f
@@ -208,15 +214,21 @@ def _columns_per_axis(t: float, d: int) -> int:
     return m if m >= 3 and d > 1 else 1
 
 
-def _cell_coords(pts: np.ndarray, m: int) -> np.ndarray:
-    """Exact cell index per coordinate: (numerator * m) >> 64, via 32-bit split."""
+def _cell_coords(x: np.ndarray, m: int) -> np.ndarray:
+    """Exact cell index per coordinate: (numerator * m) >> 64, via 32-bit split.
+
+    Works in place on two temporaries the shape of x.
+    """
     m64 = np.uint64(m)
-    lo32 = np.uint64(0xFFFFFFFF)
-    hi = pts >> np.uint64(32)
-    lo = pts & lo32
-    a = hi * m64
-    b = lo * m64
-    return (a + (b >> np.uint64(32))) >> np.uint64(32)
+    half = np.uint64(32)
+    hi = x >> half
+    lo = x & np.uint64(0xFFFFFFFF)
+    hi *= m64
+    lo *= m64
+    lo >>= half
+    hi += lo
+    hi >>= half
+    return hi
 
 
 def _half_shell(d: int) -> list[tuple[int, ...]]:
@@ -262,7 +274,8 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     2**B / 2**64, so the ranges hold every near pair, and each unordered
     pair lies in exactly one of them.  d = 1 and m <= 2 use one column,
     where this is a sort and a window sweep.  Each tested unordered pair
-    counts twice (ordered pairs).
+    counts twice (ordered pairs).  Past the sort, the windows, cells and
+    neighbour column ids are computed per block of _BLOCK sorted points.
     """
     pts = points_to_array(points)
     N, d = pts.shape
@@ -277,48 +290,64 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
 
     def column_base(cells, delta):
         # id of the column at offset delta from each point's, times 2**(64 - bits)
-        base = np.zeros(N, dtype=np.uint64)
+        base = np.zeros(cells.shape[1], dtype=np.uint64)
         for c, o, wk in zip(cells, delta, weights):
             base += ((c + np.uint64(o % m)) % np.uint64(m)) * wk
         return base
 
-    cells = _cell_coords(pts[:, :axes], m).T
-    key = column_base(cells, (0,) * axes) | (pts[:, -1] >> shift)
+    # sort key, built in place: y >> bits plus each column term above it
+    key = pts[:, -1] >> shift
+    for k, wk in enumerate(weights):
+        cell = _cell_coords(pts[:, k], m)
+        cell *= wk
+        key += cell
     order = np.argsort(key)
-    key, cells = key[order], cells[:, order]
-    cols = np.take(pts.T, order, axis=1)     # C-contiguous (d, N)
+    key = key[order]
+    cols = np.empty((d, N), dtype=np.uint64)     # sorted points, coordinate-major
+    for j, col in enumerate(cols):
+        col[:] = pts[:, j][order]
+    del order
 
-    # key bits below the column id of each point's window [y - T, y + T]:
-    # [first, last], or [0, last] then [second, end] where it wraps
-    y = cols[-1]
-    first = y - np.uint64(thr.sup_num)
-    last = y + np.uint64(thr.sup_num)
-    wrap = np.flatnonzero(first > last)
-    second = first[wrap] >> shift
-    first[wrap] = 0
-    first >>= shift
-    last >>= shift
+    lim = np.uint64(thr.sup_num)
     end = np.uint64(SCALE - 1) >> shift
-    a = np.arange(N)
+    shell = _half_shell(axes)
 
     def count(rows, start, stop):
         return sum(_count_near(cols, ia, ib, norm, thr)
                    for ia, ib in _segment_pairs(rows, start, stop - start))
 
-    def sweep(nbase, own):
-        # candidates of each point in column nbase; in its own, later positions only
-        stop = np.searchsorted(key, nbase | last, side="right")
-        start = a + 1 if own else np.searchsorted(key, nbase | first)
-        # a wrapped window's second range starts after the first one ends:
-        # bits > 0 needs m >= 3, so 2**64 - 2T > 2**62 >= 2**bits and second > last
-        start_w = np.searchsorted(key, nbase[wrap] | second)
-        if own:
-            start_w = np.maximum(start_w, wrap + 1)
-        stop_w = np.searchsorted(key, nbase[wrap] | end, side="right")
-        return count(a, start, stop) + count(wrap, start_w, stop_w)
+    near = 0
+    for lo in range(0, N, _BLOCK):
+        hi = min(N, lo + _BLOCK)
+        a = np.arange(lo, hi)
+        # key bits below the column id of each point's window [y - T, y + T]:
+        # [first, last], or [0, last] then [second, end] where it wraps
+        y = cols[-1, lo:hi]
+        first = y - lim
+        last = y + lim
+        wrap = np.flatnonzero(first > last)
+        second = first[wrap] >> shift
+        first[wrap] = 0
+        first >>= shift
+        last >>= shift
+        a_w = a[wrap]
 
-    near = sweep(key & ~end, own=True)
-    for delta in _half_shell(axes):
-        near += sweep(column_base(cells, delta), own=False)
+        def sweep(nbase, own):
+            # candidates of each point in column nbase; in its own, later positions only
+            stop = np.searchsorted(key, nbase | last, side="right")
+            start = a + 1 if own else np.searchsorted(key, nbase | first)
+            # a wrapped window's second range starts after the first one ends:
+            # bits > 0 needs m >= 3, so 2**64 - 2T > 2**62 >= 2**bits and second > last
+            start_w = np.searchsorted(key, nbase[wrap] | second)
+            if own:
+                start_w = np.maximum(start_w, a_w + 1)
+            stop_w = np.searchsorted(key, nbase[wrap] | end, side="right")
+            return count(a, start, stop) + count(a_w, start_w, stop_w)
+
+        near += sweep(key[lo:hi] & ~end, own=True)
+        if shell:
+            cells = _cell_coords(cols[:axes, lo:hi], m)
+            for delta in shell:
+                near += sweep(column_base(cells, delta), own=False)
 
     return _result(2 * near, N, s, d, norm)

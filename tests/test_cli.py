@@ -257,6 +257,18 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("usage: torusppc")
 
 
+def test_cli_import_leaves_mpmath_unloaded():
+    # only the 40-digit Bessel series needs mpmath; it is imported there
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, torusppc.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_replay_refuses_a_command_or_config(capsys, tmp_path):
     summary = tmp_path / "b1.json"
     summary.write_text(run_cli(capsys, "bessel", "--nu", "1", "--t", "1")[1], encoding="utf-8")
@@ -302,11 +314,16 @@ def test_config_unknown_key_is_usage_error(capsys, tmp_path):
 
 
 def test_seedless_modes_echo_seed_zero(capsys):
-    code, out, _ = run_cli(capsys, "experiment", "--mode", "counterexample", "--alpha", "0.3",
-                           "--s", "0.5", "--N", "100", "--seed", "5")
+    argv = ["experiment", "--mode", "counterexample", "--alpha", "0.3", "--s", "0.5",
+            "--N", "100"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     summary = json.loads(out)
     assert summary["seed"] == 0 and "seed" not in summary["config"]
+    # the mode draws nothing, so a seed is refused rather than ignored
+    code, out, err = run_cli(capsys, *argv, "--seed", "5")
+    assert code == 3 and out == ""
+    assert "--seed belongs to convergence and variance-decay mode" in err
 
 
 def test_stat_with_fixed_alpha_echoes_seed_zero(capsys, tmp_path):
@@ -356,6 +373,7 @@ def test_alpha_outside_counterexample_is_config_error(capsys):
     ("counterexample", "--K", "7"),
     ("counterexample", "--floor-start", "5"),
     ("counterexample", "--family", "n^2"),
+    ("counterexample", "--seed", "5"),
     ("convergence", "--alpha", "0.3"),
     ("variance-decay", "--alpha", "0.3"),
 ])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from torusppc import experiments
 from torusppc.cli import parse_and_dispatch
 from torusppc.experiments import (
     CSV_HEADER,
@@ -16,8 +17,9 @@ from torusppc.experiments import (
     run_energy_scan,
     run_variance_decay,
 )
-from torusppc.paircorr import NormKind
-from torusppc.sequences import SequenceSpec
+from torusppc.fixedpoint import sample_alpha
+from torusppc.paircorr import NormKind, ppc_grid
+from torusppc.sequences import SequenceSpec, generate, orbit
 
 FAMILY = (SequenceSpec.identity(), SequenceSpec.power_of(2))
 
@@ -51,6 +53,26 @@ def test_different_seeds_differ():
     a = run_convergence(small_config(seed=1))
     b = run_convergence(small_config(seed=2))
     assert rows_to_csv(a) != rows_to_csv(b)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_parallel_table_equals_serial_loop(workers, monkeypatch):
+    # the samples of a cell run on `workers` threads, in waves (K = 5 leaves
+    # a partial one at 3); mean_R and var_R must match an in-order loop bit for bit
+    monkeypatch.setattr(experiments, "_workers", lambda samples: min(samples, workers))
+    cfg = small_config(samples=5, norm=NormKind.TWO)
+    rows = run_convergence(cfg)
+    assert len(rows) == len(cfg.N_values) * len(cfg.s_values)
+    for row in rows:
+        s_index = cfg.s_values.index(row.s)
+        seqs = [generate(spec, row.N) for spec in cfg.family]
+        values = np.array([
+            ppc_grid(orbit(seqs, sample_alpha(cell_seed(cfg.seed, row.N, s_index, k),
+                                              cfg.dimension)), row.s, cfg.norm).statistic
+            for k in range(cfg.samples)])
+        want = np.array([np.mean(values), np.var(values, ddof=1)])
+        got = np.array([row.mean_R, row.var_R])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (row.N, row.s)
 
 
 def test_csv_shape():

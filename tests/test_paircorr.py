@@ -328,6 +328,31 @@ def test_grid_predicate_chunks_stay_bounded(chunk, monkeypatch, predicate_calls)
             assert max(sizes) > chunk // 2  # chunks are filled, not one per segment
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_grid_matches_naive_across_block_boundaries(block, monkeypatch):
+    # the sweep walks the sorted points in blocks of _BLOCK: N just below, at
+    # and above block multiples, a third of the points with y < T (windows
+    # that wrap past 0), and both single-column (m = 1) and m >= 3 grids
+    monkeypatch.setattr(paircorr, "_BLOCK", block)
+    rng = np.random.default_rng(41 + block)
+    sizes = sorted({n for k in (1, 2, 3) for n in (k * block - 1, k * block, k * block + 1)
+                    if n >= 2})
+    for d in (1, 2, 3):
+        seen_m = set()
+        for n in sizes:
+            for t in (0.05, 0.4):
+                s = t * n ** (1.0 / d)
+                thr = paircorr._threshold_for(s, n, d)
+                seen_m.add(paircorr._columns_per_axis(thr.t, d))
+                pts = rand_points(rng, n, d)
+                low = rng.random(n) < 1 / 3
+                pts[low, -1] = rng.integers(0, thr.sup_num, size=int(low.sum()), dtype=np.uint64)
+                for norm in NormKind:
+                    got = ppc_grid(pts, s, norm).near_pairs
+                    assert got == ppc_naive(pts, s, norm).near_pairs, (d, n, t, norm)
+        assert 1 in seen_m and (d == 1 or max(seen_m) >= 3)
+
+
 def _lattice_s(t, n, d):
     """An s whose threshold s / n^(1/d) is exactly t, or None."""
     s = t * n ** (1.0 / d)

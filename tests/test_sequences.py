@@ -21,13 +21,21 @@ def test_generate_examples():
     assert list(generate(SequenceSpec.floor_nlog(1.0, start=2), 4).values) == [1, 3, 5, 8]
 
 
+# terms within a relative 2^-40 of an integer, which the float floor hands
+# to the decimal recheck: x = 5975064.999996... and 7675094.999995...
+BAND_TERMS = {1.0: 458371, 2.0: 62871}
+
+
 def test_floor_family_matches_oracle():
     # the first terms, seeded windows near 10^6 and 10^7, where nearly every
-    # term keeps its float floor, and a window past x = 2^52 (across
-    # n = 2^53 where A < 2), where every term is rechecked at high precision
+    # term keeps its float floor, windows around known near-integer terms
+    # (BAND_TERMS), and a window past x = 2^52 (across n = 2^53 where A < 2),
+    # where every term is rechecked at high precision
     rng = np.random.default_rng(31)
     for a in (1.0, 1.25, 1.5, 2.0):
         windows = [(2 if a < 2 else 3, 200)]
+        if a in BAND_TERMS:
+            windows += [(BAND_TERMS[a] - 100, 200)]
         windows += [(int(rng.integers(c, 2 * c)), 2000) for c in (10 ** 6, 10 ** 7)]
         windows += [(2 ** 53 - 100 if a < 2 else 6 * 10 ** 12, 200)]
         for start, count in windows:
