@@ -117,9 +117,11 @@ def _table(family: Sequence[SequenceSpec], norm: NormKind, s_values: Sequence[fl
     (numpy releases the GIL in the sort, search, gather and ufunc kernels of
     ppc_grid), in waves of one sample per thread.  The calling thread draws
     the dilations and builds the orbits of a wave, then the threads count
-    them, so only ppc_grid runs concurrently and at most one orbit per
-    thread is alive.  The values are collected in k order, so the table
-    does not depend on the thread count.
+    them, so at most one orbit per thread is alive and only ppc_grid runs
+    concurrently: `perfbench/run.py --trace 1` keeps one span stack for all
+    threads and fails when an orbit span overlaps a ppc_grid span.  The
+    values are collected in k order, so the table does not depend on the
+    thread count.
     """
     workers = _workers(samples)
     rows = []

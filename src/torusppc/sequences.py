@@ -8,8 +8,6 @@ terms are strictly increasing natural numbers below 2**63.
 
 from __future__ import annotations
 
-import decimal
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,10 +114,10 @@ def _floor_nlog(start: int, N: int, exponent: float) -> np.ndarray:
     and pow and the product add an ulp each: under 2**-47 relative in all,
     far inside the band of 2**-40 (about 4096 ulp).  The largest numpy-vs-
     math gap measured on the first 10^6 terms is 4.6e-16.  Every term within
-    a relative 2**-40 of an integer is settled in decimal arithmetic at 50
-    significant digits.  Once x > 2**39 the band is wider than 1/2 and holds
-    every term; this covers x >= 2**52, where float64 has no fractional part
-    (so the distance is 0), and n >= 2**53, where n itself may be inexact.
+    a relative 2**-40 of an integer is settled at 50 significant digits.
+    Once x > 2**39 the band is wider than 1/2 and holds every term; this
+    covers x >= 2**52, where float64 has no fractional part (so the distance
+    is 0), and n >= 2**53, where n itself may be inexact.
     """
     n = np.arange(start, start + N, dtype=np.float64)
     x = n * np.log(n) ** exponent
@@ -127,11 +125,13 @@ def _floor_nlog(start: int, N: int, exponent: float) -> np.ndarray:
         raise OverflowError(f"n (log n)^{exponent:g} exceeds 2**63 by n = {start + N - 1}")
     values = np.floor(x).astype(np.int64)
     band = np.flatnonzero(np.abs(x - np.round(x)) < 2.0 ** -40 * np.maximum(x, 1.0))
-    power = decimal.Decimal(exponent)      # the binary64 exponent, exactly
-    with decimal.localcontext(prec=50):
-        for i in band:
-            k = decimal.Decimal(start + int(i))
-            values[i] = math.floor(k * k.ln() ** power)
+    if band.size:
+        import mpmath   # here, not at module level: most calls have no band term
+
+        with mpmath.workdps(50):
+            for i in band:
+                k = start + int(i)
+                values[i] = int(mpmath.floor(mpmath.mpf(k) * mpmath.log(k) ** exponent))
     return values
 
 

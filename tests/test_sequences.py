@@ -22,7 +22,7 @@ def test_generate_examples():
 
 
 # terms within a relative 2^-40 of an integer, which the float floor hands
-# to the decimal recheck: x = 5975064.999996... and 7675094.999995...
+# to the 50-digit recheck: x = 5975064.999996... and 7675094.999995...
 BAND_TERMS = {1.0: 458371, 2.0: 62871}
 
 
