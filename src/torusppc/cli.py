@@ -12,7 +12,10 @@ it.  A summary written by any command can be re-executed with
 and ``--config file.json`` turn a config object into flags by one rule (see
 _config_argv); --config puts them right after the command name, so explicit
 flags override them, and a key that names no flag of the command is a usage
-error.
+error.  Which flags a command variant reads (stat with or without --alpha,
+gcdsum with or without --support-json, each experiment --mode) is one table,
+_VARIANT_FLAGS; before any handler runs, _resolve_variant fills in their
+defaults and refuses a missing required flag or a flag of another variant.
 
 Exit codes: 0 success, 2 usage error, 3 invalid configuration, 4 I/O error,
 5 internal error (a failed self-check, not bad input).
@@ -31,7 +34,6 @@ from . import __version__
 from .bessel import bessel_j
 from .experiments import (
     DEFAULT_FAMILY,
-    DEFAULT_FLOOR_START,
     DEFAULT_N_VALUES,
     DEFAULT_NORM,
     DEFAULT_S_VALUES,
@@ -49,7 +51,7 @@ from .gcdsum import WeightedSupport, gcd_sum, gcd_sum_from_representations, veri
 from .energy import representation_counts
 from .errors import InternalError
 from .paircorr import NormKind, ppc_grid, ppc_naive
-from .sequences import SequenceSpec, generate, orbit
+from .sequences import DEFAULT_FLOOR_START, SequenceSpec, generate, orbit
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,9 +61,8 @@ EXIT_INTERNAL = 5
 
 DEFAULT_EQ0_SUPPORT = ((1, 1), (1, 2), (2, 1), (2, 2))
 
-# The experiment flags only some modes read, and their defaults (None: required).
-# Every mode reads --mode, --s, --N, --timing and --out; a flag below that the
-# chosen mode does not read is refused.
+# The flags each command variant reads that another variant does not, with
+# their defaults (None: required); every variant reads every other flag.
 _RANDOM_ALPHA_FLAGS = {
     "family": ",".join(spec.label() for spec in DEFAULT_FAMILY),
     "norm": DEFAULT_NORM.value,
@@ -69,10 +70,16 @@ _RANDOM_ALPHA_FLAGS = {
     "floor_start": DEFAULT_FLOOR_START,
     "seed": 0,
 }
-_MODE_FLAGS = {
-    "convergence": _RANDOM_ALPHA_FLAGS,
-    "variance-decay": _RANDOM_ALPHA_FLAGS,
-    "counterexample": {"alpha": None},
+_VARIANT_FLAGS = {
+    "stat": {"with --alpha": {}, "without --alpha": {"seed": 0}},
+    "gcdsum": {"with --support-json": {},
+               "without --support-json": {"family": None, "N": None,
+                                          "floor_start": DEFAULT_FLOOR_START}},
+    "experiment": {
+        "--mode convergence": _RANDOM_ALPHA_FLAGS,
+        "--mode variance-decay": _RANDOM_ALPHA_FLAGS,
+        "--mode counterexample": {"alpha": None},
+    },
 }
 
 
@@ -125,27 +132,36 @@ def _load_support(path: str) -> WeightedSupport:
     return WeightedSupport(d=len(next(iter(entries), ())), entries=entries)
 
 
-def _read_by(name: str) -> str:
-    return " and ".join(mode for mode, flags in _MODE_FLAGS.items() if name in flags) + " mode"
+def _variant(args) -> str:
+    if args.command == "experiment":
+        return f"--mode {args.mode}"
+    name = {"stat": "alpha", "gcdsum": "support_json"}[args.command]
+    return ("with --" if getattr(args, name) is not None else "without --") + name.replace("_", "-")
 
 
-def _mode_help(name: str, text: str) -> str:
-    default = next(flags[name] for flags in _MODE_FLAGS.values() if name in flags)
-    return (f"{text}; {_read_by(name)} only, "
+def _read_by(command: str, name: str) -> str:
+    return f"{command} " + " or ".join(
+        variant for variant, flags in _VARIANT_FLAGS[command].items() if name in flags)
+
+
+def _variant_help(command: str, name: str, text: str) -> str:
+    default = next(flags[name] for flags in _VARIANT_FLAGS[command].values() if name in flags)
+    return (f"{text}; {_read_by(command, name)} only, "
             + ("required" if default is None else f"default {default}"))
 
 
-def _mode_flags(args) -> None:
-    """Fill in the defaults of the flags args.mode reads, and refuse a missing
-    required one or any other mode-dependent flag given."""
-    reads = _MODE_FLAGS[args.mode]
-    for name in dict.fromkeys(name for flags in _MODE_FLAGS.values() for name in flags):
+def _resolve_variant(args) -> None:
+    """Fill in the defaults of the flags the variant of args's command reads, and
+    refuse a missing required one or any flag of another variant given."""
+    variants, variant = _VARIANT_FLAGS[args.command], _variant(args)
+    reads = variants[variant]
+    for name in dict.fromkeys(name for flags in variants.values() for name in flags):
         flag, given = "--" + name.replace("_", "-"), getattr(args, name) is not None
         if name not in reads and given:
-            raise ConfigError(f"{flag} belongs to {_read_by(name)}, not {args.mode}")
+            raise ConfigError(f"{flag} belongs to {_read_by(args.command, name)}, not {variant}")
         if name in reads and not given:
             if reads[name] is None:
-                raise ConfigError(f"{args.mode} mode needs {flag}")
+                raise ConfigError(f"{args.command} {variant} needs {flag}")
             setattr(args, name, reads[name])
 
 
@@ -171,26 +187,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--alpha", default=None, help="comma list of dilation coordinates")
-    p.add_argument("--seed", type=int, default=None,
-                   help="draw alpha from this seed, default 0 (refused with --alpha)")
-    p.add_argument("--floor-start", type=int, default=2)
+    p.add_argument("--seed", type=int,
+                   help=_variant_help("stat", "seed", "draw alpha from this seed"))
+    p.add_argument("--floor-start", type=int, default=DEFAULT_FLOOR_START)
     p.add_argument("--check-naive", action="store_true", help="cross-check with the O(N^2) counter")
 
     p = add("energy", help="additive/joint additive energy scan")
     p.add_argument("--family", required=True)
     p.add_argument("--N", required=True, help='comma list or doubling range "512..8192"')
     p.add_argument("--ratios", default="", help='comma list like "N^2,N^3 log^-1"')
-    p.add_argument("--floor-start", type=int, default=2)
+    p.add_argument("--floor-start", type=int, default=DEFAULT_FLOOR_START)
     p.add_argument("--out", default=None, help="CSV output path")
 
     p = add("gcdsum", help="d-dimensional GCD sum")
     p.add_argument("--alpha-exp", type=float, required=True, help="exponent alpha in (0,1]")
-    p.add_argument("--family", default=None, help="build the weight from this family's differences")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--support-json", default=None, help='{"entries": [[a1..ad, re, im], ...]}')
-    p.add_argument("--floor-start", type=int, default=None,
-                   help=f"first index of [n log^A n], default {DEFAULT_FLOOR_START} "
-                        "(refused with --support-json)")
+    help_ = functools.partial(_variant_help, "gcdsum")
+    p.add_argument("--family",
+                   help=help_("family", "build the weight from this family's differences"))
+    p.add_argument("--N", type=int, help=help_("N", "terms of each family"))
+    p.add_argument("--support-json", help='{"entries": [[a1..ad, re, im], ...]}')
+    p.add_argument("--floor-start", type=int,
+                   help=help_("floor_start", "first index of [n log^A n]"))
 
     p = add("bessel", help="spot-evaluate the Bessel function")
     p.add_argument("--nu", type=float, required=True)
@@ -199,16 +216,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("experiment", help="Monte Carlo experiment over random alphas")
     p.add_argument("--mode", default="convergence",
                    choices=["convergence", "variance-decay", "counterexample"])
-    p.add_argument("--family", help=_mode_help("family", "comma list of families"))
-    p.add_argument("--norm", help=_mode_help("norm", "sup or two"))
-    p.add_argument("--K", type=int, help=_mode_help("K", "alpha samples per cell"))
+    help_ = functools.partial(_variant_help, "experiment")
+    p.add_argument("--family", help=help_("family", "comma list of families"))
+    p.add_argument("--norm", help=help_("norm", "sup or two"))
+    p.add_argument("--K", type=int, help=help_("K", "alpha samples per cell"))
     p.add_argument("--floor-start", type=int,
-                   help=_mode_help("floor_start", "first index of [n log^A n]"))
-    p.add_argument("--alpha", type=float, help=_mode_help("alpha", "the fixed dilation"))
+                   help=help_("floor_start", "first index of [n log^A n]"))
+    p.add_argument("--alpha", type=float, help=help_("alpha", "the fixed dilation"))
     p.add_argument("--s", default=",".join(str(s) for s in DEFAULT_S_VALUES),
                    help="comma list; counterexample mode takes one value")
     p.add_argument("--N", default=",".join(str(n) for n in DEFAULT_N_VALUES), help="comma list")
-    p.add_argument("--seed", type=int, help=_mode_help("seed", "master seed"))
+    p.add_argument("--seed", type=int, help=help_("seed", "master seed"))
     p.add_argument("--timing", action="store_true",
                    help="record wall time per row (breaks byte reproducibility)")
     p.add_argument("--out", default=None, help="CSV output path")
@@ -230,18 +248,14 @@ def _cmd_stat(args):
     config = {"family": [f.label() for f in family], "floor_start": args.floor_start,
               "norm": norm.value, "s": args.s, "N": args.N}
     if args.alpha is not None:
-        if args.seed is not None:
-            raise ConfigError("--alpha fixes the dilation, so stat draws nothing: "
-                              "give --alpha or --seed, not both")
         coords = _parse_float_list(args.alpha)
         if len(coords) != d:
             raise ConfigError(f"alpha has {len(coords)} coordinates, family has {d}")
         alpha = point_of_reals(coords)
         config["alpha"] = list(coords)      # a fixed dilation draws nothing: no seed
     else:
-        seed = 0 if args.seed is None else args.seed
-        alpha = sample_alpha(seed, d)
-        config.update(alpha=None, seed=seed)
+        alpha = sample_alpha(args.seed, d)
+        config.update(alpha=None, seed=args.seed)
     config["check_naive"] = bool(args.check_naive)
     seqs = [generate(spec, args.N) for spec in family]
     res = ppc_grid(orbit(seqs, alpha), args.s, norm)
@@ -268,25 +282,15 @@ def _cmd_energy(args):
 def _cmd_gcdsum(args):
     alpha = args.alpha_exp
     if args.support_json is not None:
-        if args.family is not None or args.N is not None:
-            raise ConfigError("gcdsum reads one support: --support-json, or --family "
-                              "with --N, not both")
-        if args.floor_start is not None:
-            raise ConfigError("--floor-start belongs to --family; a --support-json "
-                              "support has no family")
-        support = _load_support(args.support_json)
-        value = gcd_sum(support, alpha)
+        value = gcd_sum(_load_support(args.support_json), alpha)
         config = {"alpha_exp": alpha, "support_json": args.support_json}
-    elif args.family is not None and args.N is not None:
-        floor_start = DEFAULT_FLOOR_START if args.floor_start is None else args.floor_start
-        family = _parse_family(args.family, floor_start)
+    else:
+        family = _parse_family(args.family, args.floor_start)
         seqs = [generate(spec, args.N) for spec in family]
         table = representation_counts(seqs)
         value = gcd_sum_from_representations(table, alpha)
-        config = {"alpha_exp": alpha, "floor_start": floor_start,
+        config = {"alpha_exp": alpha, "floor_start": args.floor_start,
                   "family": [f.label() for f in family], "N": args.N}
-    else:
-        raise ConfigError("gcdsum needs either --support-json or both --family and --N")
     return config, {"result": {"gcd_sum": value}}, None
 
 
@@ -297,7 +301,6 @@ def _cmd_bessel(args):
 
 
 def _cmd_experiment(args):
-    _mode_flags(args)
     n_values = _parse_int_list(args.N)
     s_values = _parse_float_list(args.s)
     if args.mode == "counterexample":
@@ -398,6 +401,9 @@ def parse_and_dispatch(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        if sum(token == "--config" or token.startswith("--config=") for token in argv) > 1:
+            sys.stderr.write("torusppc: --config takes one file; merge the objects into one\n")
+            return EXIT_USAGE
         argv = _insert_config(argv)
         try:
             args = parser.parse_args(argv)
@@ -417,6 +423,8 @@ def parse_and_dispatch(argv=None) -> int:
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
+        if args.command in _VARIANT_FLAGS:
+            _resolve_variant(args)
         config, body, csv_text = _HANDLERS[args.command](args)
         if csv_text is not None and config["out"] is not None:
             Path(config["out"]).write_text(csv_text, encoding="utf-8")

@@ -188,18 +188,6 @@ class RepresentationTable:
         self.vectors.setflags(write=False)
         self.counts.setflags(write=False)
 
-    def get(self, v: Sequence[int]) -> int:
-        row = np.asarray(v, dtype=np.int64)
-        match = (self.vectors == row).all(axis=1)
-        hits = np.flatnonzero(match)
-        return int(self.counts[hits[0]]) if hits.size else 0
-
-    def restrict_nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vectors with every component nonzero, and their counts: the tests'
-        signed-table accessor (the program reads the positive half directly)."""
-        mask = (self.vectors != 0).all(axis=1)
-        return self.vectors[mask], self.counts[mask]
-
     def sum_sq(self) -> int:
         c = self.counts.astype(object)
         return int((c * c).sum())

@@ -22,11 +22,10 @@ import numpy as np
 
 from .fixedpoint import point_of_reals, sample_alpha
 from .paircorr import NormKind, ppc_grid, ppc_limit, threshold
-from .sequences import SequenceSpec, generate, orbit
+from .sequences import DEFAULT_FLOOR_START, KIND_FLOOR_NLOG, SequenceSpec, generate, orbit
 from . import energy as energy_mod
 
 DEFAULT_FAMILY = (SequenceSpec.identity(), SequenceSpec.power_of(2))
-DEFAULT_FLOOR_START = 2         # first index of a [n log^A n] family
 DEFAULT_NORM = NormKind.SUP
 DEFAULT_N_VALUES = (1_000, 10_000, 100_000)
 DEFAULT_S_VALUES = (0.5, 1.0, 2.0)
@@ -62,7 +61,7 @@ class ExperimentConfig:
         return {
             "family": [spec.label() for spec in self.family],
             "floor_start": max((spec.start for spec in self.family
-                                if spec.kind == "floor_nlog"), default=DEFAULT_FLOOR_START),
+                                if spec.kind == KIND_FLOOR_NLOG), default=DEFAULT_FLOOR_START),
             "norm": self.norm.value,
             "s_values": list(self.s_values),
             "N_values": list(self.N_values),

@@ -21,6 +21,8 @@ KIND_POWER = "power"
 KIND_FLOOR_NLOG = "floor_nlog"
 KIND_EXPLICIT = "explicit"
 
+DEFAULT_FLOOR_START = 2         # first index of a [n log^A n] family
+
 _FLOOR_RE = re.compile(r"^\[\s*n\s*log\^(?P<a>[0-9]+(?:\.[0-9]+)?)\s*n\s*\]$")
 _POWER_RE = re.compile(r"^n\^(?P<l>[0-9]+)$")
 
@@ -32,7 +34,7 @@ class SequenceSpec:
     kind: str
     power: int | None = None
     log_exponent: float | None = None
-    start: int = 2
+    start: int = DEFAULT_FLOOR_START
     path: str | None = None
 
     def __post_init__(self) -> None:
@@ -55,7 +57,7 @@ class SequenceSpec:
         return cls(KIND_POWER, power=int(l))
 
     @classmethod
-    def floor_nlog(cls, exponent: float, start: int = 2) -> "SequenceSpec":
+    def floor_nlog(cls, exponent: float, start: int = DEFAULT_FLOOR_START) -> "SequenceSpec":
         return cls(KIND_FLOOR_NLOG, log_exponent=float(exponent), start=int(start))
 
     @classmethod
@@ -63,7 +65,7 @@ class SequenceSpec:
         return cls(KIND_EXPLICIT, path=str(path))
 
     @classmethod
-    def parse(cls, text: str, floor_start: int = 2) -> "SequenceSpec":
+    def parse(cls, text: str, floor_start: int = DEFAULT_FLOOR_START) -> "SequenceSpec":
         """Parse the family grammar: ``n``, ``n^l``, ``[n log^A n]``, ``file:PATH``."""
         text = text.strip()
         if text == "n":

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -141,7 +142,7 @@ def test_gcdsum_floor_start_belongs_to_the_family_source(capsys, tmp_path):
     summary_path.write_text(json.dumps(old), encoding="utf-8")
     code, out, err = run_cli(capsys, "--replay", str(summary_path))
     assert code == 3 and out == ""
-    assert "--floor-start belongs to --family" in err
+    assert "--floor-start belongs to gcdsum without --support-json, not with --support-json" in err
     code, out, _ = run_cli(capsys, "gcdsum", "--alpha-exp", "0.5", "--family", "n,[n log^2 n]",
                            "--N", "12", "--floor-start", "3")
     assert code == 0
@@ -323,7 +324,8 @@ def test_seedless_modes_echo_seed_zero(capsys):
     # the mode draws nothing, so a seed is refused rather than ignored
     code, out, err = run_cli(capsys, *argv, "--seed", "5")
     assert code == 3 and out == ""
-    assert "--seed belongs to convergence and variance-decay mode" in err
+    assert ("--seed belongs to experiment --mode convergence or --mode variance-decay, "
+            "not --mode counterexample") in err
 
 
 def test_stat_with_fixed_alpha_echoes_seed_zero(capsys, tmp_path):
@@ -365,24 +367,92 @@ def test_alpha_outside_counterexample_is_config_error(capsys):
         code, out, err = run_cli(capsys, "experiment", "--mode", mode, "--alpha", "0.3",
                                  "--s", "1", "--N", "100", "--K", "30")
         assert code == 3 and out == "", mode
-        assert "--alpha belongs to counterexample mode" in err
+        assert "--alpha belongs to experiment --mode counterexample" in err
 
 
-@pytest.mark.parametrize("mode,flag,value", [
-    ("counterexample", "--norm", "two"),
-    ("counterexample", "--K", "7"),
-    ("counterexample", "--floor-start", "5"),
-    ("counterexample", "--family", "n^2"),
-    ("counterexample", "--seed", "5"),
-    ("convergence", "--alpha", "0.3"),
-    ("variance-decay", "--alpha", "0.3"),
-])
-def test_flag_the_mode_does_not_read_is_config_error(capsys, mode, flag, value):
-    mode_argv = ["--alpha", "0.3"] if mode == "counterexample" else ["--K", "30"]
-    code, out, err = run_cli(capsys, "experiment", "--mode", mode, *mode_argv,
-                             "--s", "0.5", "--N", "100", flag, value)
+# a line each command variant of cli._VARIANT_FLAGS accepts, keyed by a case name,
+# and a value for each flag of the table; {support} is a test path
+VARIANT_LINES = {
+    "stat-alpha": ("stat", "with --alpha",
+                   ["stat", "--family", "n", "--N", "50", "--alpha", "0.3"]),
+    "stat-seed": ("stat", "without --alpha", ["stat", "--family", "n", "--N", "50"]),
+    "gcdsum-support": ("gcdsum", "with --support-json",
+                       ["gcdsum", "--alpha-exp", "1.0", "--support-json", "{support}"]),
+    "gcdsum-family": ("gcdsum", "without --support-json",
+                      ["gcdsum", "--alpha-exp", "1.0", "--family", "n", "--N", "5"]),
+    "convergence": ("experiment", "--mode convergence",
+                    ["experiment", "--mode", "convergence", "--K", "30", "--s", "0.5",
+                     "--N", "100"]),
+    "variance-decay": ("experiment", "--mode variance-decay",
+                       ["experiment", "--mode", "variance-decay", "--K", "30", "--s", "0.5",
+                        "--N", "100"]),
+    "counterexample": ("experiment", "--mode counterexample",
+                       ["experiment", "--mode", "counterexample", "--alpha", "0.3",
+                        "--s", "0.5", "--N", "100"]),
+}
+FLAG_VALUES = {"family": "n^2", "N": "10", "norm": "two", "K": "7", "floor_start": "5",
+               "seed": "5", "alpha": "0.3"}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _variant_line(case, tmp_path):
+    support = tmp_path / "support.json"
+    support.write_text(json.dumps({"entries": [[1, 1, 0], [2, 1, 0]]}), encoding="utf-8")
+    command, variant, argv = VARIANT_LINES[case]
+    return command, variant, [a.format(support=support) for a in argv]
+
+
+def _unread_flags():
+    """(case, flag, value) for every variant and every table flag it does not read."""
+    for case, (command, variant, _) in VARIANT_LINES.items():
+        variants = cli._VARIANT_FLAGS[command]
+        for name in dict.fromkeys(name for flags in variants.values() for name in flags):
+            if name not in variants[variant]:
+                yield case, _flag(name), FLAG_VALUES[name]
+
+
+def _required_flags():
+    for case, (command, variant, _) in VARIANT_LINES.items():
+        for name, default in cli._VARIANT_FLAGS[command][variant].items():
+            if default is None:
+                yield case, _flag(name)
+
+
+def test_variant_table_drift_gate(capsys, tmp_path):
+    # every table flag is a flag of its command that argparse leaves at None when
+    # not given, since the rule sees a flag as given only when it is not None
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, variants in cli._VARIANT_FLAGS.items():
+        defaults = {action.dest: action.default for action in sub.choices[command]._actions}
+        for name in {name for flags in variants.values() for name in flags}:
+            assert name in defaults and defaults[name] is None, (command, name)
+    # the lines below cover every variant of the table, and each is accepted
+    assert sorted((c, v) for c, v, _ in VARIANT_LINES.values()) == sorted(
+        (c, v) for c, variants in cli._VARIANT_FLAGS.items() for v in variants)
+    for case in VARIANT_LINES:
+        code, _, err = run_cli(capsys, *_variant_line(case, tmp_path)[2])
+        assert code == 0, (case, err)
+
+
+@pytest.mark.parametrize("mode,flag,value", list(_unread_flags()))
+def test_flag_the_mode_does_not_read_is_config_error(capsys, tmp_path, mode, flag, value):
+    command, variant, argv = _variant_line(mode, tmp_path)
+    code, out, err = run_cli(capsys, *argv, flag, value)
     assert code == 3 and out == ""
-    assert f"{flag} belongs to" in err and f"not {mode}" in err
+    assert f"{flag} belongs to {command} " in err and err.endswith(f", not {variant}\n")
+
+
+@pytest.mark.parametrize("case,flag", list(_required_flags()))
+def test_missing_required_flag_is_config_error(capsys, tmp_path, case, flag):
+    command, variant, argv = _variant_line(case, tmp_path)
+    i = argv.index(flag)
+    code, out, err = run_cli(capsys, *argv[:i], *argv[i + 2:])
+    assert code == 3 and out == ""
+    assert err.endswith(f"{command} {variant} needs {flag}\n")
 
 
 def test_variance_decay_slope_is_null_without_a_fit(capsys):
@@ -435,14 +505,14 @@ def test_exit_codes(capsys, tmp_path):
     code, out, err = run_cli(capsys, "stat", "--alpha", "0.3", "--seed", "7",
                              "--family", "n", "--N", "10")
     assert code == 3 and out == ""
-    assert "give --alpha or --seed, not both" in err
+    assert "--seed belongs to stat without --alpha, not with --alpha" in err
 
     support = tmp_path / "support.json"
     support.write_text(json.dumps({"entries": [[1, 1, 0]]}), encoding="utf-8")
     code, out, err = run_cli(capsys, "gcdsum", "--alpha-exp", "0.5",
                              "--support-json", str(support), "--floor-start", "9")
     assert code == 3 and out == ""
-    assert "--floor-start belongs to --family" in err
+    assert "--floor-start belongs to gcdsum without --support-json, not with --support-json" in err
 
     for command in (["stat", "--family", "n", "--N", "10"], ["experiment", "--N", "100"]):
         code, out, err = run_cli(capsys, *command, "--s", "nan")
@@ -482,6 +552,19 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
     assert json.loads(out2)["config"]["N"] == 200
     code, out3, _ = run_cli(capsys, f"--config={cfg}", "stat")
     assert code == 0 and out3 == out1
+
+
+def test_second_config_is_usage_error(capsys, tmp_path):
+    # only one file is spliced in, so a second one would be dropped unread
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"family": "n", "N": 100}), encoding="utf-8")
+    b.write_text(json.dumps({"N": 200}), encoding="utf-8")
+    for argv in (["--config", str(a), "--config", str(b), "stat"],
+                 [f"--config={a}", f"--config={b}", "stat"],
+                 ["--config", str(a), "stat", f"--config={b}"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("torusppc: --config takes one file"), err
 
 
 def test_help_is_exit_zero(capsys):

@@ -46,12 +46,18 @@ def test_joint_energy_examples():
     assert joint_additive_energy([a]) == additive_energy(a)
 
 
+def count_of(t):
+    """The table as {difference vector: count}, in table order."""
+    return dict(zip(map(tuple, t.vectors.tolist()), t.counts.tolist()))
+
+
 def test_representation_table():
     t = representation_counts([seq([1, 2, 3])])
-    assert t.get([0]) == 3
-    assert t.get([1]) == 2 and t.get([-1]) == 2
-    assert t.get([2]) == 1 and t.get([-2]) == 1
-    assert t.get([5]) == 0
+    D = count_of(t)
+    assert D.get((0,), 0) == 3
+    assert D.get((1,), 0) == 2 and D.get((-1,), 0) == 2
+    assert D.get((2,), 0) == 1 and D.get((-2,), 0) == 1
+    assert D.get((5,), 0) == 0
     assert int(t.counts.sum()) == 9
     assert t.sum_sq() == 19
 
@@ -82,7 +88,7 @@ def test_joint_energy_properties(va, vb):
     assert n * n <= e <= min(additive_energy(a), additive_energy(b))
     # sum of squared nonzero-representation counts is dominated by E
     table = representation_counts([a, b])
-    _, counts = table.restrict_nonzero()
+    counts = table.counts[(table.vectors != 0).all(axis=1)]
     assert int((counts.astype(object) ** 2).sum()) <= e
 
 
@@ -92,10 +98,11 @@ def test_table_symmetry_and_total():
     vals2 = np.sort(rng.choice(9000, size=60, replace=False) + 1)
     t = representation_counts([seq(vals1), seq(vals2)])
     assert int(t.counts.sum()) == 60 * 60
-    assert t.get([0, 0]) == 60
-    vecs, counts = t.restrict_nonzero()
-    for row, c in zip(vecs[:25], counts[:25]):
-        assert t.get(list(-row)) == c
+    D = count_of(t)
+    assert D.get((0, 0), 0) == 60
+    nonzero = [(v, c) for v, c in D.items() if all(v)]
+    for row, c in nonzero[:25]:
+        assert D.get(tuple(-x for x in row), 0) == c
 
 
 def test_streaming_matches_direct(monkeypatch):

@@ -223,7 +223,8 @@ def test_representation_driven_sum():
     assert sup.entries == {(1,): 4.0, (2,): 2.0}    # R(+-1)=2, R(+-2)=1 folded
     got = gcd_sum_from_representations(table, 0.5)
     # independent signed double sum
-    vecs, counts = table.restrict_nonzero()
+    nonzero = (table.vectors != 0).all(axis=1)
+    vecs, counts = table.vectors[nonzero], table.counts[nonzero]
     acc = 0.0
     for v, cv in zip(vecs[:, 0], counts):
         for w_, cw in zip(vecs[:, 0], counts):
@@ -235,7 +236,8 @@ def test_representation_driven_sum():
 def test_single_difference_vector():
     # one difference vector with multiplicity R collapses to R^2
     table = representation_counts([seq([5, 11])])    # diffs +-6 with count 1
-    vecs, counts = table.restrict_nonzero()
+    nonzero = (table.vectors != 0).all(axis=1)
+    vecs, counts = table.vectors[nonzero], table.counts[nonzero]
     assert sorted(int(v) for v in vecs[:, 0]) == [-6, 6]
     sup = support_from_representations(table)
     assert sup.entries == {(6,): 2.0}
