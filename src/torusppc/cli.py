@@ -379,8 +379,11 @@ def _read_json(path: str):
 
 def _insert_config(argv: list[str]) -> list[str]:
     """Put the flags of a --config file right after the command name, so the
-    explicit flags that follow override them."""
+    explicit flags that follow override them.  Only a --config before the
+    command name is read; argparse refuses one after it."""
     for i, token in enumerate(argv):
+        if token in _HANDLERS:
+            break
         if token == "--config" and i + 1 < len(argv):
             path, after = argv[i + 1], i + 2
         elif token.startswith("--config="):

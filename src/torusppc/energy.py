@@ -15,9 +15,15 @@ the zero row with count N, then the half table.  Only the N(N-1)/2 pairs
 i > j are enumerated, in bands [L, U) of the first-component difference:
 row i meets a band in one contiguous run of j, and the band edges are chosen
 so each band holds at most a fixed budget of 2^20 index pairs (_PAIR_BUDGET;
-a single first-difference value is never split).  Bands are disjoint in v,
-so each adds its sum of squared counts to E directly, and their grouped rows
-concatenate in lexicographic order.  The same table drives the GCD-sum variance proxy.
+a single first-difference value is never split).  A band is one integer key
+column, the mixed-radix code of its difference vectors built one component
+at a time, sorted in place: its runs of equal keys are the counts D(v).
+The calling thread finds the band edges and the bands are counted on one
+thread per usable core.  Bands are disjoint in v, so each adds its sum of
+squared counts to E directly (the energy never decodes a vector), and the
+table decodes each band's unique keys to rows, which concatenate in
+lexicographic order in band order.  The same table drives the GCD-sum
+variance proxy.
 
 Brute-force oracles (O(N^4) quadruple and O(N^3) triple enumerations) live
 here too; they exist for the test suite and stay independent of the banded
@@ -27,8 +33,10 @@ counting path.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,51 +47,80 @@ MAX_ENERGY_N = 2_000_000        # keeps E <= N^3 < 2**63
 _PAIR_BUDGET = 1 << 20          # index pairs per first-difference band
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _run_indices(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarray:
     """starts[r] + 0, 1, ..., lengths[r] - 1 for each run r, concatenated."""
     return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
 
 
-def _group_encode(vectors: np.ndarray):
-    """(keys, lows, radices): mixed-radix int64 keys of the rows, ordered as
-    the rows are lexicographically, or None when the value ranges do not fit."""
-    los = vectors.min(axis=0)
-    radix = [int(h) - int(l) + 1 for l, h in zip(los, vectors.max(axis=0))]
-    if math.prod(radix) >= 1 << 63:
-        return None
-    keys = vectors[:, 0] - los[0]
-    for k in range(1, vectors.shape[1]):
-        keys *= radix[k]
-        keys += vectors[:, k] - los[k]
-    return keys, los, radix
+def _group_encode(columns: Iterable[np.ndarray]):
+    """(keys, lows, radices): mixed-radix integer keys (int64, or uint32 when
+    they fit) of the rows whose columns are given one at a time, ordered as
+    the rows are lexicographically, or None when the value ranges do not fit
+    in int64.  A column is only read, so one buffer may be refilled for the
+    next; the partial sums may wrap in int64, but every key ends in
+    [0, 2**63)."""
+    keys, los, radix = None, [], []
+    for col in columns:
+        lo = int(col.min())
+        los.append(lo)
+        radix.append(int(col.max()) - lo + 1)
+        if math.prod(radix) >= 1 << 63:
+            return None
+        if keys is None:
+            keys = col - lo
+        else:
+            keys *= radix[-1]
+            keys += col
+            keys -= lo
+    if math.prod(radix) < 1 << 32:     # a uint32 key sorts about twice as fast
+        keys = keys.astype(np.uint32)
+    return keys, np.array(los), radix
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in a nonempty sorted array."""
+    change = np.empty(keys.size, dtype=bool)
+    change[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    firsts = np.flatnonzero(change)
+    return firsts, np.diff(np.append(firsts, keys.size))
+
+
+def _key_groups(keys: np.ndarray, los: np.ndarray, radix: list[int]):
+    """Unique rows of sorted mixed-radix keys, decoded column-major, with
+    their multiplicities."""
+    firsts, counts = _runs(keys)
+    rest = keys[firsts].astype(np.int64)
+    rows = np.empty((firsts.size, len(radix)), dtype=np.int64, order="F")
+    for k in range(len(radix) - 1, 0, -1):
+        quot = rest // radix[k]
+        np.subtract(rest, quot * radix[k], out=rows[:, k])
+        rest = quot
+    rows[:, 0] = rest
+    rows += los
+    return rows, counts
 
 
 def _unique_counts_rows(vectors: np.ndarray, weights: np.ndarray | None = None):
     """Unique rows in lexicographic order, with their multiplicities, or with
     their summed weights when weights are given.
 
-    Without weights the int64 keys are sorted in place and the unique rows
-    decoded from them (column-major); with weights a stable order keeps each
-    group's summation order.  Rows whose value ranges overflow the key are
-    lexsorted.
+    Without weights the keys are sorted in place and the unique rows
+    decoded from them; with weights a stable order keeps each group's
+    summation order.  Rows whose value ranges overflow the key are lexsorted.
     """
-    enc = _group_encode(vectors)
+    enc = _group_encode(vectors.T)
     if enc is not None and weights is None:
-        keys, los, radix = enc
-        keys.sort()
-        change = np.empty(keys.size, dtype=bool)
-        change[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=change[1:])
-        firsts = np.flatnonzero(change)
-        rest = keys[firsts]
-        rows = np.empty((firsts.size, len(radix)), dtype=np.int64, order="F")
-        for k in range(len(radix) - 1, 0, -1):
-            quot = rest // radix[k]
-            np.subtract(rest, quot * radix[k], out=rows[:, k])
-            rest = quot
-        rows[:, 0] = rest
-        rows += los
-        return rows, np.diff(np.append(firsts, keys.size))
+        enc[0].sort()
+        return _key_groups(*enc)
     order = np.argsort(enc[0], kind="stable") if enc is not None else np.lexsort(vectors.T[::-1])
     sv = vectors[order]
     change = np.ones(sv.shape[0], dtype=bool)
@@ -117,25 +154,57 @@ def _difference_columns(seqs: Sequence[SequenceData]) -> list[np.ndarray]:
     return cols
 
 
-def _half_table_bands(cols: list[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(vectors, counts) of D(v) over the pairs i > j, one band at a time.
+def _band_columns(cols: list[np.ndarray], j: np.ndarray, length: np.ndarray,
+                  buf: np.ndarray) -> Iterator[np.ndarray]:
+    """Component k of the band's difference vectors, a_i - a_j over the runs
+    of j of each row i, written into buf for k = 0, 1, ... in turn."""
+    for v in cols:
+        np.take(v, j, out=buf, mode="clip")       # unbuffered; j is in range
+        np.subtract(np.repeat(v, length), buf, out=buf)
+        yield buf
 
-    A band holds the pairs whose first difference lies in [L, U); row i
-    meets it in the run of j with a_i - U < a_j <= a_i - L.  U is the
-    largest edge keeping the band within _PAIR_BUDGET pairs, found by
-    bisection on C(x) = #{i > j : a_i - a_j < x}, unless the first value
-    left alone exceeds the budget: then the band is that one value.
-    Raises InternalError if the grouped counts do not add up to the pairs.
+
+def _band(cols: list[np.ndarray], lo: int, hi: int, table: bool):
+    """(pairs, result) for the pairs i > j with first difference in [lo, hi):
+    result is (rows, counts) of the band's distinct vectors when table is
+    true, else the sum of their squared counts.
+
+    Row i meets the band in the run of j with a_i - hi < a_j <= a_i - lo.
+    The band's mixed-radix key is built one component at a time through one
+    reused buffer and sorted in place; a band whose value ranges overflow the
+    key is built as an (m, d) matrix and lexsorted instead.
     """
     a = cols[0]
-    n = a.size
-    half = n * (n - 1) // 2
+    start = np.searchsorted(a, a - hi, side="right")
+    length = np.searchsorted(a, a - lo, side="right") - start
+    j = _run_indices(length, start)
+    buf = np.empty(j.size, dtype=np.int64)
+    enc = _group_encode(_band_columns(cols, j, length, buf))
+    if enc is None:
+        vectors = np.empty((j.size, len(cols)), dtype=np.int64, order="F")
+        for k, col in enumerate(_band_columns(cols, j, length, buf)):
+            vectors[:, k] = col
+        del j, buf
+        rows, counts = _unique_counts_rows(vectors)
+    else:
+        del j, buf
+        enc[0].sort()
+        rows, counts = _key_groups(*enc) if table else (None, _runs(enc[0])[1])
+    return int(counts.sum()), (rows, counts) if table else int(counts @ counts)
 
+
+def _band_edges(a: np.ndarray, half: int) -> Iterator[tuple[int, int]]:
+    """Edges [L, U) of the first-difference bands of the half pairs i > j.
+
+    U is the largest edge keeping the band within _PAIR_BUDGET pairs, found
+    by bisection on C(x) = #{i > j : a_i - a_j < x}, unless the first value
+    left alone exceeds the budget: then the band is that one value.
+    """
     def below(x: int) -> int:
         return half - int(np.searchsorted(a, a - x, side="right").sum())
 
     top = int(a[-1]) + 1                # C(top) = half: every difference is < top
-    lo_edge, c_lo, held = 1, 0, 0
+    lo_edge, c_lo = 1, 0
     while c_lo < half:
         lo, c_at_lo, hi, c_at_hi = lo_edge, c_lo, top, half
         while hi - lo > 1 and c_at_hi - c_lo > _PAIR_BUDGET:
@@ -147,26 +216,35 @@ def _half_table_bands(cols: list[np.ndarray]) -> Iterator[tuple[np.ndarray, np.n
                 hi, c_at_hi = mid, c
         if c_at_hi - c_lo > _PAIR_BUDGET and c_at_lo > c_lo:
             hi, c_at_hi = lo, c_at_lo
-        start = np.searchsorted(a, a - hi, side="right")
-        length = np.searchsorted(a, a - lo_edge, side="right") - start
-        j = _run_indices(length, start)
-        vectors = np.empty((j.size, len(cols)), dtype=np.int64, order="F")
-        for k, v in enumerate(cols):
-            np.subtract(np.repeat(v, length), v[j], out=vectors[:, k])
-        del j
-        rows, counts = _unique_counts_rows(vectors)
-        del vectors
-        held += int(counts.sum())
-        yield rows, counts
+        yield lo_edge, hi
         lo_edge, c_lo = hi, c_at_hi
+
+
+def _half_table_bands(cols: list[np.ndarray], table: bool) -> list:
+    """_band's result for each first-difference band of the pairs i > j, in
+    band order.
+
+    The calling thread finds the band edges and hands each band, as soon as
+    its edges are known, to a pool of one thread per usable core (numpy
+    releases the GIL in the gathers, ufuncs and sorts of _band), so at most
+    that many bands are alive at once.
+    Raises InternalError if the grouped counts do not add up to the pairs.
+    """
+    n = cols[0].size
+    half = n * (n - 1) // 2
+    with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
+        bands = list(pool.map(lambda edge: _band(cols, *edge, table),
+                              _band_edges(cols[0], half)))
+    held = sum(pairs for pairs, _ in bands)
     if held != half:
         raise InternalError(f"representation table holds {n + 2 * held} pairs, "
                             f"expected N^2 = {n * n}")
+    return [result for _, result in bands]
 
 
 def _energy(cols: list[np.ndarray]) -> int:
     n = cols[0].size
-    return n * n + 2 * sum(int(c @ c) for _, c in _half_table_bands(cols))
+    return n * n + 2 * sum(_half_table_bands(cols, False))
 
 
 @dataclass(frozen=True)
@@ -197,12 +275,14 @@ def representation_counts(seqs: Sequence[SequenceData]) -> RepresentationTable:
     """Exact difference-vector table over all N^2 ordered index pairs.
 
     Built from the half table over i > j, enumerated in first-difference
-    bands of at most _PAIR_BUDGET pairs, then mirrored; peak memory is one
-    band plus the distinct-vector table itself.
+    bands of at most _PAIR_BUDGET pairs, counted one per usable core and
+    collected in band order, then mirrored; peak memory is one band key
+    column per usable core plus the distinct-vector table itself, and the
+    bytes do not depend on the core count.
     """
     cols = _difference_columns(seqs)
     n, d = cols[0].size, len(cols)
-    bands = list(_half_table_bands(cols))
+    bands = _half_table_bands(cols, True)
     half_v = np.concatenate([v for v, _ in bands] or [np.empty((0, d), dtype=np.int64)])
     half_c = np.concatenate([c for _, c in bands] or [np.empty(0, dtype=np.int64)])
     del bands

@@ -12,7 +12,6 @@ differs between them only in where the k-th alpha of a cell comes from.
 from __future__ import annotations
 
 import io
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -99,11 +98,7 @@ def _aggregate(values: np.ndarray) -> tuple[float, float]:
 
 def _workers(samples: int) -> int:
     """Threads for the samples of one cell: one per core this process may use."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:          # no sched_getaffinity on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(samples, cores))
+    return max(1, min(samples, energy_mod._usable_cores()))
 
 
 def _table(family: Sequence[SequenceSpec], norm: NormKind, s_values: Sequence[float],

@@ -85,14 +85,14 @@ def test_gcdsum_command(capsys):
 def test_gcdsum_table_mismatch_is_internal_error(capsys, monkeypatch):
     from torusppc import energy, errors
 
-    real = energy._unique_counts_rows
+    real = energy._key_groups
 
-    def dropped(vectors):
-        rows, counts = real(vectors)
+    def dropped(*args):
+        rows, counts = real(*args)
         counts[0] -= 1          # the grouping loses one ordered pair
         return rows, counts
 
-    monkeypatch.setattr(energy, "_unique_counts_rows", dropped)
+    monkeypatch.setattr(energy, "_key_groups", dropped)
     code, out, err = run_cli(capsys, "gcdsum", "--alpha-exp", "1.0", "--family", "n,n^2",
                              "--N", "10")
     assert code == cli.EXIT_INTERNAL == 5
@@ -565,6 +565,23 @@ def test_second_config_is_usage_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("torusppc: --config takes one file"), err
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["missing-file", "existing-file"])
+def test_config_after_command_is_usage_error_unread(capsys, tmp_path, monkeypatch, exists):
+    # --config is a flag of torusppc, not of a command: one after the command
+    # name is refused by argparse (exit 2) and its file is never opened
+    reads = []
+    real = cli._read_json
+    monkeypatch.setattr(cli, "_read_json", lambda path: reads.append(path) or real(path))
+    cfg = tmp_path / "cfg.json"
+    if exists:
+        cfg.write_text(json.dumps({"N": 7}), encoding="utf-8")
+    for tail in (["--config", str(cfg)], [f"--config={cfg}"]):
+        code, out, err = run_cli(capsys, "stat", "--family", "n", "--N", "5", *tail)
+        assert code == 2 and out == "", tail
+        assert "unrecognized arguments: --config" in err, err
+    assert reads == []
 
 
 def test_help_is_exit_zero(capsys):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +172,46 @@ def test_banded_table_matches_full_unique_sweep(monkeypatch):
     assert any(fallbacks) and not all(fallbacks)
 
 
+def test_bands_in_flight_match_oracles_at_any_worker_count(monkeypatch):
+    # a small budget puts ~30 bands per call on the pool, also with more
+    # workers than cores and a short switch interval; near 2^62 the d >= 2
+    # keys overflow, so those bands take the lexsort path on a worker thread
+    rng = np.random.default_rng(19)
+    cases = []
+    for d in (1, 2, 3):
+        cases.append([np.sort(rng.choice(10 ** 5, size=40, replace=False) + 1)
+                      for _ in range(d)])
+        cases.append([np.sort(rng.choice(2 ** 61, size=40, replace=False) + 2 ** 61)
+                      for _ in range(d)])
+    real = energy._unique_counts_rows
+    lexsort_threads = []
+
+    def recording(vectors, weights=None):
+        lexsort_threads.append(threading.current_thread())
+        return real(vectors, weights)
+
+    monkeypatch.setattr(energy, "_unique_counts_rows", recording)
+    monkeypatch.setattr(energy, "_PAIR_BUDGET", 31)
+    tables = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(energy, "_usable_cores", lambda: workers)
+            for i, cols in enumerate(cases):
+                seqs = [seq(c) for c in cols]
+                assert joint_additive_energy(seqs) == joint_additive_energy_brute(cols)
+                if len(cols) == 1:
+                    assert additive_energy(seqs[0]) == additive_energy_brute(cols[0])
+                t = representation_counts(seqs)
+                tables.setdefault(i, []).append((t.vectors.tobytes(), t.counts.tobytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(len(set(runs)) == 1 for runs in tables.values())
+    assert lexsort_threads
+    assert threading.main_thread() not in lexsort_threads
+
+
 def test_count_jl_examples():
     ident = generate(SequenceSpec.identity(), 5)
     assert count_Jl(ident, ident, 1) == 6
@@ -237,13 +280,13 @@ def test_overflow_guard():
 
 
 def test_representation_counts_lost_pair_is_internal_error(monkeypatch):
-    real = energy._unique_counts_rows
+    real = energy._key_groups
 
-    def dropped(vectors):
-        rows, counts = real(vectors)
+    def dropped(*args):
+        rows, counts = real(*args)
         counts[0] -= 1          # the grouping loses one ordered pair
         return rows, counts
 
-    monkeypatch.setattr(energy, "_unique_counts_rows", dropped)
+    monkeypatch.setattr(energy, "_key_groups", dropped)
     with pytest.raises(InternalError, match="holds 7 pairs, expected N\\^2 = 9"):
         representation_counts([seq([1, 2, 4])])
