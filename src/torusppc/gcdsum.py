@@ -15,18 +15,26 @@ becomes exact and finite (the h-sums truncate), which is what verify_eq0
 tests against simulation.  _model_values is the one place that model is
 drawn and extended: verify_eq0 and sample_random_multiplicative both read
 it, field j (X, then Y) from one PCG64 stream (seed, j) of which sample i
-reads a fixed window.  Its batches are n-major, X(n) at index n of axis 0,
-and zeta_trunc sums any batch of its values over that axis.
+reads a fixed window, reached from any first sample by advancing the stream.
+Its batches are n-major, X(n) at index n of axis 0, and zeta_trunc sums any
+batch of its values over that axis.  verify_eq0 draws and sums its batches
+on one thread per usable core; D and the zeta sums are np.einsum sums, not
+BLAS, in a fixed order per sample, so its output bytes depend neither on the
+core count nor on the BLAS threads.  gcd_sum and truncated_rhs run on the
+calling thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import energy as energy_mod
 from .energy import RepresentationTable, _run_indices, _unique_counts_rows
 
 _FACTOR_BLOCK = 1 << 20         # value-prime pairs tested per trial-division round
@@ -344,32 +352,46 @@ def _omega_levels(spf: np.ndarray) -> list[np.ndarray]:
         levels.append(np.flatnonzero(prev))
 
 
-def _model_values(seed: int, M: int, samples: int, fields: int):
+@functools.lru_cache(maxsize=8)
+def _model_plan(M: int) -> tuple[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """(P = pi(M), steps) for _model_values at cutoff M, built once per
+    cutoff: one step (n, n // p, index of p among the primes) for each level
+    of Omega(n), p = spf(n).  The arrays are shared and never written."""
+    spf, primes = _prime_table(M)
+    prime_index = np.zeros(M + 1, dtype=np.intp)
+    prime_index[primes] = np.arange(len(primes))
+    return len(primes), [(lev, lev // spf[lev], prime_index[spf[lev]])
+                         for lev in _omega_levels(spf)]
+
+
+def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0):
     """Values at n <= M of independent random completely multiplicative
-    functions X_1, ..., X_fields, in batches of samples.
+    functions X_1, ..., X_fields, samples first .. first + samples - 1 in
+    batches.
 
     X(p) = exp(2 pi i u_p) with u_p uniform on [0, 1), independently per
     prime p <= M, and X(n) = X(n / p) X(p) for the smallest prime p | n, so
     |X(n)| = 1 and X(mn) = X(m) X(n) whenever mn <= M.  Field j draws from
     one PCG64 stream seeded by SeedSequence((seed, j)), and sample i of it
     reads the P = pi(M) uniforms [i P, (i + 1) P) of that stream, one per
-    prime in increasing order; so a sample depends neither on the batching
-    nor on how many samples or further fields are drawn.  Yields (lo, hi,
-    values) with values of shape (M + 1, fields, hi - lo), n on axis 0;
-    row 0 is 0 and unused.  The extension takes one gathered product per
-    level of Omega(n) (at most log2 M of them), each still X(n / p) X(p).
+    prime in increasing order (random() takes one 64-bit draw per uniform,
+    so advancing the stream by first P reaches sample first); so a sample
+    depends neither on the batching nor on how many samples or further
+    fields are drawn.  Yields (lo, hi, values) with values of shape
+    (M + 1, fields, hi - lo), n on axis 0, for the samples [lo, hi); row 0
+    is 0 and unused.  The extension takes one gathered product per level of
+    Omega(n) (at most log2 M of them), each still X(n / p) X(p).
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    spf, primes = _prime_table(M)
-    n_p = len(primes)
-    prime_index = np.zeros(M + 1, dtype=np.intp)
-    prime_index[primes] = np.arange(n_p)
-    steps = [(lev, lev // spf[lev], prime_index[spf[lev]]) for lev in _omega_levels(spf)]
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), j))))
-            for j in range(fields)]
-    for lo in range(0, samples, _PHASE_BATCH):
-        hi = min(samples, lo + _PHASE_BATCH)
+    n_p, steps = _model_plan(M)
+    rngs = []
+    for j in range(fields):
+        bit_generator = np.random.PCG64(np.random.SeedSequence((int(seed), j)))
+        bit_generator.advance(first * n_p)
+        rngs.append(np.random.Generator(bit_generator))
+    for lo in range(first, first + samples, _PHASE_BATCH):
+        hi = min(first + samples, lo + _PHASE_BATCH)
         u = np.stack([rng.random((hi - lo) * n_p) for rng in rngs])
         phases = np.exp(2j * np.pi * u).reshape(fields, hi - lo, n_p)
         phases = np.ascontiguousarray(phases.transpose(2, 0, 1))
@@ -392,13 +414,20 @@ def sample_random_multiplicative(seed: int, M: int) -> np.ndarray:
 
 def zeta_trunc(values: np.ndarray, alpha: float, M: int):
     """Truncated random zeta sum_{n <= M} X(n) / n^alpha over axis 0 of
-    values (X(n) at index n, any trailing shape)."""
+    values (X(n) at index n, any trailing shape).
+
+    The real and imaginary parts are summed by np.einsum, not BLAS, each
+    entry over n in one fixed order, so an entry's bytes depend neither on
+    the trailing shape, nor on its position in it, nor on the BLAS threads.
+    """
     if not alpha > 0.5:
         raise ValueError(f"alpha must exceed 1/2, got {alpha}")
     if M > values.shape[0] - 1:
         raise ValueError(f"M = {M} exceeds sample cutoff {values.shape[0] - 1}")
     n = np.arange(1, M + 1, dtype=np.float64)
-    return np.tensordot(n ** -alpha, values[1:M + 1], axes=1)
+    parts = np.ascontiguousarray(values[1:M + 1], dtype=np.complex128).view(np.float64)
+    total = np.einsum("n,nk->k", n ** -alpha, parts.reshape(M, -1))
+    return total.view(np.complex128).reshape(values.shape[1:])
 
 
 def zeta_riemann(s: float) -> float:
@@ -473,16 +502,32 @@ def truncated_rhs(f: WeightedSupport, alpha: float, M: int) -> float:
 
 def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int, seed: int):
     """Per-sample |zeta_X zeta_Y D|^2 and |D|^2, X and Y the two fields of
-    _model_values."""
+    _model_values.
+
+    Each batch of _PHASE_BATCH samples is drawn, extended and summed on a
+    pool of one thread per usable core (numpy releases the GIL in the draw,
+    the exp, the gathers and the sums) and written to its own slices.  D is
+    an np.einsum sum like zeta_trunc's, so a sample's bytes depend neither
+    on the core count nor on the batch it falls in.
+    """
     a_idx = f.points[:, 0]
     b_idx = f.points[:, 1]
     zd_sq = np.empty(samples, dtype=np.float64)
     d_sq = np.empty(samples, dtype=np.float64)
-    for lo, hi, values in _model_values(seed, M, samples, 2):
-        d = f.weights @ (values[a_idx, 0] * values[b_idx, 1])
-        z_x, z_y = zeta_trunc(values, alpha, M)
-        zd_sq[lo:hi] = np.abs(z_x * z_y * d) ** 2
-        d_sq[lo:hi] = np.abs(d) ** 2
+
+    def batch(first: int) -> None:
+        size = min(_PHASE_BATCH, samples - first)
+        for lo, hi, values in _model_values(seed, M, size, 2, first):
+            d = np.einsum("k,kb->b", f.weights, values[a_idx, 0] * values[b_idx, 1])
+            z_x, z_y = zeta_trunc(values, alpha, M)
+            zd_sq[lo:hi] = np.abs(z_x * z_y * d) ** 2
+            d_sq[lo:hi] = np.abs(d) ** 2
+
+    firsts = range(0, samples, _PHASE_BATCH)
+    workers = max(1, min(len(firsts), energy_mod._usable_cores()))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(batch, firsts):      # re-raises a batch's exception
+            pass
     return zd_sq, d_sq
 
 

@@ -497,6 +497,22 @@ def test_verify_eq0_command(capsys):
     assert abs(result["estimate"] - result["exact_truncated_rhs"]) <= 5 * result["std_error"]
 
 
+def test_verify_eq0_stdout_does_not_depend_on_the_blas_threads():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "torusppc", "verify-eq0", "--alpha-exp", "0.7",
+            "--M", "120", "--samples", "1500", "--seed", "9"]
+    outs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run(argv, env={**env, **extra}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["result"]["samples"] == 1500
+
+
 def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "stat", "--family", "n", "--N", "10", "--s", "9",
                            "--alpha", "0.5")

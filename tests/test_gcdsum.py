@@ -1,11 +1,13 @@
 import copy
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusppc import gcdsum
+from torusppc import energy, gcdsum
 from torusppc.energy import representation_counts
 from torusppc.gcdsum import (
     WeightedSupport,
@@ -292,10 +294,10 @@ def test_zeta_trunc_batch_matches_rows():
     batch = zeta_trunc(vals, 0.7, 50)
     assert batch.shape == (6,)
     for row, z in zip(vals.T, batch):
-        assert z == pytest.approx(zeta_trunc(row, 0.7, 50), rel=1e-14)
+        assert zeta_trunc(row, 0.7, 50).tobytes() == z.tobytes()
     stacked = zeta_trunc(vals.reshape(81, 2, 3), 0.7, 50)
     assert stacked.shape == (2, 3)
-    assert np.allclose(stacked.ravel(), batch, rtol=1e-14, atol=0)
+    assert stacked.tobytes() == batch.tobytes()
 
 
 def _model_array(seed, m, samples, fields):
@@ -378,6 +380,60 @@ def test_sample_is_the_x_of_verify_eq0_sample_zero():
     assert d_sq[0] == pytest.approx(abs(d) ** 2, rel=1e-12)
     assert zd_sq[0] == pytest.approx(
         abs(zeta_trunc(x, alpha, m) * zeta_trunc(y, alpha, m) * d) ** 2, rel=1e-12)
+
+
+def _eq0_support(k, seed=1, top=30):
+    """k distinct points of [1, top]^2 with complex weights."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(top * top, size=k, replace=False)
+    return WeightedSupport(d=2, entries={
+        (int(c // top) + 1, int(c % top) + 1): complex(rng.normal(), rng.normal())
+        for c in cells})
+
+
+def test_mc_moments_of_a_sample_do_not_depend_on_its_batch(monkeypatch):
+    # the same sample alone in its batch, or at any place in a full one
+    seed, m, alpha, samples = 4, 61, 0.7, 3 * gcdsum._PHASE_BATCH + 45
+    for f in (WeightedSupport.ones([(1, 1), (1, 2), (2, 1), (2, 2)]), _eq0_support(40)):
+        want = _batched_mc_moments(f, alpha, m, samples, seed)
+        for batch in (1, 7, 100):
+            monkeypatch.setattr(gcdsum, "_PHASE_BATCH", batch)
+            got = _batched_mc_moments(f, alpha, m, samples, seed)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], batch
+        monkeypatch.undo()
+
+
+def test_verify_eq0_bytes_do_not_depend_on_the_core_count(monkeypatch):
+    # a partial last batch, and fewer batches than workers; the batches run
+    # on the pool, gcd_sum and truncated_rhs on the calling thread
+    f = _eq0_support(12, seed=5)
+    threads = {"draw": set(), "gcd_sum": set(), "truncated_rhs": set()}
+
+    def on_thread(name, fn):
+        def recording(*args):
+            threads[name].add(threading.current_thread())
+            return fn(*args)
+        return recording
+
+    monkeypatch.setattr(gcdsum, "_model_values", on_thread("draw", gcdsum._model_values))
+    for name in ("gcd_sum", "truncated_rhs"):
+        monkeypatch.setattr(gcdsum, name, on_thread(name, getattr(gcdsum, name)))
+    runs = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(energy, "_usable_cores", lambda: workers)
+            for samples in (3 * gcdsum._PHASE_BATCH + 77, gcdsum._PHASE_BATCH + 1):
+                rec = verify_eq0(f, 0.8, 60, samples, seed=2)
+                moments = _batched_mc_moments(f, 0.8, 60, samples, 2)
+                runs.setdefault(samples, set()).add(
+                    (repr(rec), *(a.tobytes() for a in moments)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(len(seen) == 1 for seen in runs.values())
+    assert threads["draw"] and threading.main_thread() not in threads["draw"]
+    assert threads["gcd_sum"] == threads["truncated_rhs"] == {threading.main_thread()}
 
 
 def test_zeta_trunc_second_moment():
