@@ -28,7 +28,6 @@ from .gcdsum import (
     WeightedSupport,
     gcd_sum,
     gcd_sum_from_representations,
-    sample_random_multiplicative,
     verify_eq0,
     zeta_trunc,
 )
@@ -37,7 +36,6 @@ from .bessel import (
     bessel_asymptotic,
     bessel_j,
     fourier_coeff_ball,
-    fourier_coeff_box,
 )
 from .experiments import (
     ExperimentConfig,
@@ -57,10 +55,8 @@ __all__ = [
     "joint_additive_energy", "representation_counts", "count_Jl",
     "vinogradov_J2d", "energy_bound_report",
     "WeightedSupport", "gcd_sum",
-    "gcd_sum_from_representations", "sample_random_multiplicative",
-    "zeta_trunc", "verify_eq0",
+    "gcd_sum_from_representations", "zeta_trunc", "verify_eq0",
     "BesselEval", "bessel_j", "bessel_asymptotic", "fourier_coeff_ball",
-    "fourier_coeff_box",
     "ExperimentConfig", "ExperimentRow", "run_convergence",
     "run_counterexample", "run_variance_decay", "run_energy_scan",
 ]

@@ -13,8 +13,8 @@ returns a bound on each value's absolute error:
   term plus the rounding of cos/sin of an argument of size t and of the sums,
   ~1e-14 (exact termination at half-integer orders).
 
-Fourier coefficients of the box and ball indicators used by the pair
-correlation variance computations are built on top.
+Fourier coefficients of the ball indicator used by the pair correlation
+variance computations are built on top.
 """
 
 from __future__ import annotations
@@ -227,16 +227,4 @@ def fourier_coeff_ball(r, s: float, N: int, d: int) -> float:
     arg = 2.0 * math.pi * t * norm
     j = bessel_j(d / 2.0, arg)
     return s ** (d / 2.0) / (math.sqrt(N) * norm ** (d / 2.0)) * j.value
-
-
-def fourier_coeff_box(r: int, s: float, N: int, d: int) -> float:
-    """Per-coordinate Fourier coefficient of the box indicator |x| <= s/N^(1/d).
-
-    The full d-dimensional coefficient is the product over coordinates;
-    |c_r| <= min(2 s N^(-1/d), 1/|r|).
-    """
-    t = threshold(s, N, d)
-    if r == 0:
-        return 2.0 * t
-    return math.sin(2.0 * math.pi * r * t) / (math.pi * r)
 

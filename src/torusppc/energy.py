@@ -18,12 +18,12 @@ so each band holds at most a fixed budget of 2^20 index pairs (_PAIR_BUDGET;
 a single first-difference value is never split).  A band is one integer key
 column, the mixed-radix code of its difference vectors built one component
 at a time, sorted in place: its runs of equal keys are the counts D(v).
-The calling thread finds the band edges and the bands are counted on one
-thread per usable core.  Bands are disjoint in v, so each adds its sum of
-squared counts to E directly (the energy never decodes a vector), and the
-table decodes each band's unique keys to rows, which concatenate in
-lexicographic order in band order.  The same table drives the GCD-sum
-variance proxy.
+The calling thread finds the band edges and _parallel.ordered_map counts
+the bands on one thread per usable core.  Bands are disjoint in v, so each
+adds its sum of squared counts to E directly (the energy never decodes a
+vector), and the table decodes each band's unique keys to rows, which
+concatenate in lexicographic order in band order.  The same table drives
+the GCD-sum variance proxy.
 
 Brute-force oracles (O(N^4) quadruple and O(N^3) triple enumerations) live
 here too; they exist for the test suite and stay independent of the banded
@@ -33,26 +33,17 @@ counting path.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _parallel
 from .errors import InternalError
 from .sequences import SequenceData
 
 MAX_ENERGY_N = 2_000_000        # keeps E <= N^3 < 2**63
 _PAIR_BUDGET = 1 << 20          # index pairs per first-difference band
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def _run_indices(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarray:
@@ -224,17 +215,16 @@ def _half_table_bands(cols: list[np.ndarray], table: bool) -> list:
     """_band's result for each first-difference band of the pairs i > j, in
     band order.
 
-    The calling thread finds the band edges and hands each band, as soon as
-    its edges are known, to a pool of one thread per usable core (numpy
-    releases the GIL in the gathers, ufuncs and sorts of _band), so at most
-    that many bands are alive at once.
+    The calling thread finds the band edges and _parallel.ordered_map hands
+    each band to a thread as soon as its edges are known, so the bisection
+    overlaps the counting and at most one band per usable core is alive at
+    once.
     Raises InternalError if the grouped counts do not add up to the pairs.
     """
     n = cols[0].size
     half = n * (n - 1) // 2
-    with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
-        bands = list(pool.map(lambda edge: _band(cols, *edge, table),
-                              _band_edges(cols[0], half)))
+    bands = _parallel.ordered_map(lambda edge: _band(cols, *edge, table),
+                                  _band_edges(cols[0], half))
     held = sum(pairs for pairs, _ in bands)
     if held != half:
         raise InternalError(f"representation table holds {n + 2 * held} pairs, "

@@ -6,14 +6,15 @@ byte.  A fresh alpha is drawn per sample (never reused across N), which
 makes the sample variance at each N an estimate of the variance of the
 statistic over the dilation measure.  The random-alpha table and the
 fixed-alpha counterexample trajectory come from one loop (_table), which
-differs between them only in where the k-th alpha of a cell comes from.
+differs between them only in where the k-th alpha of a cell comes from; it
+counts the samples of a cell on one thread per usable core through
+_parallel.ordered_map, and the table does not depend on the core count.
 """
 
 from __future__ import annotations
 
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 from .fixedpoint import point_of_reals, sample_alpha
 from .paircorr import NormKind, ppc_grid, ppc_limit, threshold
 from .sequences import DEFAULT_FLOOR_START, KIND_FLOOR_NLOG, SequenceSpec, generate, orbit
-from . import energy as energy_mod
+from . import _parallel, energy as energy_mod
 
 DEFAULT_FAMILY = (SequenceSpec.identity(), SequenceSpec.power_of(2))
 DEFAULT_NORM = NormKind.SUP
@@ -96,49 +97,42 @@ def _aggregate(values: np.ndarray) -> tuple[float, float]:
     return mean, var
 
 
-def _workers(samples: int) -> int:
-    """Threads for the samples of one cell: one per core this process may use."""
-    return max(1, min(samples, energy_mod._usable_cores()))
-
-
 def _table(family: Sequence[SequenceSpec], norm: NormKind, s_values: Sequence[float],
            N_values: Sequence[int], samples: int, timing: bool,
            alpha_for: Callable[[int, int, int], np.ndarray]) -> list[ExperimentRow]:
     """Mean and variance of the statistic over `samples` dilations per (N, s);
     alpha_for(N, s_index, k) is the k-th dilation of that cell.
 
-    The samples of a cell are counted concurrently, one thread per core
-    (numpy releases the GIL in the sort, search, gather and ufunc kernels of
-    ppc_grid), in waves of one sample per thread.  The calling thread draws
-    the dilations and builds the orbits of a wave, then the threads count
-    them, so at most one orbit per thread is alive and only ppc_grid runs
-    concurrently: `perfbench/run.py --trace 1` keeps one span stack for all
-    threads and fails when an orbit span overlaps a ppc_grid span.  The
-    values are collected in k order, so the table does not depend on the
-    thread count.
+    The samples of a cell are counted concurrently by _parallel.ordered_map,
+    one thread per usable core, in waves of one sample per thread.  The
+    calling thread draws the dilations and builds the orbits of a wave, then
+    the threads count them, so at most one orbit per thread is alive and
+    only ppc_grid runs concurrently: `perfbench/run.py --trace 1` keeps one
+    span stack for all threads and fails when an orbit span overlaps a
+    ppc_grid span.  The values are collected in k order, so the table does
+    not depend on the thread count.
     """
-    workers = _workers(samples)
+    workers = _parallel.usable_cores()
     rows = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for n in N_values:
-            seqs = [generate(spec, n) for spec in family]
-            for s_index, s in enumerate(s_values):
-                t0 = time.perf_counter()
-                values = np.empty(samples, dtype=np.float64)
-                for lo in range(0, samples, workers):
-                    wave = [orbit(seqs, alpha_for(n, s_index, k))
-                            for k in range(lo, min(samples, lo + workers))]
-                    counts = pool.map(ppc_grid, wave, [s] * len(wave), [norm] * len(wave))
-                    values[lo:lo + len(wave)] = [c.statistic for c in counts]
-                    del wave        # before the next wave's orbits are built
-                elapsed = time.perf_counter() - t0
-                mean, var = _aggregate(values)
-                limit = ppc_limit(s, len(family), norm)
-                rows.append(ExperimentRow(
-                    N=n, s=s, K=samples, mean_R=mean, var_R=var,
-                    limit=limit, expectation=limit * (n - 1) / n,
-                    seconds=elapsed if timing else 0.0,
-                ))
+    for n in N_values:
+        seqs = [generate(spec, n) for spec in family]
+        for s_index, s in enumerate(s_values):
+            t0 = time.perf_counter()
+            values = np.empty(samples, dtype=np.float64)
+            for lo in range(0, samples, workers):
+                wave = [orbit(seqs, alpha_for(n, s_index, k))
+                        for k in range(lo, min(samples, lo + workers))]
+                counts = _parallel.ordered_map(lambda pts: ppc_grid(pts, s, norm), wave)
+                values[lo:lo + len(wave)] = [c.statistic for c in counts]
+                del wave        # before the next wave's orbits are built
+            elapsed = time.perf_counter() - t0
+            mean, var = _aggregate(values)
+            limit = ppc_limit(s, len(family), norm)
+            rows.append(ExperimentRow(
+                N=n, s=s, K=samples, mean_R=mean, var_R=var,
+                limit=limit, expectation=limit * (n - 1) / n,
+                seconds=elapsed if timing else 0.0,
+            ))
     return rows
 
 

@@ -13,28 +13,26 @@ values at primes drives Monte Carlo checks of the second-moment identity
 E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a): under a cutoff M the identity
 becomes exact and finite (the h-sums truncate), which is what verify_eq0
 tests against simulation.  _model_values is the one place that model is
-drawn and extended: verify_eq0 and sample_random_multiplicative both read
-it, field j (X, then Y) from one PCG64 stream (seed, j) of which sample i
-reads a fixed window, reached from any first sample by advancing the stream.
-Its batches are n-major, X(n) at index n of axis 0, and zeta_trunc sums any
-batch of its values over that axis.  verify_eq0 draws and sums its batches
-on one thread per usable core; D and the zeta sums are np.einsum sums, not
-BLAS, in a fixed order per sample, so its output bytes depend neither on the
-core count nor on the BLAS threads.  gcd_sum and truncated_rhs run on the
-calling thread.
+drawn and extended, field j (X, then Y) from one PCG64 stream (seed, j) of
+which sample i reads a fixed window, reached from any first sample by
+advancing the stream.  Its arrays are n-major, X(n) at index n of axis 0,
+and zeta_trunc sums any of them over that axis.  verify_eq0 draws and sums
+its batches on one thread per usable core through _parallel.ordered_map; D
+and the zeta sums are np.einsum sums, not BLAS, in a fixed order per sample,
+so its output bytes depend neither on the core count nor on the BLAS
+threads.  gcd_sum and truncated_rhs run on the calling thread.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import energy as energy_mod
+from . import _parallel
 from .energy import RepresentationTable, _run_indices, _unique_counts_rows
 
 _FACTOR_BLOCK = 1 << 20         # value-prime pairs tested per trial-division round
@@ -364,10 +362,9 @@ def _model_plan(M: int) -> tuple[int, list[tuple[np.ndarray, np.ndarray, np.ndar
                          for lev in _omega_levels(spf)]
 
 
-def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0):
+def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0) -> np.ndarray:
     """Values at n <= M of independent random completely multiplicative
-    functions X_1, ..., X_fields, samples first .. first + samples - 1 in
-    batches.
+    functions X_1, ..., X_fields, samples first .. first + samples - 1.
 
     X(p) = exp(2 pi i u_p) with u_p uniform on [0, 1), independently per
     prime p <= M, and X(n) = X(n / p) X(p) for the smallest prime p | n, so
@@ -377,39 +374,27 @@ def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0):
     prime in increasing order (random() takes one 64-bit draw per uniform,
     so advancing the stream by first P reaches sample first); so a sample
     depends neither on the batching nor on how many samples or further
-    fields are drawn.  Yields (lo, hi, values) with values of shape
-    (M + 1, fields, hi - lo), n on axis 0, for the samples [lo, hi); row 0
-    is 0 and unused.  The extension takes one gathered product per level of
-    Omega(n) (at most log2 M of them), each still X(n / p) X(p).
+    fields are drawn.  Returns values of shape (M + 1, fields, samples), n
+    on axis 0; row 0 is 0 and unused.  The extension takes one gathered
+    product per level of Omega(n) (at most log2 M of them), each still
+    X(n / p) X(p).
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     n_p, steps = _model_plan(M)
-    rngs = []
+    u = np.empty((fields, samples * n_p))
     for j in range(fields):
         bit_generator = np.random.PCG64(np.random.SeedSequence((int(seed), j)))
         bit_generator.advance(first * n_p)
-        rngs.append(np.random.Generator(bit_generator))
-    for lo in range(first, first + samples, _PHASE_BATCH):
-        hi = min(first + samples, lo + _PHASE_BATCH)
-        u = np.stack([rng.random((hi - lo) * n_p) for rng in rngs])
-        phases = np.exp(2j * np.pi * u).reshape(fields, hi - lo, n_p)
-        phases = np.ascontiguousarray(phases.transpose(2, 0, 1))
-        values = np.empty((M + 1, fields, hi - lo), dtype=np.complex128)
-        values[0] = 0.0
-        values[1] = 1.0
-        for lev, parent, pidx in steps:
-            values[lev] = values[parent] * phases[pidx]
-        yield lo, hi, values
-
-
-def sample_random_multiplicative(seed: int, M: int) -> np.ndarray:
-    """X(n) for 0 <= n <= M (X(0) = 0 unused) of one seeded random completely
-    multiplicative function: sample 0 of _model_values, which is also the X
-    of verify_eq0's sample 0 at the same seed and cutoff."""
-    if M < 1:
-        raise ValueError("cutoff must be >= 1")
-    return next(_model_values(seed, M, 1, 1))[2][:, 0, 0]
+        u[j] = np.random.Generator(bit_generator).random(samples * n_p)
+    phases = np.exp(2j * np.pi * u).reshape(fields, samples, n_p)
+    phases = np.ascontiguousarray(phases.transpose(2, 0, 1))
+    values = np.empty((M + 1, fields, samples), dtype=np.complex128)
+    values[0] = 0.0
+    values[1] = 1.0
+    for lev, parent, pidx in steps:
+        values[lev] = values[parent] * phases[pidx]
+    return values
 
 
 def zeta_trunc(values: np.ndarray, alpha: float, M: int):
@@ -504,30 +489,25 @@ def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int, 
     """Per-sample |zeta_X zeta_Y D|^2 and |D|^2, X and Y the two fields of
     _model_values.
 
-    Each batch of _PHASE_BATCH samples is drawn, extended and summed on a
-    pool of one thread per usable core (numpy releases the GIL in the draw,
-    the exp, the gathers and the sums) and written to its own slices.  D is
-    an np.einsum sum like zeta_trunc's, so a sample's bytes depend neither
-    on the core count nor on the batch it falls in.
+    Each batch of _PHASE_BATCH samples is drawn, extended and summed on one
+    thread per usable core by _parallel.ordered_map and written to its own
+    slices.  D is an np.einsum sum like zeta_trunc's, so a sample's bytes
+    depend neither on the core count nor on the batch it falls in.
     """
     a_idx = f.points[:, 0]
     b_idx = f.points[:, 1]
     zd_sq = np.empty(samples, dtype=np.float64)
     d_sq = np.empty(samples, dtype=np.float64)
 
-    def batch(first: int) -> None:
-        size = min(_PHASE_BATCH, samples - first)
-        for lo, hi, values in _model_values(seed, M, size, 2, first):
-            d = np.einsum("k,kb->b", f.weights, values[a_idx, 0] * values[b_idx, 1])
-            z_x, z_y = zeta_trunc(values, alpha, M)
-            zd_sq[lo:hi] = np.abs(z_x * z_y * d) ** 2
-            d_sq[lo:hi] = np.abs(d) ** 2
+    def batch(lo: int) -> None:
+        hi = min(samples, lo + _PHASE_BATCH)
+        values = _model_values(seed, M, hi - lo, 2, lo)
+        d = np.einsum("k,kb->b", f.weights, values[a_idx, 0] * values[b_idx, 1])
+        z_x, z_y = zeta_trunc(values, alpha, M)
+        zd_sq[lo:hi] = np.abs(z_x * z_y * d) ** 2
+        d_sq[lo:hi] = np.abs(d) ** 2
 
-    firsts = range(0, samples, _PHASE_BATCH)
-    workers = max(1, min(len(firsts), energy_mod._usable_cores()))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(batch, firsts):      # re-raises a batch's exception
-            pass
+    _parallel.ordered_map(batch, range(0, samples, _PHASE_BATCH))
     return zd_sq, d_sq
 
 

@@ -102,9 +102,12 @@ class _Threshold:
 
 
 def threshold(s: float, N: int, d: int) -> float:
-    """The threshold t = s / N^(1/d); raises ValueError unless s > 0 and t < 1/2."""
+    """The threshold t = s / N^(1/d); raises ValueError unless s > 0, N >= 1
+    and t < 1/2."""
     if not s > 0:
         raise ValueError(f"s must be > 0, got {s}")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     t = s * N ** (-1.0 / d)
     if t >= 0.5:
         raise ValueError(

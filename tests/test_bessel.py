@@ -9,7 +9,6 @@ from torusppc.bessel import (
     bessel_asymptotic,
     bessel_j,
     fourier_coeff_ball,
-    fourier_coeff_box,
     _gamma,
 )
 
@@ -178,44 +177,6 @@ def test_ball_quadrature_oracle():
     for r in ([1, 0], [2, 2], [5, 1], [10, 10], [20, 0]):
         rnorm = math.hypot(*r)
         assert fourier_coeff_ball(r, s, n, 2) == pytest.approx(oracle(rnorm), abs=1e-8)
-
-
-def test_box_coefficients():
-    assert fourier_coeff_box(0, 1.0, 16, 2) == pytest.approx(0.5)
-    # 2 pi r s N^(-1/d) = pi/2 at r=1: coefficient sin(pi/2)/pi = 1/pi
-    assert fourier_coeff_box(1, 1.0, 16, 2) == pytest.approx(1 / math.pi)
-    # first sinc zero at r=2: sin(pi) = 0
-    assert fourier_coeff_box(2, 1.0, 16, 2) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        fourier_coeff_box(1, 1.0, 2, 1)   # threshold 1/2 saturates
-
-
-def test_box_coefficient_integral_oracle():
-    quad = pytest.importorskip("scipy.integrate").quad
-    s, n, d = 1.0, 16, 2
-    t = s * n ** (-1 / d)
-    for r in (0, 1, 3, 10):
-        want, _ = quad(lambda x: math.cos(2 * math.pi * r * x), -t, t, epsabs=1e-13)
-        assert fourier_coeff_box(r, s, n, d) == pytest.approx(want, abs=1e-12)
-
-
-def test_box_bound():
-    s, n, d = 1.0, 16, 2
-    t = s * n ** (-1 / d)
-    r = np.arange(1, 200_001)
-    c = np.sin(2 * np.pi * r * t) / (np.pi * r)
-    bound = np.minimum(2 * t, 1.0 / r)
-    assert np.all(np.abs(c) <= bound * (1 + 1e-13))
-
-
-def test_box_partial_sums_converge_to_indicator():
-    s, n, d = 1.0, 16, 2
-    t = s * n ** (-1 / d)             # 0.25
-    r = np.arange(1, 100_001)
-    coeffs = np.sin(2 * np.pi * r * t) / (np.pi * r)
-    for theta, want in ((0.0, 1.0), (0.1, 1.0), (0.24, 1.0), (0.26, 0.0), (0.4, 0.0)):
-        val = 2 * t + 2 * float(coeffs @ np.cos(2 * np.pi * r * theta))
-        assert abs(val - want) < 1e-3, theta
 
 
 def test_check_bessel_bounds_report():

@@ -535,6 +535,12 @@ def test_exit_codes(capsys, tmp_path):
         assert code == 3 and out == "", command
         assert "s must be > 0, got nan" in err
 
+    for mode in ("convergence", "variance-decay"):
+        for n in ("0", "-5"):
+            code, out, err = run_cli(capsys, "experiment", "--mode", mode, "--N", n)
+            assert code == 3 and out == "", (mode, n)
+            assert f"N must be >= 1, got {n}" in err
+
     for command in (["stat", "--family", "n", "--N", "10"], ["experiment", "--N", "100"],
                     ["verify-eq0"]):
         code, out, err = run_cli(capsys, *command, "--seed", "-1")

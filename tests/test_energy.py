@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusppc import energy
+from torusppc import _parallel, energy
 from torusppc.energy import (
     EnergyReport,
     additive_energy,
@@ -197,7 +197,7 @@ def test_bands_in_flight_match_oracles_at_any_worker_count(monkeypatch):
     try:
         sys.setswitchinterval(1e-5)
         for workers in (1, 2, 5):
-            monkeypatch.setattr(energy, "_usable_cores", lambda: workers)
+            monkeypatch.setattr(_parallel, "usable_cores", lambda: workers)
             for i, cols in enumerate(cases):
                 seqs = [seq(c) for c in cols]
                 assert joint_additive_energy(seqs) == joint_additive_energy_brute(cols)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from torusppc import experiments
+from torusppc import _parallel
 from torusppc.cli import parse_and_dispatch
 from torusppc.experiments import (
     CSV_HEADER,
@@ -59,7 +59,7 @@ def test_different_seeds_differ():
 def test_parallel_table_equals_serial_loop(workers, monkeypatch):
     # the samples of a cell run on `workers` threads, in waves (K = 5 leaves
     # a partial one at 3); mean_R and var_R must match an in-order loop bit for bit
-    monkeypatch.setattr(experiments, "_workers", lambda samples: min(samples, workers))
+    monkeypatch.setattr(_parallel, "usable_cores", lambda: workers)
     cfg = small_config(samples=5, norm=NormKind.TWO)
     rows = run_convergence(cfg)
     assert len(rows) == len(cfg.N_values) * len(cfg.s_values)

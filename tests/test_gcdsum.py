@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusppc import energy, gcdsum
+from torusppc import _parallel, gcdsum
 from torusppc.energy import representation_counts
 from torusppc.gcdsum import (
     WeightedSupport,
@@ -18,7 +18,6 @@ from torusppc.gcdsum import (
     gcd_sum_enumerate,
     gcd_sum_from_representations,
     primes_up_to,
-    sample_random_multiplicative,
     support_from_representations,
     truncated_rhs,
     verify_eq0,
@@ -253,28 +252,28 @@ def test_empty_restricted_table():
 
 
 def test_random_multiplicative_invariants():
-    s = sample_random_multiplicative(99, 120)
+    s = _model_values(99, 120, 1, 1)[:, 0, 0]
     assert s[1] == 1
     assert np.allclose(np.abs(s[1:]), 1.0)
     assert s[12] == pytest.approx(s[2] ** 2 * s[3])
     for m, n in ((2, 3), (4, 5), (6, 20), (7, 17)):
         assert s[m * n] == pytest.approx(s[m] * s[n])
-    assert sample_random_multiplicative(99, 120)[7] == s[7]   # deterministic
-    assert sample_random_multiplicative(98, 120)[7] != s[7]
+    assert _model_values(99, 120, 1, 1)[:, 0, 0][7] == s[7]   # deterministic
+    assert _model_values(98, 120, 1, 1)[:, 0, 0][7] != s[7]
 
 
 def test_prime_phase_mean():
     n = 20_000
     acc = 0j
     for seed in range(n):
-        acc += sample_random_multiplicative(seed, 2)[2]
+        acc += _model_values(seed, 2, 1, 1)[:, 0, 0][2]
     mean = acc / n
     se = 1.0 / math.sqrt(2 * n)   # component std of a uniform phase is 1/sqrt(2)
     assert abs(mean.real) <= 3 * se and abs(mean.imag) <= 3 * se
 
 
 def test_zeta_trunc():
-    s = sample_random_multiplicative(3, 50)
+    s = _model_values(3, 50, 1, 1)[:, 0, 0]
     assert zeta_trunc(s, 0.8, 1) == pytest.approx(1.0)
     # degenerate all-ones sample: the sum is the real partial zeta
     degenerate = np.ones(51, dtype=np.complex128)
@@ -289,7 +288,7 @@ def test_zeta_trunc():
 
 
 def test_zeta_trunc_batch_matches_rows():
-    _, _, vals = next(_model_values(5, 80, 6, 1))
+    vals = _model_values(5, 80, 6, 1)
     vals = vals[:, 0]
     batch = zeta_trunc(vals, 0.7, 50)
     assert batch.shape == (6,)
@@ -298,12 +297,6 @@ def test_zeta_trunc_batch_matches_rows():
     stacked = zeta_trunc(vals.reshape(81, 2, 3), 0.7, 50)
     assert stacked.shape == (2, 3)
     assert stacked.tobytes() == batch.tobytes()
-
-
-def _model_array(seed, m, samples, fields):
-    """All values of _model_values, joined over its batches: (m + 1, fields, samples)."""
-    return np.concatenate([vals for _, _, vals in _model_values(seed, m, samples, fields)],
-                          axis=2)
 
 
 def _model_oracle(seed, m, samples, fields):
@@ -326,7 +319,7 @@ def _model_oracle(seed, m, samples, fields):
 @pytest.mark.parametrize("fields", [1, 2])
 def test_model_values_match_the_one_step_per_n_recurrence_bit_for_bit(m, fields):
     samples = 4 * gcdsum._PHASE_BATCH + 76          # four full batches and a part
-    got = _model_array(13, m, samples, fields)
+    got = _model_values(13, m, samples, fields)
     want = np.ascontiguousarray(_model_oracle(13, m, samples, fields).transpose(2, 0, 1))
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
@@ -336,7 +329,7 @@ def test_model_values_sample_is_a_window_of_its_field_stream():
     seed, m, samples = 11, 60, 1200       # crosses the batch boundaries
     primes = primes_up_to(m)
     n_p = len(primes)
-    vals = _model_array(seed, m, samples, 2)
+    vals = _model_values(seed, m, samples, 2)
     assert vals.shape == (m + 1, 2, samples)
     for j in (0, 1):
         for i in (0, 1, 255, 256, 511, 512, 777, 1199):
@@ -348,10 +341,10 @@ def test_model_values_sample_is_a_window_of_its_field_stream():
 
 def test_model_values_field_zero_ignores_sample_and_field_counts():
     seed, m = 11, 60
-    full = _model_array(seed, m, 1200, 2)[:, 0]
-    assert np.array_equal(_model_array(seed, m, 5, 2)[:, 0], full[:, :5])
-    assert np.array_equal(_model_array(seed, m, 1200, 1)[:, 0], full)
-    assert np.array_equal(_model_array(seed, m, 5, 1)[:, 0], full[:, :5])
+    full = _model_values(seed, m, 1200, 2)[:, 0]
+    assert np.array_equal(_model_values(seed, m, 5, 2)[:, 0], full[:, :5])
+    assert np.array_equal(_model_values(seed, m, 1200, 1)[:, 0], full)
+    assert np.array_equal(_model_values(seed, m, 5, 1)[:, 0], full[:, :5])
 
 
 def test_model_values_seeds_one_stream_per_field(monkeypatch):
@@ -363,16 +356,15 @@ def test_model_values_seeds_one_stream_per_field(monkeypatch):
         return seed_sequence(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
-    for _ in _model_values(3, 60, 2000, 2):
-        pass
+    _model_values(3, 60, 2000, 2)
     assert len(built) == 2
 
 
 def test_sample_is_the_x_of_verify_eq0_sample_zero():
     seed, m, alpha, samples = 7, 60, 0.75, 700
     f = WeightedSupport(d=2, entries={(1, 2): 1.0, (3, 1): 0.5 - 1j, (2, 5): 2.0})
-    x = sample_random_multiplicative(seed, m)
-    _, _, vals = next(_model_values(seed, m, samples, 2))
+    x = _model_values(seed, m, 1, 1)[:, 0, 0]
+    vals = _model_values(seed, m, samples, 2)
     assert np.array_equal(vals[:, 0, 0], x)
     y = vals[:, 1, 0]
     d = sum(w * x[a] * y[b] for (a, b), w in f.entries.items())
@@ -423,7 +415,7 @@ def test_verify_eq0_bytes_do_not_depend_on_the_core_count(monkeypatch):
     try:
         sys.setswitchinterval(1e-5)
         for workers in (1, 2, 5):
-            monkeypatch.setattr(energy, "_usable_cores", lambda: workers)
+            monkeypatch.setattr(_parallel, "usable_cores", lambda: workers)
             for samples in (3 * gcdsum._PHASE_BATCH + 77, gcdsum._PHASE_BATCH + 1):
                 rec = verify_eq0(f, 0.8, 60, samples, seed=2)
                 moments = _batched_mc_moments(f, 0.8, 60, samples, 2)
@@ -441,7 +433,7 @@ def test_zeta_trunc_second_moment():
     alpha, m, reps = 0.8, 40, 4000
     vals = np.empty(reps)
     for seed in range(reps):
-        vals[seed] = abs(zeta_trunc(sample_random_multiplicative(seed, m), alpha, m)) ** 2
+        vals[seed] = abs(zeta_trunc(_model_values(seed, m, 1, 1)[:, 0, 0], alpha, m)) ** 2
     want = sum(n ** (-2 * alpha) for n in range(1, m + 1))
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - want) <= 3 * se

@@ -56,6 +56,9 @@ def test_threshold_rejection():
     for count in (ppc_naive, ppc_grid):
         with pytest.raises(ValueError, match="s must be > 0, got nan"):
             count(pts, math.nan, NormKind.SUP)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"N must be >= 1, got {n}"):
+            paircorr.threshold(1.0, n, 2)
 
 
 def test_result_invariants():
