@@ -1,7 +1,7 @@
 """Additive energy, joint additive energy, representation functions and
 Vinogradov-type counts.
 
-Every sequence here is strictly increasing, so a pair of indices i > j has a
+Every SequenceData is strictly increasing, so a pair of indices i > j has a
 difference vector v = a_i - a_j with every component >= 1, and the pairs
 i < j give exactly the vectors -v.  With D(v) the number of ordered index
 pairs whose componentwise differences equal v, the energy (index quadruples
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _parallel
 from .errors import InternalError
-from .sequences import SequenceData
+from .sequences import SequenceData, common_length
 
 MAX_ENERGY_N = 2_000_000        # keeps E <= N^3 < 2**63
 _PAIR_BUDGET = 1 << 20          # index pairs per first-difference band
@@ -123,26 +123,13 @@ def _unique_counts_rows(vectors: np.ndarray, weights: np.ndarray | None = None):
 
 
 def _difference_columns(seqs: Sequence[SequenceData]) -> list[np.ndarray]:
-    """Validated value columns, each shifted to start at 0 so that a_i - x
-    stays in int64 for every band edge x up to one past the largest
-    difference (values are natural numbers below 2**63)."""
-    if len(seqs) == 0:
-        raise ValueError("need at least one sequence")
-    n = seqs[0].N
-    for s in seqs:
-        if s.N != n:
-            raise ValueError("all sequences must have equal length")
-    if n < 1:
-        raise ValueError("sequence must be nonempty")
+    """The value columns, each shifted to start at 0 so that a_i - x stays in
+    int64 for every band edge x up to one past the largest difference (a
+    SequenceData holds strictly increasing natural numbers below 2**63)."""
+    n = common_length(seqs)
     if n > MAX_ENERGY_N:
         raise OverflowError(f"N = {n} too large: E <= N^3 must stay below 2**63")
-    cols = []
-    for s in seqs:
-        v = s.values
-        if not (v[1:] > v[:-1]).all():
-            raise ValueError("sequence values must be strictly increasing")
-        cols.append(v - v[0])
-    return cols
+    return [s.values - s.values[0] for s in seqs]
 
 
 def _band_columns(cols: list[np.ndarray], j: np.ndarray, length: np.ndarray,
@@ -315,12 +302,11 @@ def count_Jl(f_seq: SequenceData, g_seq: SequenceData, l: int) -> int:
     """Solutions (x, y, z) of f(x)+f(y) = f(x+l)+f(z), g(x)+g(y) = g(x+l)+g(z)
     with 1 <= x < x+l <= z < y <= N (indices into the given arrays).
 
-    f is strictly increasing, so y is solved from the f-equation by binary
-    search and the g-equation is then checked, O(N^2 log N) over (x, z).
+    f is strictly increasing, as every SequenceData is, so y is solved from
+    the f-equation by binary search and the g-equation is then checked,
+    O(N^2 log N) over (x, z).
     """
-    if f_seq.N != g_seq.N:
-        raise ValueError("sequences must have equal length")
-    n = f_seq.N
+    n = common_length((f_seq, g_seq))
     if l < 1:
         raise ValueError("l must be >= 1")
     if l >= n:

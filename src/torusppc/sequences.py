@@ -2,8 +2,9 @@
 
 Supported families: the identity n, pure powers n**l, the floor family
 [n * (log n)**A] for A in [1,2], and explicit user-supplied files (one
-decimal integer per line).  Generation always validates that the first N
-terms are strictly increasing natural numbers below 2**63.
+decimal integer per line).  A SequenceData validates itself, whoever builds
+it: its values are a 1-D int64 array of strictly increasing natural numbers,
+so every kernel that takes one relies on that without checking it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -103,8 +105,36 @@ class SequenceData:
     N: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "N", int(self.values.shape[0]))
-        self.values.setflags(write=False)
+        v = self.values
+        if not isinstance(v, np.ndarray) or v.dtype != np.int64 or v.ndim != 1:
+            raise ValueError("sequence values must be a 1-D int64 array")
+        if v.shape[0] == 0:
+            raise ValueError("sequence must have at least one element")
+        first = int(v[0])
+        if first < 1:
+            raise ValueError(
+                f"element at index 0 is {first}, not a natural number "
+                f"(for the floor family, raise the start index)"
+            )
+        drops = v[1:] <= v[:-1]     # compared, not subtracted: a difference may wrap
+        if drops.any():
+            bad = int(np.argmax(drops))
+            raise ValueError(
+                f"sequence not strictly increasing at index {bad + 1} "
+                f"({int(v[bad])} -> {int(v[bad + 1])})"
+            )
+        object.__setattr__(self, "N", int(v.shape[0]))
+        v.setflags(write=False)
+
+
+def common_length(seqs: Sequence[SequenceData]) -> int:
+    """N of a family of sequences: at least one, all of one length."""
+    if len(seqs) == 0:
+        raise ValueError("need at least one sequence")
+    n = seqs[0].N
+    if any(s.N != n for s in seqs):
+        raise ValueError("all sequences must have equal length")
+    return n
 
 
 def _floor_nlog(start: int, N: int, exponent: float) -> np.ndarray:
@@ -137,24 +167,6 @@ def _floor_nlog(start: int, N: int, exponent: float) -> np.ndarray:
     return values
 
 
-def _validate(values: np.ndarray, spec: SequenceSpec) -> None:
-    if values.shape[0] == 0:
-        raise ValueError("sequence must have at least one element")
-    first = int(values[0])
-    if first < 1:
-        raise ValueError(
-            f"element at index 0 is {first}, not a natural number "
-            f"(for the floor family, raise the start index)"
-        )
-    diffs = np.diff(values)
-    if diffs.size and int(diffs.min()) < 1:
-        bad = int(np.argmax(diffs < 1))
-        raise ValueError(
-            f"sequence not strictly increasing at index {bad + 1} "
-            f"({int(values[bad])} -> {int(values[bad + 1])})"
-        )
-
-
 def generate(spec: SequenceSpec, N: int) -> SequenceData:
     """Materialize the first N terms of the family described by spec."""
     if N < 1:
@@ -175,7 +187,6 @@ def generate(spec: SequenceSpec, N: int) -> SequenceData:
         values = values[:N].copy()
     else:
         raise ValueError(f"unknown sequence kind {spec.kind!r}")
-    _validate(values, spec)
     return SequenceData(values=values, spec=spec)
 
 
@@ -198,24 +209,18 @@ def _read_explicit(path: str) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def orbit(seqs: "list[SequenceData] | tuple[SequenceData, ...]", alpha: np.ndarray) -> np.ndarray:
+def orbit(seqs: Sequence[SequenceData], alpha: np.ndarray) -> np.ndarray:
     """Points ({a_n^(1) alpha_1}, ..., {a_n^(d) alpha_d}) for n = 1..N.
 
     alpha is a (d,) uint64 numerator array (see fixedpoint).  Returned as an
     (N, d) uint64 numerator array, exact on the fixed-point grid: coordinate
     i of point n is (a_n^(i) * alpha[i]) mod 2**64.
     """
-    if len(seqs) == 0:
-        raise ValueError("need at least one sequence")
-    d = len(seqs)
+    n, d = common_length(seqs), len(seqs)
     if not isinstance(alpha, np.ndarray) or alpha.dtype != np.uint64:
         raise ValueError("alpha must be a uint64 numerator array")
     if alpha.shape != (d,):
         raise ValueError(f"alpha has shape {alpha.shape}, expected ({d},)")
-    n = seqs[0].N
-    for s in seqs:
-        if s.N != n:
-            raise ValueError("all sequences must have equal length")
     out = np.empty((n, d), dtype=np.uint64)
     for i, s in enumerate(seqs):
         # the terms cast to uint64 in buffered chunks, not as a whole copy

@@ -222,6 +222,15 @@ def test_count_jl_examples():
         assert count_Jl(ident200, squares200, l) == 0
 
 
+def test_count_jl_cannot_be_handed_a_non_increasing_f():
+    # count_Jl solves for y by binary search on f.  On this f (with
+    # g = [1, 4, 4, 8, 6, 10, 5, 10], l = 1) it counted 0 solutions where
+    # count_Jl_brute counts 2; no SequenceData can hold it now.
+    f = np.array([3, 7, 9, 5, 8, 2, 8, 4], dtype=np.int64)
+    with pytest.raises(ValueError, match="not strictly increasing at index 3"):
+        count_Jl(SequenceData(values=f, spec=SequenceSpec.explicit("f")), seq(range(1, 9)), 1)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(strictly_increasing_sets, strictly_increasing_sets,
        st.integers(min_value=1, max_value=8))

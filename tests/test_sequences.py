@@ -179,3 +179,47 @@ def test_orbit_shape_checks():
         orbit([s2, s3], point_of_reals([0.1, 0.2]))
     with pytest.raises(ValueError):
         orbit([s2], point_of_reals([0.1, 0.2]))
+
+
+NOT_INCREASING = [3, 7, 9, 5, 8, 2, 8, 4]
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.array([[1, 2], [3, 4]], dtype=np.int64), "1-D int64"),
+    (np.array([1.0, 2.0, 3.0]), "1-D int64"),
+    ([1, 2, 3], "1-D int64"),
+    (np.array([], dtype=np.int64), "at least one element"),
+    (np.array([0, 1, 2], dtype=np.int64), "index 0 is 0, not a natural number"),
+    # 5 - (-(2**63 - 1)) wraps in int64: the check compares, it does not subtract
+    (np.array([5, -(2 ** 63 - 1)], dtype=np.int64), r"index 1 \(5 -> "),
+])
+def test_sequence_data_refuses_what_is_not_a_sequence(values, message):
+    from torusppc.sequences import SequenceData
+
+    with pytest.raises(ValueError, match=message):
+        SequenceData(values=values, spec=SequenceSpec.explicit("x"))
+
+
+def test_hand_built_and_generated_sequences_fail_alike(tmp_path):
+    from torusppc.sequences import SequenceData
+
+    path = tmp_path / "f.txt"
+    path.write_text("".join(f"{v}\n" for v in NOT_INCREASING), encoding="utf-8")
+    with pytest.raises(ValueError) as generated:
+        generate(SequenceSpec.explicit(str(path)), len(NOT_INCREASING))
+    with pytest.raises(ValueError) as built:
+        SequenceData(values=np.array(NOT_INCREASING, dtype=np.int64),
+                     spec=SequenceSpec.explicit("x"))
+    assert str(built.value) == str(generated.value)
+    assert "index 3" in str(built.value)
+
+
+def test_common_length():
+    from torusppc.sequences import common_length
+
+    s2 = generate(SequenceSpec.identity(), 2)
+    assert common_length([s2, generate(SequenceSpec.power_of(2), 2)]) == 2
+    with pytest.raises(ValueError, match="at least one sequence"):
+        common_length([])
+    with pytest.raises(ValueError, match="equal length"):
+        common_length([s2, generate(SequenceSpec.identity(), 3)])
