@@ -6,7 +6,9 @@ expanding each gcd^(2 alpha) over the common divisors with Jordan's totient
 (the positive-definite form of Gal and Dyer-Harman) costs O(T log T) in the
 number T <= sum_a prod_i tau(a_i) of divisor tuples of the support, not
 the O(K^2) of the Gram matrix, which pays off when the coordinates have few
-divisors (T << K^2), as differences of polynomial sequences do.
+divisors (T << K^2), as differences of polynomial sequences do.  The tuples
+are expanded one block of first divisors at a time, on one thread per usable
+core through _parallel.ordered_map, and the block sums added in block order.
 
 A seeded random completely multiplicative function with uniform unit-circle
 values at primes drives Monte Carlo checks of the second-moment identity
@@ -20,7 +22,7 @@ and zeta_trunc sums any of them over that axis.  verify_eq0 draws and sums
 its batches on one thread per usable core through _parallel.ordered_map; D
 and the zeta sums are np.einsum sums, not BLAS, in a fixed order per sample,
 so its output bytes depend neither on the core count nor on the BLAS
-threads.  gcd_sum and truncated_rhs run on the calling thread.
+threads.  truncated_rhs runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .energy import RepresentationTable, _run_indices, _unique_counts_rows
 
 _FACTOR_BLOCK = 1 << 20         # value-prime pairs tested per trial-division round
 _TRIAL_BOUND = 1 << 16          # largest trial divisor; larger factors go to a coprime base
-_MAX_DIVISOR_TUPLES = 1 << 24   # divisor tuples gcd_sum expands at most (~1.4 GB peak)
+_BLOCK_TUPLES = 1 << 16         # divisor tuples of one block of first-divisor groups in gcd_sum
+_MAX_DIVISOR_TUPLES = 1 << 28   # divisor tuples gcd_sum expands at most (~30 s at 0.11 us a tuple)
 _PHASE_BATCH = 256              # Monte Carlo samples per batch (3.3 MB of X, Y at M = 400)
 
 
@@ -183,12 +186,12 @@ def _coprime_base(numbers: list[int]) -> list[int]:
 
 
 def _divisor_runs(n_values: int, owner: np.ndarray, q: np.ndarray, k: np.ndarray,
-                  beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tau, div, root_j): the divisors of each value as contiguous runs.
+                  beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, start, div, root_j): the divisors of each value as contiguous runs.
 
     (owner, q, k) is the factorization from _prime_powers.  Value v owns
-    div[s : s + tau[v]] with s = sum(tau[:v]); root_j holds sqrt(J_beta(e))
-    for each divisor e, where Jordan's totient
+    div[s : s + tau[v]] with s = start[v] = sum(tau[:v]); root_j holds
+    sqrt(J_beta(e)) for each divisor e, where Jordan's totient
     J_beta(prod q^j) = prod_{j > 0} q^(j beta) (1 - q^-beta) >= 0.
     """
     order = np.argsort(owner, kind="stable")
@@ -214,7 +217,40 @@ def _divisor_runs(n_values: int, owner: np.ndarray, q: np.ndarray, k: np.ndarray
         run = np.repeat(run, reps)
         div = np.repeat(div, reps) * (qj ** j)[entry]
         root_j = np.repeat(root_j, reps) * root_jt[entry]
-    return np.bincount(run, minlength=n_values), div, root_j
+    tau = np.bincount(run, minlength=n_values)
+    return tau, np.cumsum(tau) - tau, div, root_j
+
+
+def _expand(rows: np.ndarray, w: np.ndarray, i: int, vals: np.ndarray,
+            runs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]):
+    """Rows repeated once per divisor of their i-th component, that component
+    replaced by the divisor and the weight scaled by sqrt(J_beta), then equal
+    rows merged.  vals are column i's distinct values, runs their
+    _divisor_runs."""
+    tau, start, div, root_j = runs
+    inv = np.searchsorted(vals, rows[:, i])     # column i is still unexpanded
+    length = tau[inv]
+    entry = _run_indices(length, start[inv])
+    rows = np.repeat(rows, length, axis=0)
+    rows[:, i] = div[entry]
+    w = np.repeat(w, length)
+    w *= root_j[entry]
+    del entry                           # free before the merge
+    return _unique_counts_rows(rows, w)
+
+
+def _first_divisor_blocks(first: np.ndarray, tuples: np.ndarray):
+    """(lo, hi) row ranges cutting the sorted column first into blocks of
+    whole groups of equal values, each of at most _BLOCK_TUPLES tuples
+    (tuples[r] for row r), or one group on its own when that group is larger."""
+    starts = np.flatnonzero(np.concatenate(([True], first[1:] != first[:-1])))
+    edges = np.append(starts, first.size)
+    before = np.concatenate(([0.0], np.cumsum(tuples)))[edges]
+    j = 0
+    while j < starts.size:
+        k = max(j + 1, int(np.searchsorted(before, before[j] + _BLOCK_TUPLES, side="right")) - 1)
+        yield int(edges[j]), int(edges[k])
+        j = k
 
 
 def gcd_sum(f: WeightedSupport, alpha: float) -> float:
@@ -222,24 +258,30 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
 
     With beta = 2 alpha, gcd(a, b)^beta = sum_{e | a, e | b} J_beta(e), so
         S_f = sum_{e in N^d} prod_i J_beta(e_i) |sum_{a : e_i | a_i} f(a) a^-alpha|^2.
-    The inner sums are built one coordinate at a time: every row (a point,
-    or a partly expanded tuple) is repeated once per divisor of its i-th
-    component, that component replaced by the divisor and the weight scaled
-    by sqrt(J_beta), and equal rows are merged.  Each distinct coordinate
-    value is factored once.
+    The inner sums are built one coordinate at a time (_expand): every row
+    (a point, or a partly expanded tuple) is repeated once per divisor of
+    its i-th component, and equal rows are merged.  Each distinct coordinate
+    value is factored once.  Rows with different first divisors e_1 never
+    merge, so after the first coordinate the rows, sorted by e_1, are cut
+    into blocks of whole e_1 groups of at most _BLOCK_TUPLES divisor tuples
+    each (a larger group is a block on its own).  The blocks are expanded
+    over the other coordinates and summed on one thread per usable core by
+    _parallel.ordered_map, and their sums are added in block order, so the
+    bytes do not depend on the core count.
 
-    Cost is O(T log T) time and 60-85 bytes of peak memory a tuple in the
-    number T = sum_a prod_i tau(a_i) of divisor tuples, against O(K^2) time
-    for the Gram form.  The divisor form serves supports whose coordinates
-    have few divisors, so that T << K^2: differences of (n, n^2) at N = 200
-    give K = 19 900 and T = 2.9e6, differences of n^8 at N = 200 (values up
-    to 2.6e18) give K = 19 900 and T = 1.4e7.  A few points with highly
-    composite coordinates make T > K^2, where the Gram form would be
-    cheaper: the single point (720720,)*4 has T = 240^4.  T is computed from
-    the factorizations before anything is expanded, and a support with T
-    above _MAX_DIVISOR_TUPLES raises ValueError.  Coordinates may be any
-    int64: factors above _TRIAL_BOUND are not searched for but split over a
-    coprime base.
+    Cost is O(T log T) time in the number T = sum_a prod_i tau(a_i) of
+    divisor tuples, against O(K^2) for the Gram form.  Peak memory is the
+    support expanded over its first coordinate, plus one block per usable
+    core, plus the largest e_1 group.  The divisor form serves supports
+    whose coordinates have few divisors, so that T << K^2: differences of
+    (n, n^2) at N = 200 give K = 19 900 and T = 2.9e6, differences of n^8 at
+    N = 200 (values up to 2.6e18) give K = 19 900 and T = 1.4e7.  A few
+    points with highly composite coordinates make T > K^2, where the Gram
+    form would be cheaper: the single point (720720,)*4 has T = 240^4.  T is
+    computed from the factorizations before anything is expanded, and a
+    support with T above _MAX_DIVISOR_TUPLES raises ValueError.
+    Coordinates may be any int64: factors above _TRIAL_BOUND are not
+    searched for but split over a coprime base.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -256,20 +298,25 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
         raise ValueError(
             f"the support expands to T = {tuples.sum():.4g} divisor tuples "
             f"(sum over points of prod_i tau(a_i)), above the limit {_MAX_DIVISOR_TUPLES}")
-    rows = f.points
-    w = f.weights * np.prod(rows.astype(np.float64) ** -alpha, axis=1)
-    for i, (vals, owner, q, k) in enumerate(columns):
-        tau, div, root_j = _divisor_runs(vals.size, owner, q, k, 2.0 * alpha)
-        inv = np.searchsorted(vals, rows[:, i])     # column i is still unexpanded
-        length = tau[inv]
-        entry = _run_indices(length, (np.cumsum(tau) - tau)[inv])
-        rows = np.repeat(rows, length, axis=0)
-        rows[:, i] = div[entry]
-        w = np.repeat(w, length)
-        w *= root_j[entry]
-        del entry, div, root_j          # free before the merge
-        rows, w = _unique_counts_rows(rows, w)
-    return float(np.vdot(w, w).real)
+
+    def runs(i: int):
+        vals, owner, q, k = columns[i]
+        return vals, _divisor_runs(vals.size, owner, q, k, 2.0 * alpha)
+
+    w = f.weights * np.prod(f.points.astype(np.float64) ** -alpha, axis=1)
+    rows, w = _expand(f.points, w, 0, *runs(0))
+    later = [runs(i) for i in range(1, f.d)]
+    remaining = np.ones(rows.shape[0])
+    for i, (vals, (tau, *_)) in enumerate(later, start=1):
+        remaining *= tau[np.searchsorted(vals, rows[:, i])]
+
+    def block(span: tuple[int, int]) -> float:
+        b_rows, b_w = rows[span[0]:span[1]], w[span[0]:span[1]]
+        for i, (vals, col_runs) in enumerate(later, start=1):
+            b_rows, b_w = _expand(b_rows, b_w, i, vals, col_runs)
+        return float(np.vdot(b_w, b_w).real)
+
+    return float(sum(_parallel.ordered_map(block, _first_divisor_blocks(rows[:, 0], remaining))))
 
 
 def gcd_sum_enumerate(f: WeightedSupport, alpha: float) -> float:

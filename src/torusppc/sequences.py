@@ -108,6 +108,9 @@ class SequenceData:
         v = self.values
         if not isinstance(v, np.ndarray) or v.dtype != np.int64 or v.ndim != 1:
             raise ValueError("sequence values must be a 1-D int64 array")
+        if v.base is not None:      # a view: whoever owns the data could still write it
+            v = v.copy()
+            object.__setattr__(self, "values", v)
         if v.shape[0] == 0:
             raise ValueError("sequence must have at least one element")
         first = int(v[0])
@@ -184,7 +187,7 @@ def generate(spec: SequenceSpec, N: int) -> SequenceData:
         values = _read_explicit(spec.path)
         if values.shape[0] < N:
             raise ValueError(f"file {spec.path} holds {values.shape[0]} < N = {N} integers")
-        values = values[:N].copy()
+        values = values[:N]
     else:
         raise ValueError(f"unknown sequence kind {spec.kind!r}")
     return SequenceData(values=values, spec=spec)

@@ -2,6 +2,7 @@ import copy
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,121 @@ def test_gcd_sum_above_former_support_guard():
     f = support_from_representations(table)
     assert f.K == 20_100
     assert gcd_sum(f, 0.5) >= f.norm_l2_sq
+
+
+def _difference_support(n_max):
+    n = np.arange(1, n_max + 1, dtype=np.int64)
+    return support_from_representations(representation_counts([seq(n), seq(n * n)]))
+
+
+def _spy_blocks(monkeypatch):
+    """The (lo, hi) spans gcd_sum cuts, one list per call."""
+    calls = []
+
+    def recording(first, tuples):
+        calls.append(list(blocks(first, tuples)))
+        return iter(calls[-1])
+
+    blocks = gcdsum._first_divisor_blocks
+    monkeypatch.setattr(gcdsum, "_first_divisor_blocks", recording)
+    return calls
+
+
+def test_first_divisor_blocks_cut_whole_groups_within_the_budget(monkeypatch):
+    monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", 10)
+    first = np.array([1, 1, 1, 2, 3, 3, 5, 7, 7, 7, 9])
+    tuples = np.array([4, 4, 4, 2, 3, 3, 1, 2, 2, 2, 9.0])
+    # the group of 1 holds 12 > 10 tuples, so it is a block on its own
+    assert list(gcdsum._first_divisor_blocks(first, tuples)) == [
+        (0, 3), (3, 7), (7, 10), (10, 11)]
+    assert list(gcdsum._first_divisor_blocks(first[:1], tuples[:1])) == [(0, 1)]
+
+
+@pytest.mark.parametrize("n_max", [20, 30, 40])
+def test_blocked_gcd_sum_matches_enumeration_on_differences(monkeypatch, n_max):
+    monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", 64)
+    calls = _spy_blocks(monkeypatch)
+    f = _difference_support(n_max)
+    for alpha in (0.5, 0.75):
+        assert gcd_sum(f, alpha) == pytest.approx(gcd_sum_enumerate(f, alpha), rel=1e-11)
+    assert all(len(spans) > 10 for spans in calls)
+
+
+def test_blocked_gcd_sum_matches_enumeration_with_cancelling_weights(monkeypatch):
+    monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", 64)
+    calls = _spy_blocks(monkeypatch)
+    rng = np.random.default_rng(24)
+    pts = sorted({tuple(int(x) for x in rng.integers(1, 400, size=3)) for _ in range(300)})
+    w = rng.normal(size=len(pts)) + 1j * rng.normal(size=len(pts))
+    w -= w.mean()                   # the weights sum to 0
+    f = WeightedSupport(d=3, entries=dict(zip(pts, w)))
+    for alpha in (0.5, 0.9):
+        assert gcd_sum(f, alpha) == pytest.approx(gcd_sum_enumerate(f, alpha), rel=1e-11)
+    assert len(calls[0]) > 10
+
+
+def test_blocked_gcd_sum_with_a_first_divisor_group_above_the_budget(monkeypatch):
+    # every point has a prime first coordinate, so the e_1 = 1 group holds
+    # every point: 24 + 30 + 32 + 36 + 48 + 60 = 230 tuples
+    monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", 64)
+    calls = _spy_blocks(monkeypatch)
+    first, second = [2, 3, 5, 7, 11, 13], [360, 720, 840, 1260, 2520, 5040]
+    f = WeightedSupport(d=2, entries={(p, c): complex(1 + i, (-1) ** i)
+                                      for i, (p, c) in enumerate(zip(first, second))})
+    assert gcd_sum(f, 0.6) == pytest.approx(gcd_sum_enumerate(f, 0.6), rel=1e-11)
+    assert calls[0][0] == (0, len(second))     # the e_1 = 1 rows, one block
+
+
+def test_blocked_gcd_sum_in_one_dimension(monkeypatch):
+    monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", 64)
+    calls = _spy_blocks(monkeypatch)
+    rng = np.random.default_rng(7)
+    f = WeightedSupport(d=1, entries={(int(x),): complex(rng.normal(), rng.normal())
+                                      for x in rng.integers(1, 5000, size=200)})
+    assert gcd_sum(f, 0.7) == pytest.approx(gcd_sum_enumerate(f, 0.7), rel=1e-11)
+    assert len(calls[0]) > 10
+
+
+def test_gcd_sum_bytes_do_not_depend_on_the_core_count(monkeypatch):
+    supports = [_difference_support(40), _difference_support(120)]
+    seen = set()
+    for budget in (64, gcdsum._BLOCK_TUPLES):
+        monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", budget)
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(_parallel, "usable_cores", lambda: workers)
+            seen.add((budget, *(gcd_sum(f, 0.75).hex() for f in supports)))
+    assert len(seen) == 2           # one result per budget
+
+
+def test_gcd_sum_of_one_block_does_not_depend_on_the_budget(monkeypatch):
+    calls = _spy_blocks(monkeypatch)
+    f = _difference_support(30)
+    want = gcd_sum(f, 0.75)
+    monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", 1 << 40)
+    assert gcd_sum(f, 0.75).hex() == want.hex()
+    assert [len(spans) for spans in calls] == [1, 1]
+
+
+GCD_SUM_PEAK_BOUND = 20 * 2 ** 20   # bytes; expanding all 7.55e5 tuples at once takes 39 MiB
+
+
+def _gcd_sum_traced_peak(f):
+    tracemalloc.start()
+    try:
+        gcd_sum(f, 0.75)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gcd_sum_peak_memory(monkeypatch):
+    # two workers, so the bound holds whatever the machine's core count
+    monkeypatch.setattr(_parallel, "usable_cores", lambda: 2)
+    f = _difference_support(120)
+    assert _gcd_sum_traced_peak(f) < GCD_SUM_PEAK_BOUND
+    # detector: everything in one block expands every tuple at once
+    monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", 1 << 40)
+    assert _gcd_sum_traced_peak(f) > GCD_SUM_PEAK_BOUND
 
 
 def test_pairwise_coprime_identity():

@@ -200,6 +200,16 @@ def test_sequence_data_refuses_what_is_not_a_sequence(values, message):
         SequenceData(values=values, spec=SequenceSpec.explicit("x"))
 
 
+def test_sequence_data_over_a_view_does_not_see_later_writes():
+    from torusppc.sequences import SequenceData
+
+    base = np.array([1, 2, 3, 4])
+    s = SequenceData(values=base[:], spec=SequenceSpec.explicit("x"))
+    base[1] = 9
+    assert s.values.tolist() == [1, 2, 3, 4]
+    assert not s.values.flags.writeable
+
+
 def test_hand_built_and_generated_sequences_fail_alike(tmp_path):
     from torusppc.sequences import SequenceData
 
