@@ -7,8 +7,8 @@ expanding each gcd^(2 alpha) over the common divisors with Jordan's totient
 number T <= sum_a prod_i tau(a_i) of divisor tuples of the support, not
 the O(K^2) of the Gram matrix, which pays off when the coordinates have few
 divisors (T << K^2), as differences of polynomial sequences do.  The tuples
-are expanded one block of first divisors at a time, on one thread per usable
-core through _parallel.ordered_map, and the block sums added in block order.
+are expanded one block of first divisors at a time, so memory holds one
+block, not all T tuples.
 
 A seeded random completely multiplicative function with uniform unit-circle
 values at primes drives Monte Carlo checks of the second-moment identity
@@ -22,7 +22,7 @@ and zeta_trunc sums any of them over that axis.  verify_eq0 draws and sums
 its batches on one thread per usable core through _parallel.ordered_map; D
 and the zeta sums are np.einsum sums, not BLAS, in a fixed order per sample,
 so its output bytes depend neither on the core count nor on the BLAS
-threads.  truncated_rhs runs on the calling thread.
+threads.  gcd_sum and truncated_rhs run on the calling thread.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .energy import RepresentationTable, _run_indices, _unique_counts_rows
 _FACTOR_BLOCK = 1 << 20         # value-prime pairs tested per trial-division round
 _TRIAL_BOUND = 1 << 16          # largest trial divisor; larger factors go to a coprime base
 _BLOCK_TUPLES = 1 << 16         # divisor tuples of one block of first-divisor groups in gcd_sum
-_MAX_DIVISOR_TUPLES = 1 << 28   # divisor tuples gcd_sum expands at most (~30 s at 0.11 us a tuple)
+_MAX_HELD_TUPLES = 1 << 24      # divisor tuples gcd_sum holds expanded at once at most (~1.4 GB)
+_MAX_DIVISOR_TUPLES = 1 << 28   # divisor tuples gcd_sum expands in all at most (~30 s at 0.11 us a tuple)
 _PHASE_BATCH = 256              # Monte Carlo samples per batch (3.3 MB of X, Y at M = 400)
 
 
@@ -239,18 +240,21 @@ def _expand(rows: np.ndarray, w: np.ndarray, i: int, vals: np.ndarray,
     return _unique_counts_rows(rows, w)
 
 
-def _first_divisor_blocks(first: np.ndarray, tuples: np.ndarray):
-    """(lo, hi) row ranges cutting the sorted column first into blocks of
-    whole groups of equal values, each of at most _BLOCK_TUPLES tuples
-    (tuples[r] for row r), or one group on its own when that group is larger."""
+def _first_divisor_blocks(first: np.ndarray, tuples: np.ndarray) -> list[tuple[int, int, float]]:
+    """(lo, hi, tuples) for the row ranges cutting the sorted column first
+    into blocks of whole groups of equal values, each of at most
+    _BLOCK_TUPLES tuples (tuples[r] for row r), or one group on its own when
+    that group is larger."""
     starts = np.flatnonzero(np.concatenate(([True], first[1:] != first[:-1])))
     edges = np.append(starts, first.size)
     before = np.concatenate(([0.0], np.cumsum(tuples)))[edges]
+    blocks = []
     j = 0
     while j < starts.size:
         k = max(j + 1, int(np.searchsorted(before, before[j] + _BLOCK_TUPLES, side="right")) - 1)
-        yield int(edges[j]), int(edges[k])
+        blocks.append((int(edges[j]), int(edges[k]), float(before[k] - before[j])))
         j = k
+    return blocks
 
 
 def gcd_sum(f: WeightedSupport, alpha: float) -> float:
@@ -264,22 +268,24 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
     value is factored once.  Rows with different first divisors e_1 never
     merge, so after the first coordinate the rows, sorted by e_1, are cut
     into blocks of whole e_1 groups of at most _BLOCK_TUPLES divisor tuples
-    each (a larger group is a block on its own).  The blocks are expanded
-    over the other coordinates and summed on one thread per usable core by
-    _parallel.ordered_map, and their sums are added in block order, so the
-    bytes do not depend on the core count.
+    each (a larger group is a block on its own).  One block at a time is
+    expanded over the other coordinates and summed, and the block sums are
+    added in block order.
 
     Cost is O(T log T) time in the number T = sum_a prod_i tau(a_i) of
-    divisor tuples, against O(K^2) for the Gram form.  Peak memory is the
-    support expanded over its first coordinate, plus one block per usable
-    core, plus the largest e_1 group.  The divisor form serves supports
+    divisor tuples, against O(K^2) for the Gram form.  Memory holds the
+    divisors of each column's distinct values and, at 60-85 bytes a tuple,
+    two expansions: the support over its first coordinate (sum_a tau(a_1)
+    tuples) and the block being summed.  A support where any of the three
+    exceeds _MAX_HELD_TUPLES raises ValueError before the blocks are
+    expanded.  The divisor form serves supports
     whose coordinates have few divisors, so that T << K^2: differences of
     (n, n^2) at N = 200 give K = 19 900 and T = 2.9e6, differences of n^8 at
     N = 200 (values up to 2.6e18) give K = 19 900 and T = 1.4e7.  A few
     points with highly composite coordinates make T > K^2, where the Gram
     form would be cheaper: the single point (720720,)*4 has T = 240^4.  T is
     computed from the factorizations before anything is expanded, and a
-    support with T above _MAX_DIVISOR_TUPLES raises ValueError.
+    support with T above _MAX_DIVISOR_TUPLES, a time cap, raises ValueError.
     Coordinates may be any int64: factors above _TRIAL_BOUND are not
     searched for but split over a coprime base.
     """
@@ -287,17 +293,26 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     columns = []
     tuples = np.ones(f.K)
+    divisors = 0.0
     for i in range(f.d):
         vals, inv = np.unique(f.points[:, i], return_inverse=True)
         owner, q, k = _prime_powers(vals)
         tau = np.ones(vals.size)
         np.multiply.at(tau, owner, k + 1.0)
         tuples *= tau[inv]
+        divisors += tau.sum()
         columns.append((vals, owner, q, k))
+        if i == 0:
+            first_tuples = tuples.sum()
     if tuples.sum() > _MAX_DIVISOR_TUPLES:
         raise ValueError(
             f"the support expands to T = {tuples.sum():.4g} divisor tuples "
             f"(sum over points of prod_i tau(a_i)), above the limit {_MAX_DIVISOR_TUPLES}")
+    if max(first_tuples, divisors) > _MAX_HELD_TUPLES:
+        raise ValueError(
+            f"the support's first coordinates expand to {first_tuples:.4g} divisor tuples "
+            f"(sum over points of tau(a_1)) and its distinct coordinate values have "
+            f"{divisors:.4g} divisors, above the limit {_MAX_HELD_TUPLES} held at once")
 
     def runs(i: int):
         vals, owner, q, k = columns[i]
@@ -310,13 +325,20 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
     for i, (vals, (tau, *_)) in enumerate(later, start=1):
         remaining *= tau[np.searchsorted(vals, rows[:, i])]
 
-    def block(span: tuple[int, int]) -> float:
-        b_rows, b_w = rows[span[0]:span[1]], w[span[0]:span[1]]
+    blocks = _first_divisor_blocks(rows[:, 0], remaining)
+    lo, _, held = max(blocks, key=lambda b: b[2])
+    if held > _MAX_HELD_TUPLES:
+        raise ValueError(
+            f"the divisor tuples with first divisor {rows[lo, 0]} number {held:.4g}, "
+            f"above the limit {_MAX_HELD_TUPLES} held at once")
+
+    def block(lo: int, hi: int, _: float) -> float:
+        b_rows, b_w = rows[lo:hi], w[lo:hi]
         for i, (vals, col_runs) in enumerate(later, start=1):
             b_rows, b_w = _expand(b_rows, b_w, i, vals, col_runs)
         return float(np.vdot(b_w, b_w).real)
 
-    return float(sum(_parallel.ordered_map(block, _first_divisor_blocks(rows[:, 0], remaining))))
+    return float(sum(block(*b) for b in blocks))
 
 
 def gcd_sum_enumerate(f: WeightedSupport, alpha: float) -> float:

@@ -108,9 +108,8 @@ class SequenceData:
         v = self.values
         if not isinstance(v, np.ndarray) or v.dtype != np.int64 or v.ndim != 1:
             raise ValueError("sequence values must be a 1-D int64 array")
-        if v.base is not None:      # a view: whoever owns the data could still write it
-            v = v.copy()
-            object.__setattr__(self, "values", v)
+        v = v.copy()                # no array or view made before can write it
+        object.__setattr__(self, "values", v)
         if v.shape[0] == 0:
             raise ValueError("sequence must have at least one element")
         first = int(v[0])

@@ -204,8 +204,8 @@ def _spy_blocks(monkeypatch):
     calls = []
 
     def recording(first, tuples):
-        calls.append(list(blocks(first, tuples)))
-        return iter(calls[-1])
+        calls.append(blocks(first, tuples))
+        return calls[-1]
 
     blocks = gcdsum._first_divisor_blocks
     monkeypatch.setattr(gcdsum, "_first_divisor_blocks", recording)
@@ -217,9 +217,9 @@ def test_first_divisor_blocks_cut_whole_groups_within_the_budget(monkeypatch):
     first = np.array([1, 1, 1, 2, 3, 3, 5, 7, 7, 7, 9])
     tuples = np.array([4, 4, 4, 2, 3, 3, 1, 2, 2, 2, 9.0])
     # the group of 1 holds 12 > 10 tuples, so it is a block on its own
-    assert list(gcdsum._first_divisor_blocks(first, tuples)) == [
-        (0, 3), (3, 7), (7, 10), (10, 11)]
-    assert list(gcdsum._first_divisor_blocks(first[:1], tuples[:1])) == [(0, 1)]
+    assert gcdsum._first_divisor_blocks(first, tuples) == [
+        (0, 3, 12), (3, 7, 9), (7, 10, 6), (10, 11, 9)]
+    assert gcdsum._first_divisor_blocks(first[:1], tuples[:1]) == [(0, 1, 4)]
 
 
 @pytest.mark.parametrize("n_max", [20, 30, 40])
@@ -254,7 +254,7 @@ def test_blocked_gcd_sum_with_a_first_divisor_group_above_the_budget(monkeypatch
     f = WeightedSupport(d=2, entries={(p, c): complex(1 + i, (-1) ** i)
                                       for i, (p, c) in enumerate(zip(first, second))})
     assert gcd_sum(f, 0.6) == pytest.approx(gcd_sum_enumerate(f, 0.6), rel=1e-11)
-    assert calls[0][0] == (0, len(second))     # the e_1 = 1 rows, one block
+    assert calls[0][0] == (0, len(second), 230)     # the e_1 = 1 rows, one block
 
 
 def test_blocked_gcd_sum_in_one_dimension(monkeypatch):
@@ -267,17 +267,6 @@ def test_blocked_gcd_sum_in_one_dimension(monkeypatch):
     assert len(calls[0]) > 10
 
 
-def test_gcd_sum_bytes_do_not_depend_on_the_core_count(monkeypatch):
-    supports = [_difference_support(40), _difference_support(120)]
-    seen = set()
-    for budget in (64, gcdsum._BLOCK_TUPLES):
-        monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", budget)
-        for workers in (1, 2, 5):
-            monkeypatch.setattr(_parallel, "usable_cores", lambda: workers)
-            seen.add((budget, *(gcd_sum(f, 0.75).hex() for f in supports)))
-    assert len(seen) == 2           # one result per budget
-
-
 def test_gcd_sum_of_one_block_does_not_depend_on_the_budget(monkeypatch):
     calls = _spy_blocks(monkeypatch)
     f = _difference_support(30)
@@ -285,6 +274,21 @@ def test_gcd_sum_of_one_block_does_not_depend_on_the_budget(monkeypatch):
     monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", 1 << 40)
     assert gcd_sum(f, 0.75).hex() == want.hex()
     assert [len(spans) for spans in calls] == [1, 1]
+
+
+def test_gcd_sum_refuses_to_hold_more_first_coordinate_tuples_than_the_memory_cap():
+    # d = 1: T = sum_a tau(a) = 4.9e7 lies between the memory cap 2^24 and the time cap 2^28
+    f = WeightedSupport.ones([(k * 963761198400,) for k in range(1, 2601)])
+    with pytest.raises(ValueError, match="held at once"):
+        gcd_sum(f, 0.5)
+
+
+def test_gcd_sum_refuses_a_first_divisor_group_above_the_memory_cap():
+    # each e_1 group expands to (sum_x tau(x))^2 = 3.6e7 > 2^24 tuples, T = 7.2e7 < 2^28
+    xs = [k * 720720 for k in range(1, 17)]
+    f = WeightedSupport.ones([(2, x, y) for x in xs for y in xs])
+    with pytest.raises(ValueError, match="with first divisor 1 number .* held at once"):
+        gcd_sum(f, 0.5)
 
 
 GCD_SUM_PEAK_BOUND = 20 * 2 ** 20   # bytes; expanding all 7.55e5 tuples at once takes 39 MiB
@@ -300,8 +304,6 @@ def _gcd_sum_traced_peak(f):
 
 
 def test_gcd_sum_peak_memory(monkeypatch):
-    # two workers, so the bound holds whatever the machine's core count
-    monkeypatch.setattr(_parallel, "usable_cores", lambda: 2)
     f = _difference_support(120)
     assert _gcd_sum_traced_peak(f) < GCD_SUM_PEAK_BOUND
     # detector: everything in one block expands every tuple at once

@@ -210,6 +210,16 @@ def test_sequence_data_over_a_view_does_not_see_later_writes():
     assert not s.values.flags.writeable
 
 
+def test_sequence_data_does_not_see_writes_through_an_earlier_view():
+    from torusppc.sequences import SequenceData
+
+    owner = np.array([1, 2, 3, 4])
+    view = owner[:]
+    s = SequenceData(values=owner, spec=SequenceSpec.explicit("x"))
+    view[1] = 9
+    assert s.values.tolist() == [1, 2, 3, 4]
+
+
 def test_hand_built_and_generated_sequences_fail_alike(tmp_path):
     from torusppc.sequences import SequenceData
 
