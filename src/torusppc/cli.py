@@ -120,6 +120,8 @@ def _load_support(path: str) -> WeightedSupport:
     entries = {}
     try:
         for *coords, re_w, im_w in data["entries"]:
+            if any(isinstance(x, bool) for x in (*coords, re_w, im_w)):
+                raise ConfigError(f"support entry {[*coords, re_w, im_w]} holds a boolean")
             point = tuple(int(c) for c in coords)
             if point != tuple(coords):
                 raise ConfigError(f"support point {coords} has a non-integer coordinate")

@@ -15,9 +15,10 @@ the zero row with count N, then the half table.  Only the N(N-1)/2 pairs
 i > j are enumerated, in bands [L, U) of the first-component difference:
 row i meets a band in one contiguous run of j, and the band edges are chosen
 so each band holds at most a fixed budget of 2^20 index pairs (_PAIR_BUDGET;
-a single first-difference value is never split).  A band is one integer key
-column, the mixed-radix code of its difference vectors built one component
-at a time, sorted in place: its runs of equal keys are the counts D(v).
+a single first-difference value is never split).  A band is grouped by
+_group_rows, the package's one grouping function: one integer key column,
+the mixed-radix code of its difference vectors built one component at a
+time, sorted in place, whose runs of equal keys are the counts D(v).
 The calling thread finds the band edges and _parallel.ordered_map counts
 the bands on one thread per usable core.  Bands are disjoint in v, so each
 adds its sum of squared counts to E directly (the energy never decodes a
@@ -76,50 +77,60 @@ def _group_encode(columns: Iterable[np.ndarray]):
     return keys, np.array(los), radix
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each run of equal values in a nonempty sorted array."""
-    change = np.empty(keys.size, dtype=bool)
+def _runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal rows in nonempty columns sorted
+    lexicographically as rows."""
+    first = columns[0]
+    change = np.empty(first.size, dtype=bool)
     change[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    np.not_equal(first[1:], first[:-1], out=change[1:])
+    for col in columns[1:]:
+        change[1:] |= col[1:] != col[:-1]
     firsts = np.flatnonzero(change)
-    return firsts, np.diff(np.append(firsts, keys.size))
+    return firsts, np.diff(np.append(firsts, first.size))
 
 
-def _key_groups(keys: np.ndarray, los: np.ndarray, radix: list[int]):
-    """Unique rows of sorted mixed-radix keys, decoded column-major, with
-    their multiplicities."""
-    firsts, counts = _runs(keys)
-    rest = keys[firsts].astype(np.int64)
-    rows = np.empty((firsts.size, len(radix)), dtype=np.int64, order="F")
-    for k in range(len(radix) - 1, 0, -1):
-        quot = rest // radix[k]
-        np.subtract(rest, quot * radix[k], out=rows[:, k])
-        rest = quot
-    rows[:, 0] = rest
-    rows += los
-    return rows, counts
+def _group_rows(columns: Callable[[], Iterable[np.ndarray]],
+                weights: np.ndarray | None = None, decode: bool = True):
+    """(rows, counts): the distinct rows, in lexicographic order, of the
+    nonempty int64 columns that columns() yields one at a time, as a
+    column-major (k, d) array (None unless decode), with their multiplicities
+    or, when weights are given, their summed weights.
 
-
-def _unique_counts_rows(vectors: np.ndarray, weights: np.ndarray | None = None):
-    """Unique rows in lexicographic order, with their multiplicities, or with
-    their summed weights when weights are given.
-
-    Without weights the keys are sorted in place and the unique rows
-    decoded from them; with weights a stable order keeps each group's
-    summation order.  Rows whose value ranges overflow the key are lexsorted.
+    The rows' mixed-radix keys are sorted, in place, or stably with weights so
+    that each group sums in row order; the runs of equal keys are the groups,
+    decoded from each run's first key.  When the key overflows, columns() is
+    called again and its columns are copied out and lexsorted instead.
     """
-    enc = _group_encode(vectors.T)
-    if enc is not None and weights is None:
-        enc[0].sort()
-        return _key_groups(*enc)
-    order = np.argsort(enc[0], kind="stable") if enc is not None else np.lexsort(vectors.T[::-1])
-    sv = vectors[order]
-    change = np.ones(sv.shape[0], dtype=bool)
-    change[1:] = (sv[1:] != sv[:-1]).any(axis=1)
-    firsts = np.flatnonzero(change)
-    if weights is None:
-        return sv[firsts], np.diff(np.append(firsts, sv.shape[0]))
-    return sv[firsts], np.add.reduceat(weights[order], firsts)
+    enc = _group_encode(columns())
+    if enc is None:
+        cols = [np.array(col) for col in columns()]
+        order = np.lexsort(cols[::-1])
+        for k, col in enumerate(cols):
+            cols[k] = col[order]
+        firsts, counts = _runs(*cols)
+        rows = np.array([col[firsts] for col in cols]).T if decode else None
+    else:
+        keys, los, radix = enc
+        if weights is None:
+            keys.sort()
+        else:
+            order = np.argsort(keys, kind="stable")
+            keys[:] = keys[order]
+        firsts, counts = _runs(keys)
+        rows = None
+        if decode:
+            rest = keys[firsts].astype(np.int64)
+            rows = np.empty((firsts.size, len(radix)), dtype=np.int64, order="F")
+            for k in range(len(radix) - 1, 0, -1):
+                quot = rest // radix[k]
+                np.subtract(rest, quot * radix[k], out=rows[:, k])
+                rest = quot
+            rows[:, 0] = rest
+            rows += los
+    if weights is not None:
+        counts = np.add.reduceat(weights[order], firsts)
+    return rows, counts
 
 
 def _difference_columns(seqs: Sequence[SequenceData]) -> list[np.ndarray]:
@@ -132,10 +143,17 @@ def _difference_columns(seqs: Sequence[SequenceData]) -> list[np.ndarray]:
     return [s.values - s.values[0] for s in seqs]
 
 
-def _band_columns(cols: list[np.ndarray], j: np.ndarray, length: np.ndarray,
-                  buf: np.ndarray) -> Iterator[np.ndarray]:
-    """Component k of the band's difference vectors, a_i - a_j over the runs
-    of j of each row i, written into buf for k = 0, 1, ... in turn."""
+def _band_columns(cols: list[np.ndarray], lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Component k of the difference vectors a_i - a_j of the pairs i > j
+    with first difference in [lo, hi), written into one buffer for k = 0, 1,
+    ... in turn.  Row i meets the band in the run of j with
+    a_i - hi < a_j <= a_i - lo; the index j and the buffer are freed when
+    the generator is."""
+    a = cols[0]
+    start = np.searchsorted(a, a - hi, side="right")
+    length = np.searchsorted(a, a - lo, side="right") - start
+    j = _run_indices(length, start)
+    buf = np.empty(j.size, dtype=np.int64)
     for v in cols:
         np.take(v, j, out=buf, mode="clip")       # unbuffered; j is in range
         np.subtract(np.repeat(v, length), buf, out=buf)
@@ -145,29 +163,9 @@ def _band_columns(cols: list[np.ndarray], j: np.ndarray, length: np.ndarray,
 def _band(cols: list[np.ndarray], lo: int, hi: int, table: bool):
     """(pairs, result) for the pairs i > j with first difference in [lo, hi):
     result is (rows, counts) of the band's distinct vectors when table is
-    true, else the sum of their squared counts.
-
-    Row i meets the band in the run of j with a_i - hi < a_j <= a_i - lo.
-    The band's mixed-radix key is built one component at a time through one
-    reused buffer and sorted in place; a band whose value ranges overflow the
-    key is built as an (m, d) matrix and lexsorted instead.
-    """
-    a = cols[0]
-    start = np.searchsorted(a, a - hi, side="right")
-    length = np.searchsorted(a, a - lo, side="right") - start
-    j = _run_indices(length, start)
-    buf = np.empty(j.size, dtype=np.int64)
-    enc = _group_encode(_band_columns(cols, j, length, buf))
-    if enc is None:
-        vectors = np.empty((j.size, len(cols)), dtype=np.int64, order="F")
-        for k, col in enumerate(_band_columns(cols, j, length, buf)):
-            vectors[:, k] = col
-        del j, buf
-        rows, counts = _unique_counts_rows(vectors)
-    else:
-        del j, buf
-        enc[0].sort()
-        rows, counts = _key_groups(*enc) if table else (None, _runs(enc[0])[1])
+    true, else the sum of their squared counts, grouped by _group_rows as
+    _band_columns writes them."""
+    rows, counts = _group_rows(lambda: _band_columns(cols, lo, hi), decode=table)
     return int(counts.sum()), (rows, counts) if table else int(counts @ counts)
 
 
@@ -353,19 +351,16 @@ def count_Jl_brute(f_seq: SequenceData, g_seq: SequenceData, l: int) -> int:
 def vinogradov_J2d(N: int, d: int) -> int:
     """Number of solutions of x1^i + x2^i = y1^i + y2^i for 1 <= i <= d over [1,N]^4.
 
-    Ordered pairs are hashed by their vector of power sums; the count is the
-    sum of squared multiplicities.
+    Ordered pairs are grouped by their vector of power sums (_group_rows); the
+    count is the sum of squared multiplicities.
     """
     if N < 1 or d < 1:
         raise ValueError("N and d must be >= 1")
     if 2 * N ** d >= 1 << 63:
         raise OverflowError(f"power sums overflow int64 for N = {N}, d = {d}")
     x = np.arange(1, N + 1, dtype=np.int64)
-    key = np.empty((N * N, d), dtype=np.int64)
-    for i in range(1, d + 1):
-        p = x ** i
-        key[:, i - 1] = (p[:, None] + p[None, :]).ravel()
-    _, counts = _unique_counts_rows(key)
+    _, counts = _group_rows(lambda: (np.add.outer(x ** i, x ** i).ravel() for i in range(1, d + 1)),
+                            decode=False)
     c = counts.astype(object)
     return int((c * c).sum())
 

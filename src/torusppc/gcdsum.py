@@ -35,12 +35,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _parallel
-from .energy import RepresentationTable, _run_indices, _unique_counts_rows
+from .energy import RepresentationTable, _group_rows, _run_indices, _runs
 
 _FACTOR_BLOCK = 1 << 20         # value-prime pairs tested per trial-division round
 _TRIAL_BOUND = 1 << 16          # largest trial divisor; larger factors go to a coprime base
 _BLOCK_TUPLES = 1 << 16         # divisor tuples of one block of first-divisor groups in gcd_sum
-_MAX_HELD_TUPLES = 1 << 24      # divisor tuples gcd_sum holds expanded at once at most (~1.4 GB)
+_MAX_HELD_TUPLES = 1 << 24      # divisor tuples gcd_sum holds expanded at once at most (~1-2 GB)
 _MAX_DIVISOR_TUPLES = 1 << 28   # divisor tuples gcd_sum expands in all at most (~30 s at 0.11 us a tuple)
 _PHASE_BATCH = 256              # Monte Carlo samples per batch (3.3 MB of X, Y at M = 400)
 
@@ -226,18 +226,18 @@ def _expand(rows: np.ndarray, w: np.ndarray, i: int, vals: np.ndarray,
             runs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]):
     """Rows repeated once per divisor of their i-th component, that component
     replaced by the divisor and the weight scaled by sqrt(J_beta), then equal
-    rows merged.  vals are column i's distinct values, runs their
-    _divisor_runs."""
+    rows merged by _group_rows, which reads the repeated columns one at a
+    time.  vals are column i's distinct values, runs their _divisor_runs."""
     tau, start, div, root_j = runs
     inv = np.searchsorted(vals, rows[:, i])     # column i is still unexpanded
     length = tau[inv]
     entry = _run_indices(length, start[inv])
-    rows = np.repeat(rows, length, axis=0)
-    rows[:, i] = div[entry]
     w = np.repeat(w, length)
     w *= root_j[entry]
+    divisors = div[entry]
     del entry                           # free before the merge
-    return _unique_counts_rows(rows, w)
+    return _group_rows(lambda: (divisors if k == i else np.repeat(rows[:, k], length)
+                                for k in range(rows.shape[1])), w)
 
 
 def _first_divisor_blocks(first: np.ndarray, tuples: np.ndarray) -> list[tuple[int, int, float]]:
@@ -245,7 +245,7 @@ def _first_divisor_blocks(first: np.ndarray, tuples: np.ndarray) -> list[tuple[i
     into blocks of whole groups of equal values, each of at most
     _BLOCK_TUPLES tuples (tuples[r] for row r), or one group on its own when
     that group is larger."""
-    starts = np.flatnonzero(np.concatenate(([True], first[1:] != first[:-1])))
+    starts, _ = _runs(first)
     edges = np.append(starts, first.size)
     before = np.concatenate(([0.0], np.cumsum(tuples)))[edges]
     blocks = []
@@ -274,7 +274,7 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
 
     Cost is O(T log T) time in the number T = sum_a prod_i tau(a_i) of
     divisor tuples, against O(K^2) for the Gram form.  Memory holds the
-    divisors of each column's distinct values and, at 60-85 bytes a tuple,
+    divisors of each column's distinct values and, at 55-120 bytes a tuple,
     two expansions: the support over its first coordinate (sum_a tau(a_1)
     tuples) and the block being summed.  A support where any of the three
     exceeds _MAX_HELD_TUPLES raises ValueError before the blocks are

@@ -152,9 +152,6 @@ def _count_near(cols: np.ndarray, ia: np.ndarray, ib: np.ndarray,
         dn = np.minimum(du, -du).astype(np.float64)
         acc += dn * dn
     bound = thr.two_num_f
-    if bound == 0.0:
-        inside = acc == 0.0
-        return int(np.count_nonzero(inside))
     sure_in = acc <= bound * (1.0 - _BORDER_BAND)
     count = int(np.count_nonzero(sure_in))
     border = np.flatnonzero(~sure_in & (acc <= bound * (1.0 + _BORDER_BAND)))

@@ -85,14 +85,14 @@ def test_gcdsum_command(capsys):
 def test_gcdsum_table_mismatch_is_internal_error(capsys, monkeypatch):
     from torusppc import energy, errors
 
-    real = energy._key_groups
+    real = energy._group_rows
 
-    def dropped(*args):
-        rows, counts = real(*args)
+    def dropped(*args, **kwargs):
+        rows, counts = real(*args, **kwargs)
         counts[0] -= 1          # the grouping loses one ordered pair
         return rows, counts
 
-    monkeypatch.setattr(energy, "_key_groups", dropped)
+    monkeypatch.setattr(energy, "_group_rows", dropped)
     code, out, err = run_cli(capsys, "gcdsum", "--alpha-exp", "1.0", "--family", "n,n^2",
                              "--N", "10")
     assert code == cli.EXIT_INTERNAL == 5
@@ -289,7 +289,8 @@ def test_malformed_support_json_is_config_error(capsys, tmp_path):
                 {"entries": [[1, 1, 1, 0], [1, 1, 2, 0]]},    # a point given twice
                 {"entries": [[1.5, 1, 1, 0]]},                # a fractional coordinate
                 {"entries": [[1, 2, math.nan, 0]]},           # a non-finite weight
-                {"entries": [[1, 2, 1e308, 0], [2, 1, 1e308, 0]]}):   # |f|^2 overflows
+                {"entries": [[1, 2, 1e308, 0], [2, 1, 1e308, 0]]},    # |f|^2 overflows
+                {"entries": [[True, 2, 1.0, 0.0]]}):          # a boolean coordinate
         path.write_text(json.dumps(bad), encoding="utf-8")
         for command in (["gcdsum", "--alpha-exp", "1.0"], ["verify-eq0"]):
             code, out, err = run_cli(capsys, *command, "--support-json", str(path))

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,14 +184,14 @@ def test_bands_in_flight_match_oracles_at_any_worker_count(monkeypatch):
                       for _ in range(d)])
         cases.append([np.sort(rng.choice(2 ** 61, size=40, replace=False) + 2 ** 61)
                       for _ in range(d)])
-    real = energy._unique_counts_rows
+    real = np.lexsort
     lexsort_threads = []
 
-    def recording(vectors, weights=None):
+    def recording(keys, axis=-1):
         lexsort_threads.append(threading.current_thread())
-        return real(vectors, weights)
+        return real(keys, axis)
 
-    monkeypatch.setattr(energy, "_unique_counts_rows", recording)
+    monkeypatch.setattr(np, "lexsort", recording)
     monkeypatch.setattr(energy, "_PAIR_BUDGET", 31)
     tables = {}
     interval = sys.getswitchinterval()
@@ -210,6 +211,83 @@ def test_bands_in_flight_match_oracles_at_any_worker_count(monkeypatch):
     assert all(len(set(runs)) == 1 for runs in tables.values())
     assert lexsort_threads
     assert threading.main_thread() not in lexsort_threads
+
+
+def _refilled(values, calls):
+    """columns() for _group_rows: the columns of values written in turn into
+    one buffer, as the bands write theirs; each call appends to calls."""
+    def columns():
+        calls.append(1)
+        buf = np.empty(values.shape[0], dtype=np.int64)
+        for col in values.T:
+            buf[:] = col
+            yield buf
+    return columns
+
+
+@pytest.mark.parametrize("kind", ["uint32", "int64", "overflow"])
+def test_group_rows_matches_unique_and_add_at(kind):
+    rng = np.random.default_rng(["uint32", "int64", "overflow"].index(kind))
+    for trial in range(24):
+        d = 1 + trial % 3 if kind != "overflow" else 2 + trial % 2
+        span = {"uint32": 40, "int64": 2 ** (47 // d), "overflow": 2 ** 62}[kind]
+        pool = rng.integers(-span, span, size=(6, d))
+        pick = rng.integers(0, 6, size=(int(rng.integers(1, 300)), d))
+        if kind != "uint32":       # span the range that sets the key's kind
+            pool[0], pool[1] = -span, span - 1
+            pick = rng.permutation(np.vstack([np.zeros(d, int), np.ones(d, int), pick]))
+        values = pool[pick, np.arange(d)]
+        enc = energy._group_encode(iter(values.T))
+        assert (kind == "overflow") == (enc is None)
+        assert enc is None or enc[0].dtype == {"uint32": np.uint32, "int64": np.int64}[kind]
+        ref_rows, inv, ref_counts = np.unique(values, axis=0, return_inverse=True,
+                                              return_counts=True)
+        inv = inv.ravel()
+        w = rng.normal(size=values.shape[0]) + 1j * rng.normal(size=values.shape[0])
+        ref_sums = np.zeros(ref_counts.size, dtype=np.complex128)
+        np.add.at(ref_sums, inv, w)
+        scale = np.zeros(ref_counts.size)
+        np.add.at(scale, inv, np.abs(w))
+        for weights in (None, w):
+            for decode in (True, False):
+                calls = []
+                rows, counts = energy._group_rows(_refilled(values, calls), weights, decode)
+                assert len(calls) == (2 if kind == "overflow" else 1)
+                if decode:
+                    assert rows.dtype == np.int64 and np.array_equal(rows, ref_rows)
+                else:
+                    assert rows is None
+                if weights is None:
+                    assert counts.dtype == np.int64 and np.array_equal(counts, ref_counts)
+                else:
+                    assert np.all(np.abs(counts - ref_sums) <= 1e-12 * scale)
+
+
+BAND_PEAK_BOUNDS = (40 * 2 ** 20, 34 * 2 ** 20)   # bytes: (n, n^2) at N = 2048, n^2 at N = 4096
+
+
+def _traced_peak(fn, arg):
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_band_peak_memory(monkeypatch):
+    # one band in flight: its key, not its index j and column buffer, is
+    # what the sort holds (measured 33.0 and 24.2 MiB)
+    monkeypatch.setattr(_parallel, "usable_cores", lambda: 1)
+    cases = [(joint_additive_energy, [generate(SequenceSpec.identity(), 2048),
+                                      generate(SequenceSpec.power_of(2), 2048)]),
+             (additive_energy, generate(SequenceSpec.power_of(2), 4096))]
+    for (fn, arg), bound in zip(cases, BAND_PEAK_BOUNDS):
+        assert _traced_peak(fn, arg) < bound, fn.__name__
+    # detector: bands four times larger exceed both bounds
+    monkeypatch.setattr(energy, "_PAIR_BUDGET", 1 << 22)
+    for (fn, arg), bound in zip(cases, BAND_PEAK_BOUNDS):
+        assert _traced_peak(fn, arg) > bound, fn.__name__
 
 
 def test_count_jl_examples():
@@ -289,13 +367,13 @@ def test_overflow_guard():
 
 
 def test_representation_counts_lost_pair_is_internal_error(monkeypatch):
-    real = energy._key_groups
+    real = energy._group_rows
 
-    def dropped(*args):
-        rows, counts = real(*args)
+    def dropped(*args, **kwargs):
+        rows, counts = real(*args, **kwargs)
         counts[0] -= 1          # the grouping loses one ordered pair
         return rows, counts
 
-    monkeypatch.setattr(energy, "_key_groups", dropped)
+    monkeypatch.setattr(energy, "_group_rows", dropped)
     with pytest.raises(InternalError, match="holds 7 pairs, expected N\\^2 = 9"):
         representation_counts([seq([1, 2, 4])])

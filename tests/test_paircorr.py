@@ -41,6 +41,23 @@ def test_identical_points():
         assert res.statistic == 1.0
 
 
+def test_two_norm_below_one_numerator_counts_only_coincident_points():
+    # t < 2^-64 gives floor(t^2 2^128) = 0: a pair one numerator apart is out
+    rng = np.random.default_rng(25)
+    for d in (1, 2, 3):
+        base = rand_points(rng, 40, d)
+        shifted = base[:6].copy()
+        shifted[:, d - 1] += np.uint64(1)
+        pts = np.concatenate([base, base[:5], base[5:7], base[5:7], shifted])
+        _, mult = np.unique(pts, axis=0, return_counts=True)
+        coincident = int((mult * (mult - 1)).sum())
+        assert coincident == 22
+        for s in (1e-25, 1e-30):
+            assert paircorr._threshold_for(s, len(pts), d).two_num == 0
+            for counter in (ppc_naive, ppc_grid):
+                assert counter(pts, s, NormKind.TWO).near_pairs == coincident, (d, s, counter)
+
+
 def test_far_points():
     pts = points([0.1], [0.5])
     res = ppc_naive(pts, 0.2, NormKind.SUP)   # threshold 0.1 < distance 0.4
