@@ -440,6 +440,11 @@ def parse_and_dispatch(argv=None) -> int:
     except (ConfigError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"torusppc: invalid configuration: {exc}\n")
         return EXIT_CONFIG
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split())
+        sys.stderr.write(f"torusppc: invalid configuration: out of memory"
+                         f"{': ' + detail if detail else ''}\n")
+        return EXIT_CONFIG
     except OSError as exc:
         sys.stderr.write(f"torusppc: I/O error: {exc}\n")
         return EXIT_IO

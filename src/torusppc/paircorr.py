@@ -1,18 +1,19 @@
 """Pair correlation statistics on the d-torus.
 
 Two counters produce the statistic: ppc_naive scans all ordered pairs in
-O(N^2) and is the reference; ppc_grid is a column sweep, the sorted-column
-form of the linked-cell method (Allen & Tildesley, Computer Simulation of
-Liquids, ch. 5).  It buckets the points into toroidal columns of side >= t
-over the first d - 1 axes, sorts them by column and then by the last
-coordinate, and pairs each point with a window of +-t on the last axis in
-its own column and in the half shell of neighbour columns (offsets whose
-first nonzero component is +1), each window found by binary search.  Every
-candidate pair is examined exactly once with no deduplication pass.  d = 1,
-and grids with at most 2 columns per axis, use one column: a sort and a
-window sweep.  After the sort, ppc_grid walks the sorted points in blocks
-of _BLOCK = 2**13, so that only the sort key and the sorted points are N
-long: a count at N = 10**5 (d = 2) needs about 5 MB besides its input.
+O(N^2) and is the reference; ppc_grid is the linked-cell method (Allen &
+Tildesley, Computer Simulation of Liquids, ch. 5).  It buckets the points
+into toroidal cells of side >= t on every axis, sorts them by cell, and
+reads each cell's slice of the sorted points from a table of cell starts.
+Each point is paired with the later points of its own cell and with the
+half shell of neighbour cells (offsets whose first nonzero component is
++1), the three neighbours along the last axis as one range, so every
+candidate pair is examined exactly once with no deduplication pass and no
+search.  Grids with fewer than 3 cells per axis use one cell.  After the
+sort, ppc_grid walks the sorted points in blocks of _BLOCK = 2**13, so
+that only the sorted points and the cell-start table (at most 2N + 1
+entries) grow with N: a count at N = 10**5 (d = 2) needs about 5 MB
+besides its input.
 Both counters call the same exact comparison predicate, so their counts
 agree pair for pair, not just statistically.  They hand it candidate pairs
 in blocks of up to _CHUNK_PAIRS = 2**15 (only a longer single segment goes
@@ -199,19 +200,18 @@ def ppc_naive(points, s: float, norm: NormKind) -> PairCountResult:
     return _result(near, N, s, d, norm)
 
 
-def _columns_per_axis(t: float, d: int) -> int:
-    """Columns per axis of the grid over the first d - 1 axes: floor(1/t), capped.
+def _cells_per_axis(t: float, d: int, N: int) -> int:
+    """Cells per axis of the grid: floor(1/t), capped so that m^d <= 2N.
 
-    The cap keeps the m^(d-1) column ids below 2**62, so the sort key holds
-    at least two bits of the last coordinate, and keeps m * 2**32 inside a
-    uint64 for _cell_coords.  It only lowers m, so the column side 1/m stays
-    >= t.  Below 3 columns per axis every column is adjacent to every other,
-    and for d = 1 there are no column axes: both use one column (m = 1).
+    The cap keeps the cell-start table no longer than the point set, and
+    m below 2**31 keeps m * 2**32 inside a uint64 for _cell_coords.  It only
+    lowers m, so the cell side 1/m stays >= t.  Below 3 cells per axis the
+    neighbours q - 1 and q + 1 of a cell coincide: one cell (m = 1).
     """
-    m_exact = int(1 / Fraction(t))
-    cap = min((1 << 31) - 1, int((1 << 62) ** (1.0 / d)))
-    m = min(m_exact, cap)
-    return m if m >= 3 and d > 1 else 1
+    m = min(int(1 / Fraction(t)), int((2 * N) ** (1.0 / d)) + 1, (1 << 31) - 1)
+    while m ** d > 2 * N:
+        m -= 1
+    return m if m >= 3 else 1
 
 
 def _cell_coords(x: np.ndarray, m: int) -> np.ndarray:
@@ -259,95 +259,91 @@ def _segment_pairs(a: np.ndarray, b_start: np.ndarray, length: np.ndarray):
 
 
 def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
-    """Column-sweep counter; identical count to ppc_naive by construction.
+    """Linked-cell counter; identical count to ppc_naive by construction.
 
-    The first d - 1 axes are split into m^(d-1) toroidal columns of side
-    1/m >= t, so a pair within distance t (either norm) lies in one column
-    or in two adjacent ones, and its last coordinates y are within t on the
-    circle.  Points are sorted by one uint64 key: the column id in the top B
-    bits, then y shifted right by B.  With T = floor(t * 2**64), each point
-    is paired with the later points of its own column inside [y, y + T],
-    plus [y - T + 2**64, end) when y < T, and with each half-shell
-    neighbour column (first nonzero offset +1; one at d = 2, four at d = 3)
-    inside [y - T, y + T], two ranges where that wraps.  Every range comes
-    from searchsorted on the key.  Truncating y widens a range by less than
-    2**B / 2**64, so the ranges hold every near pair, and each unordered
-    pair lies in exactly one of them.  d = 1 and m <= 2 use one column,
-    where this is a sort and a window sweep.  Each tested unordered pair
-    counts twice (ordered pairs).  Past the sort, the windows, cells and
-    neighbour column ids are computed per block of _BLOCK sorted points.
+    Each axis is split into m toroidal cells of side 1/m >= t, so a pair
+    within distance t (either norm) lies in one cell or in two adjacent
+    ones.  Points are sorted by flat cell id, last axis fastest, and a
+    table of m^d + 1 cell starts, from one bincount, gives each cell's
+    slice of the sorted points.  A row is the m cells that share their
+    first d - 1 coordinates; in the sorted order a row is contiguous.
+    With q a point's cell on the last axis, it is paired with the later
+    points of its own cell and the points of cell q + 1 (one range), and
+    in each half-shell neighbour row (first nonzero offset +1; one at
+    d = 2, four at d = 3) with cells q - 1, q and q + 1 (one range).  Where
+    q = 0 or q = m - 1 the last axis wraps: one more range per row, cell
+    m - 1 or cell 0.  Each unordered pair of adjacent cells is paired once
+    from one side, so each candidate pair is tested exactly once, and each
+    tested pair counts twice (ordered pairs).  With one cell (m = 1) each
+    point is paired with all later points.  Past the sort, the
+    cells and ranges are computed per block of _BLOCK sorted points, and a
+    block's ranges go through the predicate together.
     """
     pts = points_to_array(points)
     N, d = pts.shape
     if N < 2:
         raise ValueError("need at least 2 points")
     thr = _threshold_for(s, N, d)
-    m = _columns_per_axis(thr.t, d)
-    axes = d - 1 if m > 1 else 0
-    bits = (m ** axes - 1).bit_length()
-    shift = np.uint64(bits)
-    weights = [np.uint64(m ** (axes - 1 - k) << (64 - bits)) for k in range(axes)]
+    m = _cells_per_axis(thr.t, d, N)
 
-    def column_base(cells, delta):
-        # id of the column at offset delta from each point's, times 2**(64 - bits)
-        base = np.zeros(cells.shape[1], dtype=np.uint64)
-        for c, o, wk in zip(cells, delta, weights):
-            base += ((c + np.uint64(o % m)) % np.uint64(m)) * wk
-        return base
-
-    # sort key, built in place: y >> bits plus each column term above it
-    key = pts[:, -1] >> shift
-    for k, wk in enumerate(weights):
-        cell = _cell_coords(pts[:, k], m)
-        cell *= wk
-        key += cell
-    order = np.argsort(key)
-    key = key[order]
+    # flat cell id, built in place one axis at a time
+    cell = _cell_coords(pts[:, 0], m)
+    for k in range(1, d):
+        cell *= np.uint64(m)
+        cell += _cell_coords(pts[:, k], m)
+    cell = cell.view(np.int64)
+    counts = np.bincount(cell, minlength=m ** d)
+    starts = np.zeros(m ** d + 1, dtype=np.int32 if N < 1 << 31 else np.int64)
+    starts[1:] = np.cumsum(counts, out=counts)
+    del counts
+    order = np.argsort(cell)
+    del cell
     cols = np.empty((d, N), dtype=np.uint64)     # sorted points, coordinate-major
     for j, col in enumerate(cols):
         col[:] = pts[:, j][order]
     del order
 
-    lim = np.uint64(thr.sup_num)
-    end = np.uint64(SCALE - 1) >> shift
-    shell = _half_shell(axes)
+    shell = _half_shell(d - 1) if m > 1 else []
+    weights = [m ** (d - 1 - k) for k in range(d - 1)]
 
-    def count(rows, start, stop):
-        return sum(_count_near(cols, ia, ib, norm, thr)
-                   for ia, ib in _segment_pairs(rows, start, stop - start))
+    def row(cells, delta):
+        # first flat cell id of the row at offset delta from each point's
+        base = np.zeros(cells.shape[1], dtype=np.int64)
+        for c, o, w in zip(cells, delta, weights):
+            c = c + o
+            c[c == m] = 0                   # wrap without an integer division
+            c[c < 0] = m - 1
+            c *= w
+            base += c
+        return base
 
     near = 0
     for lo in range(0, N, _BLOCK):
         hi = min(N, lo + _BLOCK)
         a = np.arange(lo, hi)
-        # key bits below the column id of each point's window [y - T, y + T]:
-        # [first, last], or [0, last] then [second, end] where it wraps
-        y = cols[-1, lo:hi]
-        first = y - lim
-        last = y + lim
-        wrap = np.flatnonzero(first > last)
-        second = first[wrap] >> shift
-        first[wrap] = 0
-        first >>= shift
-        last >>= shift
-        a_w = a[wrap]
+        cells = _cell_coords(cols[:, lo:hi], m).view(np.int64)
+        q = cells[-1]
+        first = np.maximum(q - 1, 0)
+        stop = np.minimum(q + 1, m - 1) + 1
+        # points whose last-axis neighbour wraps around (none with one cell)
+        wrap = np.flatnonzero((q == 0) | (q == m - 1)) if m > 1 else a[:0]
+        other = m - 1 - q[wrap]              # the cell across the wrap
 
-        def sweep(nbase, own):
-            # candidates of each point in column nbase; in its own, later positions only
-            stop = np.searchsorted(key, nbase | last, side="right")
-            start = a + 1 if own else np.searchsorted(key, nbase | first)
-            # a wrapped window's second range starts after the first one ends:
-            # bits > 0 needs m >= 3, so 2**64 - 2T > 2**62 >= 2**bits and second > last
-            start_w = np.searchsorted(key, nbase[wrap] | second)
-            if own:
-                start_w = np.maximum(start_w, a_w + 1)
-            stop_w = np.searchsorted(key, nbase[wrap] | end, side="right")
-            return count(a, start, stop) + count(a_w, start_w, stop_w)
-
-        near += sweep(key[lo:hi] & ~end, own=True)
-        if shell:
-            cells = _cell_coords(cols[:axes, lo:hi], m)
-            for delta in shell:
-                near += sweep(column_base(cells, delta), own=False)
+        # own row: the later points of the cell and cell q + 1, and cell 0
+        # from cell m - 1; each neighbour row: cells q - 1 .. q + 1, and the
+        # cell across the wrap
+        own = row(cells, (0,) * (d - 1))
+        last = wrap[other == 0]
+        pair_a = [a, a[last]]
+        begin = [a + 1, starts[own[last]]]
+        end = [starts[own + stop], starts[own[last] + 1]]
+        for delta in shell:
+            base = row(cells, delta)
+            pair_a += [a, a[wrap]]
+            begin += [starts[base + first], starts[base[wrap] + other]]
+            end += [starts[base + stop], starts[base[wrap] + other + 1]]
+        pair_a, begin = np.concatenate(pair_a), np.concatenate(begin)
+        near += sum(_count_near(cols, ia, ib, norm, thr)
+                    for ia, ib in _segment_pairs(pair_a, begin, np.concatenate(end) - begin))
 
     return _result(2 * near, N, s, d, norm)

@@ -101,6 +101,24 @@ def test_gcdsum_table_mismatch_is_internal_error(capsys, monkeypatch):
     assert cli.InternalError is errors.InternalError
 
 
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 1.46 TiB for an array with shape (100000000000, 2) and data type uint64",
+    "",
+])
+def test_out_of_memory_is_one_line_config_error(message, capsys, monkeypatch):
+    # a handler that runs out of memory exits 3 with one line, not a traceback;
+    # the handler raises MemoryError itself, so nothing large is allocated
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._HANDLERS, "stat", exhausted)
+    code, out, err = run_cli(capsys, "stat", "--family", "n,n^2", "--N", "100000000000")
+    assert code == cli.EXIT_CONFIG == 3
+    assert out == ""
+    assert err == (f"torusppc: invalid configuration: out of memory: {message}\n" if message
+                   else "torusppc: invalid configuration: out of memory\n")
+
+
 def test_energy_out_of_trivial_bounds_is_internal_error(capsys, monkeypatch):
     from torusppc import energy
 

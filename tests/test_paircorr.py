@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -248,61 +249,97 @@ def _stencil_inputs(rng, d):
     base = np.uint64(SCALE - (1 << 58))
     clustered = base + rng.integers(0, 1 << 59, size=(n, d), dtype=np.uint64)
     yield "clustered", clustered, (0.02, 0.05, 1 / 3 - 1e-3)
-    # t = 0.4999: a wrapped window's two ranges nearly meet
+    # t around 1/3 and up to 0.4999: one cell, or the smallest grid m = 3
     yield "coarse", rand_points(rng, 40, d), (0.3, 1 / 3 - 1e-3, 1 / 3 + 1e-3, 0.45, 0.4999)
-    # distinct rows in a few columns whose last coordinates tie: equal sort keys
+    # distinct rows in a few rows of cells whose last coordinates tie
     tied = rng.integers(0, 1 << 62, size=(n, d), dtype=np.uint64)
     tied[:, -1] = rng.choice(np.array([0, 7, SCALE - 3], dtype=np.uint64), size=n)
     yield "tied", tied, (0.06, 0.3, 1 / 3 + 1e-3)
     if d == 4:
-        # about 2^46 columns leave 17 or 18 bits of the last coordinate in the key,
-        # so keys tie between distinct last coordinates; the cluster straddles
-        # the wrap of every axis
+        # a cluster of width 2^-14 that straddles the wrap of every axis, with
+        # t far below the cell side
         base = np.uint64(SCALE - (1 << 49))
         narrow = base + rng.integers(0, 1 << 50, size=(n, d), dtype=np.uint64)
         yield "narrow", narrow, (3e-5, 2e-5)
 
 
+def _check_each_pair_once(pts, s, calls, label):
+    """ppc_grid matches ppc_naive on the distinct rows pts, hands the predicate
+    each candidate pair once, and leaves no near pair out of the candidates."""
+    # ppc_grid hands the predicate cell-sorted points, coordinate-major: map
+    # them back to input rows
+    n, d = pts.shape
+    index = {row.tobytes(): i for i, row in enumerate(pts)}
+    lo, hi = np.triu_indices(n, 1)
+    thr = paircorr._threshold_for(s, n, d)
+    for norm in NormKind:
+        naive = ppc_naive(pts, s, norm).near_pairs
+        calls.clear()
+        assert ppc_grid(pts, s, norm).near_pairs == naive, (label, norm)
+        ia, ib = [], []
+        for p, a_idx, b_idx in calls:
+            perm = np.array([index[r.tobytes()] for r in p.T])
+            ia.append(perm[a_idx])
+            ib.append(perm[b_idx])
+        ia, ib = np.concatenate(ia), np.concatenate(ib)
+        assert not np.any(ia == ib), label
+        keys = np.minimum(ia, ib) * n + np.maximum(ia, ib)
+        assert np.unique(keys).size == keys.size, label
+        # the shared predicate finds no near pair outside the candidates
+        missed = ~np.isin(lo * n + hi, keys)
+        cols = np.ascontiguousarray(pts.T)
+        assert _count_near(cols, lo[missed], hi[missed], norm, thr) == 0, label
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_grid_stencil_tests_each_candidate_pair_once(d, predicate_calls):
-    # ppc_grid hands the predicate key-sorted points, coordinate-major: map
-    # them back to input rows, then check that the column sweep covers every
-    # near pair once
     rng = np.random.default_rng(100 + d)
     seen_m = set()
     for name, raw, t_values in _stencil_inputs(rng, d):
         pts = np.unique(raw, axis=0)
         pts = pts[rng.permutation(len(pts))]
         n = len(pts)
-        index = {row.tobytes(): i for i, row in enumerate(pts)}
-        lo, hi = np.triu_indices(n, 1)
         for t in t_values:
-            seen_m.add(paircorr._columns_per_axis(t, d))
-            s = t * n ** (1.0 / d)
-            thr = paircorr._threshold_for(s, n, d)
-            for norm in NormKind:
-                naive = ppc_naive(pts, s, norm).near_pairs
-                predicate_calls.clear()
-                assert ppc_grid(pts, s, norm).near_pairs == naive, (name, t, norm)
-                ia, ib = [], []
-                for p, a_idx, b_idx in predicate_calls:
-                    perm = np.array([index[r.tobytes()] for r in p.T])
-                    ia.append(perm[a_idx])
-                    ib.append(perm[b_idx])
-                ia, ib = np.concatenate(ia), np.concatenate(ib)
-                assert not np.any(ia == ib), (name, t)
-                keys = np.minimum(ia, ib) * n + np.maximum(ia, ib)
-                assert np.unique(keys).size == keys.size, (name, t)
-                # the shared predicate finds no near pair outside the candidates
-                missed = ~np.isin(lo * n + hi, keys)
-                cols = np.ascontiguousarray(pts.T)
-                assert _count_near(cols, lo[missed], hi[missed], norm, thr) == 0, (name, t)
-    # d >= 2 needs the single column and the smallest grid, m = 3, where
-    # every column has a neighbour across the wrap; d = 1 sweeps one column
-    if d == 1:
-        assert seen_m == {1}
-    else:
-        assert {1, 3} <= seen_m
+            seen_m.add(paircorr._cells_per_axis(t, d, n))
+            _check_each_pair_once(pts, t * n ** (1.0 / d), predicate_calls, (name, t))
+    # every d needs the single cell and the smallest grid, m = 3, where
+    # every cell has a neighbour across the wrap
+    assert {1, 3} <= seen_m
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_grid_capped_cells_edges_and_wrap(d, predicate_calls):
+    # 64 points and t = 2^-20: the cap m^d <= 2N sets m (128, 11, 5, 3), so
+    # each cell is thousands of times wider than t.  Clusters sit on cell
+    # corners: coordinates on a cell edge, one numerator below it (the
+    # previous cell), at +-T or +-(T + 1) from it, or anywhere within T + 2
+    # of it; half the clusters straddle the wrap between last-axis cells
+    # m - 1 and 0
+    n, T = 64, 1 << 44
+    t = T / SCALE
+    m = int((2 * n) ** (1.0 / d) + 1e-9)
+    assert m ** d <= 2 * n < (m + 1) ** d
+    assert paircorr._cells_per_axis(t, d, n) == m and m < 1 / (1000 * t)
+    edges = np.array([-(-k * SCALE // m) for k in range(m)], dtype=np.uint64)
+    assert np.array_equal(paircorr._cell_coords(edges, m), np.arange(m))
+    assert np.array_equal(paircorr._cell_coords(edges[1:] - np.uint64(1), m), np.arange(m - 1))
+    offsets = np.array([0, -1, 1, T // 2, -T // 2, T, -T, T + 1, -T - 1], dtype=np.int64)
+    rng = np.random.default_rng(300 + d)
+    clusters = []
+    for c in range(16):
+        corner = edges[rng.integers(0, m, size=d)]
+        if c % 2:
+            corner[-1] = 0
+        off = rng.choice(offsets, size=(8, d))
+        free = rng.random((8, d)) < 0.4
+        off[free] = rng.integers(-T - 2, T + 3, size=int(free.sum()))
+        clusters.append(corner + off.astype(np.uint64))
+    pts = np.unique(np.concatenate(clusters), axis=0)
+    assert len(pts) >= n
+    pts = pts[rng.choice(len(pts), size=n, replace=False)]
+    s = _lattice_s(t, n, d)
+    assert s is not None and paircorr._threshold_for(s, n, d).sup_num == T
+    _check_each_pair_once(pts, s, predicate_calls, d)
 
 
 def test_grid_matches_naive_across_chunk_boundaries(monkeypatch, predicate_calls):
@@ -314,7 +351,7 @@ def test_grid_matches_naive_across_chunk_boundaries(monkeypatch, predicate_calls
         n = 60
         for base in (np.uint64(1 << 62), np.uint64((1 << 62) - (1 << 52))):
             pts = base + rng.integers(0, 1 << 53, size=(n, d), dtype=np.uint64)
-            s = 0.05 * n ** (1.0 / d)      # m = 20 cells per axis
+            s = 0.05 * n ** (1.0 / d)      # m = 20 at d = 1; the cap m^d <= 2N binds above
             for norm in NormKind:
                 naive = ppc_naive(pts, s, norm).near_pairs
                 predicate_calls.clear()
@@ -351,26 +388,57 @@ def test_grid_predicate_chunks_stay_bounded(chunk, monkeypatch, predicate_calls)
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_grid_matches_naive_across_block_boundaries(block, monkeypatch):
     # the sweep walks the sorted points in blocks of _BLOCK: N just below, at
-    # and above block multiples, a third of the points with y < T (windows
-    # that wrap past 0), and both single-column (m = 1) and m >= 3 grids
+    # and above block multiples (and N = 40, enough points for m = 3 cells at
+    # d = 3), a third of the points with y < T (in last-axis cell 0, whose
+    # ranges wrap), and the single cell (m = 1), the smallest grid (m = 3)
+    # and finer ones
     monkeypatch.setattr(paircorr, "_BLOCK", block)
     rng = np.random.default_rng(41 + block)
     sizes = sorted({n for k in (1, 2, 3) for n in (k * block - 1, k * block, k * block + 1)
-                    if n >= 2})
+                    if n >= 2} | {40})
     for d in (1, 2, 3):
         seen_m = set()
         for n in sizes:
-            for t in (0.05, 0.4):
+            for t in (0.05, 0.3, 0.4):
                 s = t * n ** (1.0 / d)
                 thr = paircorr._threshold_for(s, n, d)
-                seen_m.add(paircorr._columns_per_axis(thr.t, d))
+                seen_m.add(paircorr._cells_per_axis(thr.t, d, n))
                 pts = rand_points(rng, n, d)
                 low = rng.random(n) < 1 / 3
                 pts[low, -1] = rng.integers(0, thr.sup_num, size=int(low.sum()), dtype=np.uint64)
                 for norm in NormKind:
                     got = ppc_grid(pts, s, norm).near_pairs
                     assert got == ppc_naive(pts, s, norm).near_pairs, (d, n, t, norm)
-        assert 1 in seen_m and (d == 1 or max(seen_m) >= 3)
+        assert {1, 3} <= seen_m
+
+
+# (d, N, norm, s values, bound in MiB) of the memory gate
+_MEMORY_GATES = [
+    (2, 10 ** 5, NormKind.SUP, (0.5, 1.0, 2.0), 5.5),
+    (3, 2 * 10 ** 5, NormKind.TWO, (1.0,), 12.0),
+]
+
+
+@pytest.mark.parametrize("block", [None, 1 << 20])
+@pytest.mark.parametrize("d, n, norm, s_values, bound", _MEMORY_GATES)
+def test_grid_memory_gate(d, n, norm, s_values, bound, block, monkeypatch):
+    # peak traced allocation of one count on random points, the input
+    # excluded; with blocks of 2^20 points the per-block arrays are N long
+    # and every case must break its bound, which shows the gate can fail
+    if block is not None:
+        monkeypatch.setattr(paircorr, "_BLOCK", block)
+    pts = rand_points(np.random.default_rng(53), n, d)
+    for s in s_values:
+        tracemalloc.start()
+        try:
+            ppc_grid(pts, s, norm)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        if block is None:
+            assert peak < bound, (s, peak)
+        else:
+            assert peak > bound, (s, peak)
 
 
 def _lattice_s(t, n, d):
