@@ -1,7 +1,7 @@
-"""The one thread pool of the package: the counting kernels (energy bands,
-Monte Carlo batches, samples of a table cell) map over their work items
-here, on one thread per usable core.  numpy releases the GIL in the sorts,
-gathers and ufuncs those items spend their time in."""
+"""The one thread pool of the package: two counting kernels, the energy
+bands and the Monte Carlo batches of verify-eq0, map over their work items
+here, on one thread per usable core.  numpy releases the GIL in the large
+sorts, gathers and ufuncs those items spend their time in."""
 
 from __future__ import annotations
 

@@ -6,9 +6,9 @@ byte.  A fresh alpha is drawn per sample (never reused across N), which
 makes the sample variance at each N an estimate of the variance of the
 statistic over the dilation measure.  The random-alpha table and the
 fixed-alpha counterexample trajectory come from one loop (_table), which
-differs between them only in where the k-th alpha of a cell comes from; it
-counts the samples of a cell on one thread per usable core through
-_parallel.ordered_map, and the table does not depend on the core count.
+differs between them only in where the k-th alpha of a cell comes from.
+The samples are counted in k order on the calling thread; no pool is
+started for a table.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .fixedpoint import point_of_reals, sample_alpha
 from .paircorr import NormKind, ppc_grid, ppc_limit, threshold
 from .sequences import DEFAULT_FLOOR_START, KIND_FLOOR_NLOG, SequenceSpec, generate, orbit
-from . import _parallel, energy as energy_mod
+from . import energy as energy_mod
 
 DEFAULT_FAMILY = (SequenceSpec.identity(), SequenceSpec.power_of(2))
 DEFAULT_NORM = NormKind.SUP
@@ -103,28 +103,18 @@ def _table(family: Sequence[SequenceSpec], norm: NormKind, s_values: Sequence[fl
     """Mean and variance of the statistic over `samples` dilations per (N, s);
     alpha_for(N, s_index, k) is the k-th dilation of that cell.
 
-    The samples of a cell are counted concurrently by _parallel.ordered_map,
-    one thread per usable core, in waves of one sample per thread.  The
-    calling thread draws the dilations and builds the orbits of a wave, then
-    the threads count them, so at most one orbit per thread is alive and
-    only ppc_grid runs concurrently: `perfbench/run.py --trace 1` keeps one
-    span stack for all threads and fails when an orbit span overlaps a
-    ppc_grid span.  The values are collected in k order, so the table does
-    not depend on the thread count.
+    The samples are counted one after another on the calling thread.  A
+    count holds the GIL for most of its run (short numpy calls on blocks of
+    a few thousand points), so a thread per core bought no time here, only
+    memory.
     """
-    workers = _parallel.usable_cores()
     rows = []
     for n in N_values:
         seqs = [generate(spec, n) for spec in family]
         for s_index, s in enumerate(s_values):
             t0 = time.perf_counter()
-            values = np.empty(samples, dtype=np.float64)
-            for lo in range(0, samples, workers):
-                wave = [orbit(seqs, alpha_for(n, s_index, k))
-                        for k in range(lo, min(samples, lo + workers))]
-                counts = _parallel.ordered_map(lambda pts: ppc_grid(pts, s, norm), wave)
-                values[lo:lo + len(wave)] = [c.statistic for c in counts]
-                del wave        # before the next wave's orbits are built
+            values = np.array([ppc_grid(orbit(seqs, alpha_for(n, s_index, k)), s, norm).statistic
+                               for k in range(samples)])
             elapsed = time.perf_counter() - t0
             mean, var = _aggregate(values)
             limit = ppc_limit(s, len(family), norm)

@@ -3,17 +3,18 @@
 Two counters produce the statistic: ppc_naive scans all ordered pairs in
 O(N^2) and is the reference; ppc_grid is the linked-cell method (Allen &
 Tildesley, Computer Simulation of Liquids, ch. 5).  It buckets the points
-into toroidal cells of side >= t on every axis, sorts them by cell, and
-reads each cell's slice of the sorted points from a table of cell starts.
+into toroidal cells of side >= t on every axis, sorts them by cell with
+one value sort of 64-bit keys (cell id above the point index), and reads
+each cell's slice of the sorted points from a table of cell starts.
 Each point is paired with the later points of its own cell and with the
 half shell of neighbour cells (offsets whose first nonzero component is
 +1), the three neighbours along the last axis as one range, so every
 candidate pair is examined exactly once with no deduplication pass and no
 search.  Grids with fewer than 3 cells per axis use one cell.  After the
 sort, ppc_grid walks the sorted points in blocks of _BLOCK = 2**13, so
-that only the sorted points and the cell-start table (at most 2N + 1
-entries) grow with N: a count at N = 10**5 (d = 2) needs about 5 MB
-besides its input.
+that only the sorted points, their cell ids and the cell-start table (at
+most 2N + 1 entries) grow with N: a count at N = 10**5 (d = 2) peaks at
+about 4.6 MiB besides its input.  It counts at most 2**31 - 1 points.
 Both counters call the same exact comparison predicate, so their counts
 agree pair for pair, not just statistically.  They hand it candidate pairs
 in blocks of up to _CHUNK_PAIRS = 2**15 (only a longer single segment goes
@@ -44,6 +45,7 @@ from .fixedpoint import SCALE, points_to_array
 _CHUNK_PAIRS = 1 << 15          # pairs per predicate call: 256 KiB per uint64 temporary
 _BLOCK = 1 << 13                # sorted points per sweep block: 64 KiB per uint64 temporary
 _BORDER_BAND = 1e-11            # relative width of the exact-recheck band (2-norm)
+_MAX_POINTS = (1 << 31) - 1     # ppc_grid: int32 cell starts; cell ids < 2N and indices fit 32 bits
 
 
 class NormKind(Enum):
@@ -146,16 +148,19 @@ def _count_near(cols: np.ndarray, ia: np.ndarray, ib: np.ndarray,
             inside = near if inside is None else np.logical_and(inside, near, out=inside)
         return int(np.count_nonzero(inside))
 
-    acc = np.zeros(ia.size, dtype=np.float64)
+    acc = None
     for col in cols:
         du = col[ia]
         du -= col[ib]
-        dn = np.minimum(du, -du).astype(np.float64)
-        acc += dn * dn
-    bound = thr.two_num_f
-    sure_in = acc <= bound * (1.0 - _BORDER_BAND)
-    count = int(np.count_nonzero(sure_in))
-    border = np.flatnonzero(~sure_in & (acc <= bound * (1.0 + _BORDER_BAND)))
+        dn = du.view(np.int64).astype(np.float64)   # same square as min(du, -du)
+        dn *= dn
+        acc = dn if acc is None else np.add(acc, dn, out=acc)
+    low = thr.two_num_f * (1.0 - _BORDER_BAND)
+    high = thr.two_num_f * (1.0 + _BORDER_BAND)
+    count = int(np.count_nonzero(acc <= low))
+    if int(np.count_nonzero(acc <= high)) == count:
+        return count
+    border = np.flatnonzero((acc > low) & (acc <= high))
     for j in border:
         ssq = 0
         for col in cols:
@@ -243,11 +248,9 @@ def _segment_pairs(a: np.ndarray, b_start: np.ndarray, length: np.ndarray):
     Chunks end at segment boundaries and hold at most _CHUNK_PAIRS pairs,
     unless a single segment is longer than that on its own.
     """
-    keep = np.flatnonzero(length > 0)
-    a, b_start, length = a[keep], b_start[keep], length[keep]
     ends = np.cumsum(length)
     lo = 0
-    while lo < keep.size:
+    while lo < a.size:
         base = ends[lo] - length[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
         seg = length[lo:hi]
@@ -275,41 +278,53 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     m - 1 or cell 0.  Each unordered pair of adjacent cells is paired once
     from one side, so each candidate pair is tested exactly once, and each
     tested pair counts twice (ordered pairs).  With one cell (m = 1) each
-    point is paired with all later points.  Past the sort, the
-    cells and ranges are computed per block of _BLOCK sorted points, and a
-    block's ranges go through the predicate together.
+    point is paired with all later points.  The sort is a value sort of
+    the keys cell << 32 | index, whose high halves are the sorted cell ids
+    and low halves the order.  Past it the rows are gathered, the cells
+    read back from the sorted ids and the ranges built per block of _BLOCK
+    sorted points, and a block's ranges go through the predicate together.
     """
     pts = points_to_array(points)
     N, d = pts.shape
     if N < 2:
         raise ValueError("need at least 2 points")
+    if N > _MAX_POINTS:
+        raise ValueError(f"ppc_grid counts at most {_MAX_POINTS} points, got N = {N}")
     thr = _threshold_for(s, N, d)
     m = _cells_per_axis(thr.t, d, N)
 
-    # flat cell id, built in place one axis at a time
-    cell = _cell_coords(pts[:, 0], m)
+    # flat cell id, built in place one axis at a time, then packed above the
+    # point index, so that a plain value sort orders the points by cell
+    key = _cell_coords(pts[:, 0], m)
     for k in range(1, d):
-        cell *= np.uint64(m)
-        cell += _cell_coords(pts[:, k], m)
-    cell = cell.view(np.int64)
-    counts = np.bincount(cell, minlength=m ** d)
-    starts = np.zeros(m ** d + 1, dtype=np.int32 if N < 1 << 31 else np.int64)
+        key *= np.uint64(m)
+        key += _cell_coords(pts[:, k], m)
+    counts = np.bincount(key.view(np.int64), minlength=m ** d)
+    starts = np.zeros(m ** d + 1, dtype=np.int32)
     starts[1:] = np.cumsum(counts, out=counts)
     del counts
-    order = np.argsort(cell)
-    del cell
-    cols = np.empty((d, N), dtype=np.uint64)     # sorted points, coordinate-major
-    for j, col in enumerate(cols):
-        col[:] = pts[:, j][order]
-    del order
+    key <<= np.uint64(32)
+    key |= np.arange(N, dtype=np.uint64)
+    key.sort()
+    cell = (key >> np.uint64(32)).astype(np.uint32)     # sorted flat cell ids
+    key &= np.uint64(0xFFFFFFFF)
+    order = key.view(np.int64)
+    cols = np.empty((d, N), dtype=np.uint64)            # sorted points, coordinate-major
+    buf = np.empty((min(N, _BLOCK), d), dtype=np.uint64)
+    for lo in range(0, N, _BLOCK):
+        hi = min(N, lo + _BLOCK)
+        rows = buf[:hi - lo]
+        np.take(pts, order[lo:hi], axis=0, out=rows)
+        cols[:, lo:hi] = rows.T
+    del key, order, buf
 
     shell = _half_shell(d - 1) if m > 1 else []
     weights = [m ** (d - 1 - k) for k in range(d - 1)]
 
-    def row(cells, delta):
+    def row(axes, delta):
         # first flat cell id of the row at offset delta from each point's
-        base = np.zeros(cells.shape[1], dtype=np.int64)
-        for c, o, w in zip(cells, delta, weights):
+        base = np.zeros(len(axes[0]), dtype=np.int64)
+        for c, o, w in zip(axes, delta, weights):
             c = c + o
             c[c == m] = 0                   # wrap without an integer division
             c[c < 0] = m - 1
@@ -321,8 +336,12 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     for lo in range(0, N, _BLOCK):
         hi = min(N, lo + _BLOCK)
         a = np.arange(lo, hi)
-        cells = _cell_coords(cols[:, lo:hi], m).view(np.int64)
-        q = cells[-1]
+        r, q = np.divmod(cell[lo:hi].astype(np.int64), m)    # row index, last-axis cell
+        own = r * m                          # first cell id of the own row
+        axes = []                            # cells on the first d - 1 axes
+        for _ in range(d - 1):
+            r, c = np.divmod(r, m)
+            axes.insert(0, c)
         first = np.maximum(q - 1, 0)
         stop = np.minimum(q + 1, m - 1) + 1
         # points whose last-axis neighbour wraps around (none with one cell)
@@ -332,13 +351,12 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
         # own row: the later points of the cell and cell q + 1, and cell 0
         # from cell m - 1; each neighbour row: cells q - 1 .. q + 1, and the
         # cell across the wrap
-        own = row(cells, (0,) * (d - 1))
         last = wrap[other == 0]
         pair_a = [a, a[last]]
         begin = [a + 1, starts[own[last]]]
         end = [starts[own + stop], starts[own[last] + 1]]
         for delta in shell:
-            base = row(cells, delta)
+            base = row(axes, delta)
             pair_a += [a, a[wrap]]
             begin += [starts[base + first], starts[base[wrap] + other]]
             end += [starts[base + stop], starts[base[wrap] + other + 1]]

@@ -147,11 +147,18 @@ def _floor_nlog(start: int, N: int, exponent: float) -> np.ndarray:
     within a few ulp, raising to A <= 2 at most doubles that relative error,
     and pow and the product add an ulp each: under 2**-47 relative in all,
     far inside the band of 2**-40 (about 4096 ulp).  The largest numpy-vs-
-    math gap measured on the first 10^6 terms is 4.6e-16.  Every term within
-    a relative 2**-40 of an integer is settled at 50 significant digits.
-    Once x > 2**39 the band is wider than 1/2 and holds every term; this
-    covers x >= 2**52, where float64 has no fractional part (so the distance
-    is 0), and n >= 2**53, where n itself may be inexact.
+    math gap measured on the first 10^6 terms is 4.6e-16.  Once x > 2**39
+    the band is wider than 1/2 and holds every term; this covers x >= 2**52,
+    where float64 has no fractional part (so the distance is 0), and
+    n >= 2**53, where n itself may be inexact.
+
+    The band terms are evaluated again in long double, by the same argument
+    with its epsilon in place of 2**-52, and only those within a relative
+    2**10 epsilon of an integer are settled at 50 significant digits.  With
+    x86-64's 64-bit significand n < 2**63 is exact, logl and powl are within
+    a few ulp of 2**-63, and the band is 2**-53.  Where long double is
+    double the band is 2**-42, still outside the 2**-47 error above (the
+    terms with x > 2**41 all reach the last stage, as without this one).
     """
     n = np.arange(start, start + N, dtype=np.float64)
     x = n * np.log(n) ** exponent
@@ -160,7 +167,13 @@ def _floor_nlog(start: int, N: int, exponent: float) -> np.ndarray:
     values = np.floor(x).astype(np.int64)
     band = np.flatnonzero(np.abs(x - np.round(x)) < 2.0 ** -40 * np.maximum(x, 1.0))
     if band.size:
-        import mpmath   # here, not at module level: most calls have no band term
+        k = (start + band).astype(np.longdouble)
+        xl = k * np.log(k) ** np.longdouble(exponent)
+        values[band] = np.floor(xl).astype(np.int64)
+        eps = np.finfo(np.longdouble).eps
+        band = band[np.abs(xl - np.round(xl)) < 2 ** 10 * eps * np.maximum(xl, 1)]
+    if band.size:
+        import mpmath   # here, not at module level: most calls have no band term left
 
         with mpmath.workdps(50):
             for i in band:

@@ -57,8 +57,8 @@ def test_different_seeds_differ():
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_parallel_table_equals_serial_loop(workers, monkeypatch):
-    # the samples of a cell run on `workers` threads, in waves (K = 5 leaves
-    # a partial one at 3); mean_R and var_R must match an in-order loop bit for bit
+    # the table counts its samples on the calling thread, so the core count
+    # changes nothing; mean_R and var_R must match an in-order loop bit for bit
     monkeypatch.setattr(_parallel, "usable_cores", lambda: workers)
     cfg = small_config(samples=5, norm=NormKind.TWO)
     rows = run_convergence(cfg)
@@ -73,6 +73,21 @@ def test_parallel_table_equals_serial_loop(workers, monkeypatch):
         want = np.array([np.mean(values), np.var(values, ddof=1)])
         got = np.array([row.mean_R, row.var_R])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (row.N, row.s)
+
+
+def test_table_starts_no_pool(monkeypatch):
+    # a count holds the GIL for most of its run, so the Monte Carlo table
+    # counts on the calling thread: with the pool unusable it gives the same CSV
+    cfg = small_config(samples=3)
+    want = rows_to_csv(run_convergence(cfg))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the Monte Carlo table started a thread pool")
+
+    monkeypatch.setattr(_parallel, "ordered_map", no_pool)
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", no_pool)
+    assert rows_to_csv(run_convergence(cfg)) == want
+    assert run_counterexample(0.25, 0.5, [8]).rows[0].mean_R == pytest.approx(1.0)
 
 
 def test_csv_shape():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torusppc import paircorr
+from torusppc.cli import parse_and_dispatch
 from torusppc.fixedpoint import SCALE, point_of_reals
 from torusppc.paircorr import NormKind, ppc_grid, ppc_limit, ppc_naive, unit_ball_volume
 
@@ -263,13 +264,29 @@ def _stencil_inputs(rng, d):
         yield "narrow", narrow, (3e-5, 2e-5)
 
 
+def _input_rows(index, cols):
+    """Input row of each of the sorted points cols (coordinate-major).  The
+    copies of a repeated row take its input rows in order: any matching
+    names the same pairs up to swapping identical points."""
+    taken = {}
+    perm = []
+    for point in cols.T:
+        key = point.tobytes()
+        j = taken[key] = taken.get(key, -1) + 1
+        perm.append(index[key][j])
+    return np.array(perm)
+
+
 def _check_each_pair_once(pts, s, calls, label):
-    """ppc_grid matches ppc_naive on the distinct rows pts, hands the predicate
-    each candidate pair once, and leaves no near pair out of the candidates."""
+    """ppc_grid matches ppc_naive on the rows pts (repeats allowed), hands the
+    predicate each candidate pair once, and leaves no near pair out of the
+    candidates."""
     # ppc_grid hands the predicate cell-sorted points, coordinate-major: map
     # them back to input rows
     n, d = pts.shape
-    index = {row.tobytes(): i for i, row in enumerate(pts)}
+    index = {}
+    for i, row in enumerate(pts):
+        index.setdefault(row.tobytes(), []).append(i)
     lo, hi = np.triu_indices(n, 1)
     thr = paircorr._threshold_for(s, n, d)
     for norm in NormKind:
@@ -278,7 +295,7 @@ def _check_each_pair_once(pts, s, calls, label):
         assert ppc_grid(pts, s, norm).near_pairs == naive, (label, norm)
         ia, ib = [], []
         for p, a_idx, b_idx in calls:
-            perm = np.array([index[r.tobytes()] for r in p.T])
+            perm = _input_rows(index, p)
             ia.append(perm[a_idx])
             ib.append(perm[b_idx])
         ia, ib = np.concatenate(ia), np.concatenate(ib)
@@ -340,6 +357,60 @@ def test_grid_capped_cells_edges_and_wrap(d, predicate_calls):
     s = _lattice_s(t, n, d)
     assert s is not None and paircorr._threshold_for(s, n, d).sup_num == T
     _check_each_pair_once(pts, s, predicate_calls, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_packed_sort_keys_edges(d, monkeypatch, predicate_calls):
+    # ppc_grid sorts cell id << 32 | point index: every point in one crowded
+    # cell, with one cell (m = 1) and inside a finer grid (m >= 3); repeated
+    # points, whose keys differ in the index bits only; and, at a block of
+    # 64 points, N = _BLOCK - 1, _BLOCK, _BLOCK + 1, so that the last block
+    # of the row gather is partial
+    monkeypatch.setattr(paircorr, "_BLOCK", 64)
+    rng = np.random.default_rng(700 + d)
+    n = 120
+    crowd = np.uint64(SCALE - (1 << 40)) + rng.integers(0, 1 << 39, size=(n, d), dtype=np.uint64)
+    seen_m = set()
+    for t in (0.45, 0.05, 2.0 ** -42):
+        s = t * n ** (1.0 / d)
+        m = paircorr._cells_per_axis(paircorr._threshold_for(s, n, d).t, d, n)
+        seen_m.add(m)
+        assert all(np.unique(paircorr._cell_coords(crowd[:, k], m)).size == 1 for k in range(d))
+        _check_each_pair_once(crowd, s, predicate_calls, ("crowd", t))
+    assert 1 in seen_m and max(seen_m) >= 3
+    distinct = rand_points(rng, 30, d)
+    repeated = distinct[rng.integers(0, 30, size=n)]
+    for t in (0.05, 0.3, 0.45):
+        _check_each_pair_once(repeated, t * n ** (1.0 / d), predicate_calls, ("repeated", t))
+    for size in (63, 64, 65):
+        pts = rand_points(rng, size, d)
+        for t in (0.05, 0.3):
+            _check_each_pair_once(pts, t * size ** (1.0 / d), predicate_calls, (size, t))
+
+
+def test_grid_partial_last_block_at_full_block_size():
+    # N = _BLOCK +- 1 at the block size counts run with (one norm each, as
+    # the O(N^2) reference dominates the time)
+    rng = np.random.default_rng(71)
+    for n, norm in ((paircorr._BLOCK - 1, NormKind.SUP), (paircorr._BLOCK + 1, NormKind.TWO)):
+        pts = rand_points(rng, n, 2)
+        assert ppc_grid(pts, 2.0, norm).near_pairs == ppc_naive(pts, 2.0, norm).near_pairs
+
+
+def test_grid_refuses_more_points_than_its_sort_key_holds(monkeypatch, capsys):
+    # the point index fills the low 32 bits of the sort key and the cell
+    # starts are int32: past _MAX_POINTS ppc_grid refuses before it allocates
+    # anything, and the CLI turns the refusal into exit 3
+    monkeypatch.setattr(paircorr, "_MAX_POINTS", 10)
+    pts = rand_points(np.random.default_rng(3), 11, 2)
+    with pytest.raises(ValueError, match="at most 10 points, got N = 11"):
+        ppc_grid(pts, 0.5, NormKind.SUP)
+    assert ppc_grid(pts[:10], 0.5, NormKind.SUP).N == 10
+    code = parse_and_dispatch(["stat", "--family", "n", "--N", "11", "--s", "0.5",
+                               "--alpha", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "at most 10 points" in captured.err
 
 
 def test_grid_matches_naive_across_chunk_boundaries(monkeypatch, predicate_calls):

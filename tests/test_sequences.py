@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusppc.fixedpoint import frac_of_real, point_of_reals
-from torusppc.sequences import SequenceSpec, generate, orbit
+from torusppc.sequences import SequenceSpec, _floor_nlog, generate, orbit
 
 
 def floor_nlog_oracle(n: int, a: float) -> int:
@@ -42,6 +46,51 @@ def test_floor_family_matches_oracle():
             got = generate(SequenceSpec.floor_nlog(a, start=start), count).values
             want = [floor_nlog_oracle(n, a) for n in range(start, start + count)]
             assert list(got) == want, (a, start)
+
+
+def _deep_floor_nlog(n: int, a: float) -> int:
+    with mpmath.workdps(80):
+        return int(mpmath.floor(mpmath.mpf(n) * mpmath.log(n) ** a))
+
+
+def test_floor_family_long_double_stage_matches_deep_recount(monkeypatch):
+    # terms near an integer are evaluated again in long double and only the
+    # ones it cannot settle go to mpmath; near n = 2^40 some still do
+    settled_by_mpmath = []
+    floor = mpmath.floor
+
+    def counting_floor(x):
+        settled_by_mpmath.append(x)
+        return floor(x)
+
+    rng = np.random.default_rng(2024)
+    for a in (1.0, 1.5, 2.0, 1.2345):
+        starts = [2, 10 ** 9, 2 ** 40, int(rng.integers(2 ** 30, 2 ** 40))]
+        for start in starts:
+            count = 3000 if start == 2 ** 40 else 600
+            settled_by_mpmath.clear()
+            monkeypatch.setattr(mpmath, "floor", counting_floor)
+            got = _floor_nlog(start, count, a)
+            monkeypatch.setattr(mpmath, "floor", floor)
+            want = [_deep_floor_nlog(n, a) for n in range(start, start + count)]
+            assert list(got) == want, (a, start)
+            if start == 2 ** 40:
+                assert 0 < len(settled_by_mpmath) < count, a
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0 ** -60,
+                    reason="long double is no wider than double here, so band terms reach mpmath")
+def test_floor_family_at_a_million_terms_does_not_import_mpmath():
+    code = ("import sys\n"
+            "from torusppc.sequences import SequenceSpec, generate\n"
+            "generate(SequenceSpec.parse('[n log^1 n]'), 10 ** 6)\n"
+            "print('mpmath' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "False\n"
 
 
 def test_floor_family_overflow_guard():
