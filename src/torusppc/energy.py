@@ -17,14 +17,16 @@ row i meets a band in one contiguous run of j, and the band edges are chosen
 so each band holds at most a fixed budget of 2^20 index pairs (_PAIR_BUDGET;
 a single first-difference value is never split).  A band is grouped by
 _group_rows, the package's one grouping function: one integer key column,
-the mixed-radix code of its difference vectors built one component at a
-time, sorted in place, whose runs of equal keys are the counts D(v).
-The calling thread finds the band edges and _parallel.ordered_map counts
-the bands on one thread per usable core.  Bands are disjoint in v, so each
-adds its sum of squared counts to E directly (the energy never decodes a
-vector), and the table decodes each band's unique keys to rows, which
-concatenate in lexicographic order in band order.  The same table drives
-the GCD-sum variance proxy.
+the mixed-radix code of its difference vectors, sorted in place, whose runs
+of equal keys are the counts D(v).  Every column increases strictly, so each
+component's range over the band is read off the ends of the rows' runs of j,
+and the key, the one band-long array, is filled 2^16 pairs at a time
+(_CHUNK).  The calling thread finds the band edges and _parallel.ordered_map
+counts the bands on one thread per usable core.  Bands are disjoint in v, so
+each adds its sum of squared counts to E directly: the energy walks its
+sorted key a chunk at a time and never makes a per-vector array.  The table
+decodes each band's unique keys to rows, which concatenate in lexicographic
+order in band order.  The same table drives the GCD-sum variance proxy.
 
 Brute-force oracles (O(N^4) quadruple and O(N^3) triple enumerations) live
 here too; they exist for the test suite and stay independent of the banded
@@ -45,6 +47,7 @@ from .sequences import SequenceData, common_length
 
 MAX_ENERGY_N = 2_000_000        # keeps E <= N^3 < 2**63
 _PAIR_BUDGET = 1 << 20          # index pairs per first-difference band
+_CHUNK = 1 << 16                # band pairs keyed, and sorted keys walked, per step
 
 
 def _run_indices(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarray:
@@ -52,28 +55,53 @@ def _run_indices(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarra
     return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
 
 
-def _group_encode(columns: Iterable[np.ndarray]):
+def _push_digit(keys: np.ndarray | None, col: np.ndarray, lo: int, radix: int) -> np.ndarray:
+    """keys * radix + col - lo, in place (col - lo when keys is None)."""
+    if keys is None:
+        return col - lo
+    keys *= radix
+    keys += col
+    keys -= lo
+    return keys
+
+
+def _group_encode(columns: Iterable, spans: tuple | None = None):
     """(keys, lows, radices): mixed-radix integer keys (int64, or uint32 when
-    they fit) of the rows whose columns are given one at a time, ordered as
-    the rows are lexicographically, or None when the value ranges do not fit
-    in int64.  A column is only read, so one buffer may be refilled for the
-    next; the partial sums may wrap in int64, but every key ends in
-    [0, 2**63)."""
-    keys, los, radix = None, [], []
-    for col in columns:
-        lo = int(col.min())
-        los.append(lo)
-        radix.append(int(col.max()) - lo + 1)
-        if math.prod(radix) >= 1 << 63:
-            return None
-        if keys is None:
-            keys = col - lo
-        else:
-            keys *= radix[-1]
-            keys += col
-            keys -= lo
-    if math.prod(radix) < 1 << 32:     # a uint32 key sorts about twice as fast
-        keys = keys.astype(np.uint32)
+    they fit) of the rows, ordered as the rows are lexicographically, or None
+    when the value ranges do not fit in int64.
+
+    Without spans, columns yields the whole columns one at a time, each read
+    for its min and max.  With spans = (rows, lows, highs), the row count and
+    each column's exact min and max, columns yields the rows in chunks, each
+    chunk an iterable of its column pieces, and the keys are written into one
+    row-long array a chunk at a time.  A column is only read, so one buffer
+    may be refilled for the next; the partial sums may wrap in int64, but
+    every key ends in [0, 2**63).
+    """
+    if spans is None:
+        keys, los, radix = None, [], []
+        for col in columns:
+            lo = int(col.min())
+            los.append(lo)
+            radix.append(int(col.max()) - lo + 1)
+            if math.prod(radix) >= 1 << 63:
+                return None
+            keys = _push_digit(keys, col, lo, radix[-1])
+        if math.prod(radix) < 1 << 32:     # a uint32 key sorts about twice as fast
+            keys = keys.astype(np.uint32)
+        return keys, np.array(los), radix
+    size, los, his = spans
+    radix = [hi - lo + 1 for lo, hi in zip(los, his)]
+    if math.prod(radix) >= 1 << 63:
+        return None
+    keys = np.empty(size, dtype=np.uint32 if math.prod(radix) < 1 << 32 else np.int64)
+    p = 0
+    for chunk in columns:
+        part = None
+        for col, lo, r in zip(chunk, los, radix):
+            part = _push_digit(part, col, lo, r)
+        keys[p:p + part.size] = part
+        p += part.size
     return keys, np.array(los), radix
 
 
@@ -90,25 +118,64 @@ def _runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return firsts, np.diff(np.append(firsts, first.size))
 
 
-def _group_rows(columns: Callable[[], Iterable[np.ndarray]],
-                weights: np.ndarray | None = None, decode: bool = True):
+def _key_run_starts(keys: np.ndarray) -> Iterator[np.ndarray]:
+    """The starts of the runs of equal keys in the sorted keys, in order, in
+    one array per chunk of _CHUNK keys; the first run's start, 0, is left
+    out."""
+    for p in range(0, keys.size, _CHUNK):
+        part = keys[p:p + _CHUNK + 1]
+        starts = np.flatnonzero(part[1:] != part[:-1])
+        starts += p + 1
+        yield starts
+
+
+def _key_run_squares(keys: np.ndarray) -> tuple[int, int]:
+    """(sum of the run lengths, sum of their squares) over the runs of equal
+    keys in the nonempty sorted keys, walked a chunk at a time; the run open
+    at a chunk's end carries into the next."""
+    held = squares = last = 0
+    for starts in _key_run_starts(keys):
+        if starts.size:
+            lengths = np.diff(starts, prepend=last)
+            held += int(lengths.sum())
+            squares += int(lengths @ lengths)
+            last = int(starts[-1])
+    tail = keys.size - last
+    return held + tail, squares + tail * tail
+
+
+def _group_rows(columns: Callable[[], Iterable], weights: np.ndarray | None = None,
+                decode: bool = True, spans: tuple | None = None, square: bool = False):
     """(rows, counts): the distinct rows, in lexicographic order, of the
     nonempty int64 columns that columns() yields one at a time, as a
     column-major (k, d) array (None unless decode), with their multiplicities
-    or, when weights are given, their summed weights.
+    or, when weights are given, their summed weights.  With spans, columns()
+    yields the rows in chunks instead (see _group_encode).  With square (and
+    no weights) the result is (sum of the counts, sum of their squares), and
+    no per-group array is made on the key path.
 
     The rows' mixed-radix keys are sorted, in place, or stably with weights so
     that each group sums in row order; the runs of equal keys are the groups,
     decoded from each run's first key.  When the key overflows, columns() is
     called again and its columns are copied out and lexsorted instead.
     """
-    enc = _group_encode(columns())
+    enc = _group_encode(columns(), spans)
     if enc is None:
-        cols = [np.array(col) for col in columns()]
+        if spans is None:
+            cols = [np.array(col) for col in columns()]
+        else:
+            cols = [np.empty(spans[0], dtype=np.int64) for _ in spans[1]]
+            p = 0
+            for chunk in columns():
+                for col, piece in zip(cols, chunk):
+                    col[p:p + piece.size] = piece
+                p += piece.size
         order = np.lexsort(cols[::-1])
         for k, col in enumerate(cols):
             cols[k] = col[order]
         firsts, counts = _runs(*cols)
+        if square:
+            return int(counts.sum()), int(counts @ counts)
         rows = np.array([col[firsts] for col in cols]).T if decode else None
     else:
         keys, los, radix = enc
@@ -117,7 +184,10 @@ def _group_rows(columns: Callable[[], Iterable[np.ndarray]],
         else:
             order = np.argsort(keys, kind="stable")
             keys[:] = keys[order]
-        firsts, counts = _runs(keys)
+        if square:
+            return _key_run_squares(keys)
+        firsts = np.concatenate([np.zeros(1, dtype=np.int64), *_key_run_starts(keys)])
+        counts = np.diff(np.append(firsts, keys.size))
         rows = None
         if decode:
             rest = keys[firsts].astype(np.int64)
@@ -143,57 +213,97 @@ def _difference_columns(seqs: Sequence[SequenceData]) -> list[np.ndarray]:
     return [s.values - s.values[0] for s in seqs]
 
 
-def _band_columns(cols: list[np.ndarray], lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Component k of the difference vectors a_i - a_j of the pairs i > j
-    with first difference in [lo, hi), written into one buffer for k = 0, 1,
-    ... in turn.  Row i meets the band in the run of j with
-    a_i - hi < a_j <= a_i - lo; the index j and the buffer are freed when
-    the generator is."""
-    a = cols[0]
-    start = np.searchsorted(a, a - hi, side="right")
-    length = np.searchsorted(a, a - lo, side="right") - start
-    j = _run_indices(length, start)
-    buf = np.empty(j.size, dtype=np.int64)
+def _chunk_columns(cols: list[np.ndarray], rows: slice, run: np.ndarray, j: np.ndarray,
+                   buf: np.ndarray) -> Iterator[np.ndarray]:
+    """Component k of a_i - a_j for the pairs of rows i, each with its run of
+    j, written into buf for k = 0, 1, ... in turn."""
     for v in cols:
         np.take(v, j, out=buf, mode="clip")       # unbuffered; j is in range
-        np.subtract(np.repeat(v, length), buf, out=buf)
+        np.subtract(np.repeat(v[rows], run), buf, out=buf)
         yield buf
 
 
+def _band_chunks(cols: list[np.ndarray], start: np.ndarray,
+                 length: np.ndarray) -> Iterator[Iterator[np.ndarray]]:
+    """The difference vectors a_i - a_j of a band's pairs, row i meeting the
+    band in the run of length[i] indices j from start[i], in chunks of at
+    most _CHUNK pairs: each chunk yields its components one at a time (see
+    _chunk_columns), all written into one buffer, so a chunk must be read
+    before the next is drawn."""
+    ends = np.cumsum(length)
+    offsets = ends - length             # row i's first pair in the band
+    size = int(ends[-1])
+    buf = np.empty(min(size, _CHUNK), dtype=np.int64)
+    for p in range(0, size, _CHUNK):
+        q = min(p + _CHUNK, size)
+        rows = slice(int(np.searchsorted(ends, p, side="right")),
+                     int(np.searchsorted(ends, q - 1, side="right")) + 1)
+        first = np.maximum(offsets[rows], p)
+        run = np.minimum(ends[rows], q) - first
+        j = _run_indices(run, start[rows] + first - offsets[rows])
+        yield _chunk_columns(cols, rows, run, j, buf[:q - p])
+
+
 def _band(cols: list[np.ndarray], lo: int, hi: int, table: bool):
-    """(pairs, result) for the pairs i > j with first difference in [lo, hi):
-    result is (rows, counts) of the band's distinct vectors when table is
-    true, else the sum of their squared counts, grouped by _group_rows as
-    _band_columns writes them."""
-    rows, counts = _group_rows(lambda: _band_columns(cols, lo, hi), decode=table)
-    return int(counts.sum()), (rows, counts) if table else int(counts @ counts)
+    """(pairs, result) for the pairs i > j with first difference in [lo, hi),
+    grouped by _group_rows from the chunks of _band_chunks: result is (rows,
+    counts) of the band's distinct vectors when table is true, else the sum
+    of their squared counts.  Row i meets the band in the run of j with
+    a_i - hi < a_j <= a_i - lo; every column increases strictly, so a
+    component's min and max over the band are at the runs' last and first j.
+    """
+    a = cols[0]
+    start = np.searchsorted(a, a - hi, side="right")
+    length = np.searchsorted(a, a - lo, side="right") - start
+    used = length > 0
+    first = start[used]
+    last = first + length[used] - 1
+    spans = (int(length.sum()), [int((v[used] - v[last]).min()) for v in cols],
+             [int((v[used] - v[first]).max()) for v in cols])
+
+    def chunks():
+        return _band_chunks(cols, start, length)
+
+    if not table:
+        return _group_rows(chunks, spans=spans, square=True)
+    rows, counts = _group_rows(chunks, spans=spans)
+    return int(counts.sum()), (rows, counts)
 
 
 def _band_edges(a: np.ndarray, half: int) -> Iterator[tuple[int, int]]:
     """Edges [L, U) of the first-difference bands of the half pairs i > j.
 
-    U is the largest edge keeping the band within _PAIR_BUDGET pairs, found
-    by bisection on C(x) = #{i > j : a_i - a_j < x}, unless the first value
-    left alone exceeds the budget: then the band is that one value.
+    With C(x) = #{i > j : a_i - a_j < x}, U is the largest edge with
+    C(U) - C(L) <= _PAIR_BUDGET, unless the first value left alone exceeds
+    the budget: then the band is that one value.  U is bracketed by doubling
+    or halving the last band's width from L, then found by bisection.
     """
     def below(x: int) -> int:
         return half - int(np.searchsorted(a, a - x, side="right").sum())
 
     top = int(a[-1]) + 1                # C(top) = half: every difference is < top
-    lo_edge, c_lo = 1, 0
+    lo_edge, c_lo, width = 1, 0, top
     while c_lo < half:
+        cap = c_lo + _PAIR_BUDGET
         lo, c_at_lo, hi, c_at_hi = lo_edge, c_lo, top, half
-        while hi - lo > 1 and c_at_hi - c_lo > _PAIR_BUDGET:
+        step = width
+        while c_at_hi > cap and lo < lo_edge + step < hi:
+            c = below(lo_edge + step)
+            if c <= cap:
+                lo, c_at_lo, step = lo_edge + step, c, 2 * step
+            else:
+                hi, c_at_hi, step = lo_edge + step, c, step // 2
+        while hi - lo > 1 and c_at_hi > cap:
             mid = (lo + hi) // 2
             c = below(mid)
-            if c - c_lo <= _PAIR_BUDGET:
+            if c <= cap:
                 lo, c_at_lo = mid, c
             else:
                 hi, c_at_hi = mid, c
-        if c_at_hi - c_lo > _PAIR_BUDGET and c_at_lo > c_lo:
+        if c_at_hi > cap and c_at_lo > c_lo:
             hi, c_at_hi = lo, c_at_lo
         yield lo_edge, hi
-        lo_edge, c_lo = hi, c_at_hi
+        lo_edge, c_lo, width = hi, c_at_hi, hi - lo_edge
 
 
 def _half_table_bands(cols: list[np.ndarray], table: bool) -> list:
@@ -201,10 +311,12 @@ def _half_table_bands(cols: list[np.ndarray], table: bool) -> list:
     band order.
 
     The calling thread finds the band edges and _parallel.ordered_map hands
-    each band to a thread as soon as its edges are known, so the bisection
+    each band to a thread as soon as its edges are known, so the edge search
     overlaps the counting and at most one band per usable core is alive at
-    once.
-    Raises InternalError if the grouped counts do not add up to the pairs.
+    once: its key column (4 bytes a pair when the key fits in uint32, else
+    8) and one chunk's scratch.
+    Raises InternalError if the grouped run lengths do not add up to the
+    pairs.
     """
     n = cols[0].size
     half = n * (n - 1) // 2
@@ -251,9 +363,11 @@ def representation_counts(seqs: Sequence[SequenceData]) -> RepresentationTable:
 
     Built from the half table over i > j, enumerated in first-difference
     bands of at most _PAIR_BUDGET pairs, counted one per usable core and
-    collected in band order, then mirrored; peak memory is one band key
-    column per usable core plus the distinct-vector table itself, and the
-    bytes do not depend on the core count.
+    collected in band order, then mirrored.  Peak memory is one band key
+    column and one chunk's scratch per usable core, plus the run starts and
+    counts of the bands' distinct vectors, which are the size of the output,
+    and the distinct-vector table itself; the bytes do not depend on the core
+    count.
     """
     cols = _difference_columns(seqs)
     n, d = cols[0].size, len(cols)

@@ -134,8 +134,8 @@ def test_banded_table_matches_full_unique_sweep(monkeypatch):
     real_encode = energy._group_encode
     fallbacks = []
 
-    def encode(vectors):
-        enc = real_encode(vectors)
+    def encode(*args):
+        enc = real_encode(*args)
         fallbacks.append(enc is None)
         return enc
 
@@ -213,6 +213,114 @@ def test_bands_in_flight_match_oracles_at_any_worker_count(monkeypatch):
     assert threading.main_thread() not in lexsort_threads
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_band_chunk_edges_match_oracles(monkeypatch, chunk):
+    # at budget 400 one band holds every pair, so row 19's run of 19 j is
+    # longer than a chunk; in the identity sequence the 19 pairs of value 1
+    # are one run of equal keys across several chunk edges; near 2^62 the
+    # d = 2 band keys overflow and the chunks are copied out and lexsorted
+    real_encode = energy._group_encode
+    fallbacks = []
+
+    def encode(*args):
+        enc = real_encode(*args)
+        fallbacks.append(enc is None)
+        return enc
+
+    monkeypatch.setattr(energy, "_group_encode", encode)
+    monkeypatch.setattr(energy, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    ident = np.arange(1, 21, dtype=np.int64)
+    cases = [[ident], [ident, ident ** 2],
+             [np.sort(rng.choice(10 ** 4, size=20, replace=False) + 1) for _ in range(2)],
+             [np.sort(rng.choice(2 ** 61, size=20, replace=False) + 2 ** 61) for _ in range(2)]]
+    for budget in (5, 40, 400):
+        monkeypatch.setattr(energy, "_PAIR_BUDGET", budget)
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(_parallel, "usable_cores", lambda: workers)
+            for cols in cases:
+                seqs = [seq(c) for c in cols]
+                assert joint_additive_energy(seqs) == joint_additive_energy_brute(cols)
+                if len(cols) == 1:
+                    assert additive_energy(seqs[0]) == additive_energy_brute(cols[0])
+                table = representation_counts(seqs)
+                rows, counts = _full_table_reference(cols)
+                assert table.vectors.tobytes() == rows.tobytes()
+                assert table.counts.tobytes() == counts.astype(np.int64).tobytes()
+    assert any(fallbacks) and not all(fallbacks)
+    # the run walk on its own: runs of 1 to 40 equal keys against np.unique
+    keys = np.sort(np.repeat(rng.permutation(50), rng.integers(1, 41, size=50)))
+    _, ref = np.unique(keys, return_counts=True)
+    assert energy._key_run_squares(keys) == (keys.size, int(ref @ ref))
+    for scale in (1, 2 ** 40):          # uint32 and int64 keys
+        _, counts = energy._group_rows(lambda: iter([keys * scale]))
+        assert np.array_equal(counts, ref)
+
+
+def _bisected_edges(a, half, budget):
+    """The band edges by a fresh bisection on [L, top] for every band: the
+    search that galloping replaced, kept as its oracle."""
+    def below(x):
+        return half - int(np.searchsorted(a, a - x, side="right").sum())
+
+    top = int(a[-1]) + 1
+    lo_edge, c_lo = 1, 0
+    while c_lo < half:
+        lo, c_at_lo, hi, c_at_hi = lo_edge, c_lo, top, half
+        while hi - lo > 1 and c_at_hi - c_lo > budget:
+            mid = (lo + hi) // 2
+            c = below(mid)
+            if c - c_lo <= budget:
+                lo, c_at_lo = mid, c
+            else:
+                hi, c_at_hi = mid, c
+        if c_at_hi - c_lo > budget and c_at_lo > c_lo:
+            hi, c_at_hi = lo, c_at_lo
+        yield lo_edge, hi
+        lo_edge, c_lo = hi, c_at_hi
+
+
+def test_band_edges_gallop_matches_bisection_with_fewer_probes(monkeypatch):
+    rng = np.random.default_rng(29)
+    cases = []
+    for trial in range(60):
+        n = int(rng.integers(2, 50))
+        kind = trial % 4
+        if kind == 0:
+            a = np.sort(rng.choice(10 ** 4, size=n, replace=False))
+        elif kind == 1:          # near 2^62
+            a = np.sort(rng.choice(2 ** 61, size=n, replace=False) + 2 ** 61)
+        elif kind == 2:          # identity: value 1 alone holds n - 1 pairs
+            a = np.arange(n, dtype=np.int64)
+        else:
+            a = np.sort(rng.choice(10 ** 9, size=n, replace=False))
+        budget = 1 + trial % 5 if trial % 3 else int(rng.integers(1, n * n + 1))
+        cases.append((a - a[0], budget))
+    cases.append((np.arange(4096, dtype=np.int64) ** 2, 1 << 20))
+    cases.append((np.arange(40, dtype=np.int64), 3))     # one value over budget
+    real = np.searchsorted
+    probes = []
+
+    def counting(*args, **kwargs):
+        probes[-1] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    old, new = [], []
+    for a, budget in cases:
+        half = a.size * (a.size - 1) // 2
+        probes.append(0)
+        want = list(_bisected_edges(a, half, budget))
+        old.append(probes.pop())
+        monkeypatch.setattr(energy, "_PAIR_BUDGET", budget)
+        probes.append(0)
+        assert list(energy._band_edges(a, half)) == want
+        new.append(probes.pop())
+    assert want[0] == (1, 2)        # the last case: value 1 alone is 39 pairs, budget 3
+    assert sum(new) < sum(old)
+    assert new[-2] < old[-2]        # n^2 at N = 4096: 159 against 166
+
+
 def _refilled(values, calls):
     """columns() for _group_rows: the columns of values written in turn into
     one buffer, as the bands write theirs; each call appends to calls."""
@@ -263,7 +371,7 @@ def test_group_rows_matches_unique_and_add_at(kind):
                     assert np.all(np.abs(counts - ref_sums) <= 1e-12 * scale)
 
 
-BAND_PEAK_BOUNDS = (40 * 2 ** 20, 34 * 2 ** 20)   # bytes: (n, n^2) at N = 2048, n^2 at N = 4096
+BAND_PEAK_BOUNDS = (14 * 2 ** 20, 10 * 2 ** 20)   # bytes: (n, n^2) at N = 2048, n^2 at N = 4096
 
 
 def _traced_peak(fn, arg):
@@ -276,8 +384,9 @@ def _traced_peak(fn, arg):
 
 
 def test_band_peak_memory(monkeypatch):
-    # one band in flight: its key, not its index j and column buffer, is
-    # what the sort holds (measured 33.0 and 24.2 MiB)
+    # one band in flight: its key column (int64, then uint32) and one
+    # chunk's scratch, not band-long j, gathers or run arrays (measured 10.6
+    # and 6.8 MiB; 18.6 and 18.7 MiB at four times the budget)
     monkeypatch.setattr(_parallel, "usable_cores", lambda: 1)
     cases = [(joint_additive_energy, [generate(SequenceSpec.identity(), 2048),
                                       generate(SequenceSpec.power_of(2), 2048)]),
@@ -364,6 +473,18 @@ def test_comparison_parser():
 def test_overflow_guard():
     with pytest.raises(OverflowError):
         vinogradov_J2d(10 ** 7, 3)
+
+
+def test_energy_lost_pair_is_internal_error(monkeypatch):
+    real = energy._key_run_squares
+
+    def dropped(keys):
+        held, squares = real(keys)
+        return held - 1, squares        # the run walk loses one ordered pair
+
+    monkeypatch.setattr(energy, "_key_run_squares", dropped)
+    with pytest.raises(InternalError, match="holds 7 pairs, expected N\\^2 = 9"):
+        additive_energy(seq([1, 2, 4]))
 
 
 def test_representation_counts_lost_pair_is_internal_error(monkeypatch):
