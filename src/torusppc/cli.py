@@ -47,7 +47,7 @@ from .experiments import (
     run_variance_decay,
 )
 from .fixedpoint import point_of_reals, sample_alpha
-from .gcdsum import WeightedSupport, gcd_sum, gcd_sum_from_representations, verify_eq0
+from .gcdsum import WeightedSupport, _lexsorted, gcd_sum, gcd_sum_from_representations, verify_eq0
 from .energy import representation_counts
 from .errors import InternalError
 from .paircorr import NormKind, ppc_grid, ppc_naive
@@ -116,22 +116,22 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _load_support(path: str) -> WeightedSupport:
+    # refused here: booleans, fractions, other file shapes; by _lexsorted: a coordinate
+    # outside int64; by from_arrays: d = 0, a component < 1, a repeat, a non-finite norm
     data = _read_json(path)
-    entries = {}
+    points, weights = [], []
     try:
         for *coords, re_w, im_w in data["entries"]:
             if any(isinstance(x, bool) for x in (*coords, re_w, im_w)):
                 raise ConfigError(f"support entry {[*coords, re_w, im_w]} holds a boolean")
-            point = tuple(int(c) for c in coords)
-            if point != tuple(coords):
+            points.append([int(c) for c in coords])
+            if points[-1] != coords:
                 raise ConfigError(f"support point {coords} has a non-integer coordinate")
-            if point in entries:
-                raise ConfigError(f"support point {coords} appears more than once")
-            entries[point] = complex(float(re_w), float(im_w))
+            weights.append(complex(float(re_w), float(im_w)))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f'support file is not {{"entries": [[a1..ad, re, im], ...]}}: '
                           f'{exc!r}') from exc
-    return WeightedSupport(d=len(next(iter(entries), ())), entries=entries)
+    return WeightedSupport.from_arrays(*_lexsorted(points, weights))
 
 
 def _variant(args) -> str:

@@ -145,11 +145,11 @@ def _key_run_squares(keys: np.ndarray) -> tuple[int, int]:
 
 
 def _group_rows(columns: Callable[[], Iterable], weights: np.ndarray | None = None,
-                decode: bool = True, spans: tuple | None = None, square: bool = False):
+                spans: tuple | None = None, square: bool = False):
     """(rows, counts): the distinct rows, in lexicographic order, of the
     nonempty int64 columns that columns() yields one at a time, as a
-    column-major (k, d) array (None unless decode), with their multiplicities
-    or, when weights are given, their summed weights.  With spans, columns()
+    column-major (k, d) array, with their multiplicities or, when weights are
+    given, their summed weights.  With spans, columns()
     yields the rows in chunks instead (see _group_encode).  With square (and
     no weights) the result is (sum of the counts, sum of their squares), and
     no per-group array is made on the key path.
@@ -176,7 +176,7 @@ def _group_rows(columns: Callable[[], Iterable], weights: np.ndarray | None = No
         firsts, counts = _runs(*cols)
         if square:
             return int(counts.sum()), int(counts @ counts)
-        rows = np.array([col[firsts] for col in cols]).T if decode else None
+        rows = np.array([col[firsts] for col in cols]).T
     else:
         keys, los, radix = enc
         if weights is None:
@@ -188,16 +188,14 @@ def _group_rows(columns: Callable[[], Iterable], weights: np.ndarray | None = No
             return _key_run_squares(keys)
         firsts = np.concatenate([np.zeros(1, dtype=np.int64), *_key_run_starts(keys)])
         counts = np.diff(np.append(firsts, keys.size))
-        rows = None
-        if decode:
-            rest = keys[firsts].astype(np.int64)
-            rows = np.empty((firsts.size, len(radix)), dtype=np.int64, order="F")
-            for k in range(len(radix) - 1, 0, -1):
-                quot = rest // radix[k]
-                np.subtract(rest, quot * radix[k], out=rows[:, k])
-                rest = quot
-            rows[:, 0] = rest
-            rows += los
+        rest = keys[firsts].astype(np.int64)
+        rows = np.empty((firsts.size, len(radix)), dtype=np.int64, order="F")
+        for k in range(len(radix) - 1, 0, -1):
+            quot = rest // radix[k]
+            np.subtract(rest, quot * radix[k], out=rows[:, k])
+            rest = quot
+        rows[:, 0] = rest
+        rows += los
     if weights is not None:
         counts = np.add.reduceat(weights[order], firsts)
     return rows, counts
@@ -473,10 +471,8 @@ def vinogradov_J2d(N: int, d: int) -> int:
     if 2 * N ** d >= 1 << 63:
         raise OverflowError(f"power sums overflow int64 for N = {N}, d = {d}")
     x = np.arange(1, N + 1, dtype=np.int64)
-    _, counts = _group_rows(lambda: (np.add.outer(x ** i, x ** i).ravel() for i in range(1, d + 1)),
-                            decode=False)
-    c = counts.astype(object)
-    return int((c * c).sum())
+    return _group_rows(lambda: (np.add.outer(x ** i, x ** i).ravel() for i in range(1, d + 1)),
+                       square=True)[1]
 
 
 @dataclass(frozen=True)

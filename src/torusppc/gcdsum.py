@@ -1,6 +1,9 @@
 """Classical and d-dimensional GCD sums, plus a random multiplicative model.
 
-The Hermitian form S_f(d; alpha) = sum f(a) conj(f(b)) prod_i
+A weight f is a WeightedSupport, two arrays checked once: its K points, the
+sorted distinct rows of a (K, d) int64 array, and their complex128 weights.
+support_from_representations slices them from a representation table.  The
+Hermitian form S_f(d; alpha) = sum f(a) conj(f(b)) prod_i
 gcd(a_i,b_i)^(2 alpha) / (a_i b_i)^alpha is evaluated as a sum of squares:
 expanding each gcd^(2 alpha) over the common divisors with Jordan's totient
 (the positive-definite form of Gal and Dyer-Harman) costs O(T log T) in the
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,37 +50,25 @@ _PHASE_BATCH = 256              # Monte Carlo samples per batch (3.3 MB of X, Y 
 
 @dataclass
 class WeightedSupport:
-    """Finitely supported complex weight function on N^d.
+    """Finitely supported complex weight function on N^d: f(points[k]) = weights[k].
 
-    entries maps support tuples (all components >= 1) to complex weights;
-    the canonical array form and the squared 2-norm are cached at construction,
-    and a weight that is not finite, or a 2-norm that overflows, is refused.
+    points is (K, d) int64, K, d >= 1, every component >= 1, rows strictly
+    increasing in lexicographic order; weights is (K,) complex128, finite with
+    a finite squared 2-norm.  from_arrays, the one validator, keeps read-only
+    copies; WeightedSupport(d=..., entries={point: weight}) and ones sort first.
     """
 
     d: int
-    entries: Mapping[tuple[int, ...], complex]
+    entries: InitVar[Mapping[tuple[int, ...], complex]]
     points: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     norm_l2_sq: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("support must be nonempty")
-        if self.d < 1:
-            raise ValueError("support points need at least one coordinate")
-        keys = sorted(self.entries)
-        for key in keys:
-            if len(key) != self.d:
-                raise ValueError(f"support point {key} has wrong dimension")
-            if any(c < 1 for c in key):
-                raise ValueError(f"support point {key} has a component < 1")
-        self.points = np.array(keys, dtype=np.int64)
-        self.weights = np.array([complex(self.entries[k]) for k in keys], dtype=np.complex128)
-        with np.errstate(over="ignore"):     # an overflow is refused just below
-            self.norm_l2_sq = float((np.abs(self.weights) ** 2).sum())
-        if not math.isfinite(self.norm_l2_sq):
-            raise ValueError(f"support weights must be finite with a finite squared 2-norm, "
-                             f"got {self.norm_l2_sq}")
+    def __post_init__(self, entries: Mapping[tuple[int, ...], complex]) -> None:
+        f = self.from_arrays(*_lexsorted(list(entries.keys()), list(entries.values())))
+        if f.d != self.d:
+            raise ValueError(f"support points have {f.d} coordinates, not d = {self.d}")
+        vars(self).update(vars(f))
 
     @property
     def K(self) -> int:
@@ -85,8 +76,42 @@ class WeightedSupport:
 
     @classmethod
     def ones(cls, points: Sequence[Sequence[int]]) -> "WeightedSupport":
-        pts = [tuple(int(c) for c in p) for p in points]
-        return cls(d=len(pts[0]), entries={p: 1.0 for p in pts})
+        return cls.from_arrays(*_lexsorted(points, np.ones(len(points))))
+
+    @classmethod
+    def from_arrays(cls, points: np.ndarray, weights: np.ndarray) -> "WeightedSupport":
+        """f(points[k]) = weights[k], points already sorted; see the class for what is refused."""
+        if np.shape(points)[:1] == (0,):
+            raise ValueError("support must be nonempty")
+        if not (isinstance(points, np.ndarray) and points.dtype == np.int64 and points.ndim == 2
+                and points.shape[1] >= 1 and isinstance(weights, np.ndarray)
+                and weights.dtype == np.complex128 and weights.shape == points.shape[:1]):
+            raise ValueError(f"support needs (K, d) int64 points, d >= 1, and (K,) complex128 "
+                             f"weights, got {np.shape(points)} and {np.shape(weights)}")
+        if points.min() < 1:
+            raise ValueError(f"support points need every component >= 1, got {points.min()}")
+        step = points[1:] - points[:-1]     # no wrap: every component is >= 1
+        up = np.take_along_axis(step, (step != 0).argmax(axis=1)[:, None], 1)
+        if (up <= 0).any():                 # a repeated point steps by 0
+            raise ValueError(f"support points must increase strictly in lexicographic order, "
+                             f"so none repeats, not at {points[up.argmin() + 1].tolist()}")
+        with np.errstate(over="ignore"):     # an overflow is refused just below
+            norm = float((np.abs(weights) ** 2).sum())
+        if not math.isfinite(norm):
+            raise ValueError(f"support weights must be finite with a finite squared 2-norm, "
+                             f"got {norm}")
+        f = cls.__new__(cls)
+        f.d, f.norm_l2_sq = points.shape[1], norm
+        f.points, f.weights = points.copy(), weights.copy()
+        f.points.flags.writeable = f.weights.flags.writeable = False
+        return f
+
+
+def _lexsorted(points, weights) -> tuple[np.ndarray, np.ndarray]:
+    """int64 points (OverflowError beyond int64) and complex128 weights, sorted by point."""
+    points, weights = np.array(points, dtype=np.int64), np.array(weights, dtype=np.complex128)
+    order = np.lexsort(points.T[::-1]) if points.ndim == 2 and points.size else slice(None)
+    return points[order], weights[order]
 
 
 def _prime_powers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,7 +369,7 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
 def gcd_sum_enumerate(f: WeightedSupport, alpha: float) -> float:
     """Direct double-loop evaluation (test oracle for gcd_sum)."""
     total = 0.0 + 0.0j
-    items = [(k, complex(v)) for k, v in sorted(f.entries.items())]
+    items = list(zip(f.points.tolist(), f.weights.tolist()))
     for a, fa in items:
         for b, fb in items:
             kern = 1.0
@@ -360,17 +385,14 @@ def support_from_representations(table: RepresentationTable) -> WeightedSupport:
     gcd and |v_i| ignore signs, and a table of strictly increasing sequences
     has D(-v) = D(v) and no vector mixing signs, so the double sum over the
     signed all-nonzero vectors equals the sum over this positive half with
-    each weight doubled.
+    each weight doubled: the table's sorted rows after v = 0, sliced as they are.
     """
-    positive = (table.vectors > 0).all(axis=1)
-    if not positive.any():
-        raise ValueError(
-            "no all-nonzero difference vectors: the sequences share no repeated "
-            "differences beyond the diagonal"
-        )
-    entries = {tuple(int(c) for c in row): float(2 * cnt)
-               for row, cnt in zip(table.vectors[positive], table.counts[positive])}
-    return WeightedSupport(d=table.d, entries=entries)
+    half = table.vectors.shape[0] // 2 + 1
+    if half == table.vectors.shape[0]:
+        raise ValueError("no all-nonzero difference vectors: the sequences share no "
+                         "repeated differences beyond the diagonal")
+    return WeightedSupport.from_arrays(table.vectors[half:],
+                                       (2 * table.counts[half:]).astype(np.complex128))
 
 
 def gcd_sum_from_representations(table: RepresentationTable, alpha: float) -> float:

@@ -306,6 +306,7 @@ def test_malformed_support_json_is_config_error(capsys, tmp_path):
     for bad in ({"entries": []}, [1, 2], {}, {"entries": [[1, 0]]},
                 {"entries": [[1, 1, 1, 0], [1, 1, 2, 0]]},    # a point given twice
                 {"entries": [[1.5, 1, 1, 0]]},                # a fractional coordinate
+                {"entries": [[2 ** 63, 1, 1, 0]]},            # a coordinate beyond int64
                 {"entries": [[1, 2, math.nan, 0]]},           # a non-finite weight
                 {"entries": [[1, 2, 1e308, 0], [2, 1, 1e308, 0]]},    # |f|^2 overflows
                 {"entries": [[True, 2, 1.0, 0.0]]}):          # a boolean coordinate

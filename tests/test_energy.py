@@ -357,18 +357,16 @@ def test_group_rows_matches_unique_and_add_at(kind):
         scale = np.zeros(ref_counts.size)
         np.add.at(scale, inv, np.abs(w))
         for weights in (None, w):
-            for decode in (True, False):
-                calls = []
-                rows, counts = energy._group_rows(_refilled(values, calls), weights, decode)
-                assert len(calls) == (2 if kind == "overflow" else 1)
-                if decode:
-                    assert rows.dtype == np.int64 and np.array_equal(rows, ref_rows)
-                else:
-                    assert rows is None
-                if weights is None:
-                    assert counts.dtype == np.int64 and np.array_equal(counts, ref_counts)
-                else:
-                    assert np.all(np.abs(counts - ref_sums) <= 1e-12 * scale)
+            calls = []
+            rows, counts = energy._group_rows(_refilled(values, calls), weights)
+            assert len(calls) == (2 if kind == "overflow" else 1)
+            assert rows.dtype == np.int64 and np.array_equal(rows, ref_rows)
+            if weights is None:
+                assert counts.dtype == np.int64 and np.array_equal(counts, ref_counts)
+            else:
+                assert np.all(np.abs(counts - ref_sums) <= 1e-12 * scale)
+        assert energy._group_rows(_refilled(values, []), square=True) == (
+            int(ref_counts.sum()), int(ref_counts @ ref_counts))
 
 
 BAND_PEAK_BOUNDS = (14 * 2 ** 20, 10 * 2 ** 20)   # bytes: (n, n^2) at N = 2048, n^2 at N = 4096
@@ -439,11 +437,11 @@ def test_vinogradov_examples():
 
 
 def test_vinogradov_equals_power_family_joint_energy():
-    for n in (10, 40):
-        for d in (2, 3):
-            seqs = [generate(SequenceSpec.identity() if l == 1 else SequenceSpec.power_of(l), n)
-                    for l in range(1, d + 1)]
-            assert joint_additive_energy(seqs) == vinogradov_J2d(n, d)
+    # d = 6 keys overflow int64 on both sides and take the lexsort fallback
+    for n, d in ((10, 2), (10, 3), (40, 2), (40, 3), (10, 6)):
+        seqs = [generate(SequenceSpec.identity() if l == 1 else SequenceSpec.power_of(l), n)
+                for l in range(1, d + 1)]
+        assert joint_additive_energy(seqs) == vinogradov_J2d(n, d)
 
 
 def test_energy_report():

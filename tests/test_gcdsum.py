@@ -25,7 +25,7 @@ from torusppc.gcdsum import (
     zeta_riemann,
     zeta_trunc,
 )
-from torusppc.sequences import SequenceData, SequenceSpec
+from torusppc.sequences import SequenceData, SequenceSpec, generate
 
 
 def seq(vals):
@@ -48,6 +48,8 @@ def test_gcd_sum_validations():
         WeightedSupport(d=1, entries={(0,): 1.0})
     with pytest.raises(ValueError):
         WeightedSupport(d=2, entries={(1,): 1.0})
+    with pytest.raises(ValueError, match="support must be nonempty"):
+        WeightedSupport.ones([])
     f = WeightedSupport.ones([(1,), (2,)])
     with pytest.raises(ValueError):
         gcd_sum(f, 0.0)
@@ -55,6 +57,30 @@ def test_gcd_sum_validations():
         gcd_sum(f, 1.5)
     with pytest.raises(ValueError, match="got nan"):
         gcd_sum(f, math.nan)
+
+
+def test_from_arrays_refusals():
+    pts = np.array([[1, 2], [1, 3], [2, 1]], dtype=np.int64)
+    w = np.array([1.0, 2 - 1j, 0.5j])
+    f = WeightedSupport.from_arrays(pts, w)
+    assert f.d == 2 and f.K == 3 and f.norm_l2_sq == pytest.approx(6.25)
+    assert not f.points.flags.writeable and not f.weights.flags.writeable
+    pts[0, 0] = 7                           # the support holds its own copies
+    assert f.points[0, 0] == 1
+    pts[0, 0] = 1
+    for points, weights, match in (
+            (pts[[1, 0, 2]], w, "increase strictly"),
+            (pts[[0, 1, 1]], w, "increase strictly"),      # a repeated point
+            (pts - 1, w, "component >= 1"),
+            (pts.astype(np.int32), w, "int64"),
+            (pts.astype(np.float64), w, "int64"),
+            (pts[:, :0], w, "d >= 1"),
+            (pts, w[:2], r"\(K,\) complex128"),
+            (pts, w.real, "complex128"),
+            (pts, np.array([1.0, np.nan, 0j]), "2-norm, got nan"),
+            (pts, np.array([1e200, 1e200, 0j]), "2-norm, got inf")):
+        with pytest.raises(ValueError, match=match):
+            WeightedSupport.from_arrays(points, weights)
 
 
 def test_cached_norms():
@@ -339,7 +365,8 @@ def test_representation_driven_sum():
     a = seq([1, 2, 3])
     table = representation_counts([a])
     sup = support_from_representations(table)
-    assert sup.entries == {(1,): 4.0, (2,): 2.0}    # R(+-1)=2, R(+-2)=1 folded
+    assert sup.points.tolist() == [[1], [2]]        # R(+-1)=2, R(+-2)=1 folded
+    assert sup.weights.tolist() == [4.0, 2.0]
     got = gcd_sum_from_representations(table, 0.5)
     # independent signed double sum
     nonzero = (table.vectors != 0).all(axis=1)
@@ -359,8 +386,24 @@ def test_single_difference_vector():
     vecs, counts = table.vectors[nonzero], table.counts[nonzero]
     assert sorted(int(v) for v in vecs[:, 0]) == [-6, 6]
     sup = support_from_representations(table)
-    assert sup.entries == {(6,): 2.0}
+    assert sup.points.tolist() == [[6]] and sup.weights.tolist() == [2.0]
     assert gcd_sum_from_representations(table, 0.8) == pytest.approx(4.0)
+
+
+def test_support_from_representations_equals_dict_route():
+    # the route the table took through a dict of tuples before it was sliced
+    for family, n in ((["n", "n^2"], 30), (["n", "n^2", "n^3"], 20)):
+        table = representation_counts([generate(SequenceSpec.parse(s), n) for s in family])
+        positive = (table.vectors > 0).all(axis=1)
+        entries = {tuple(int(c) for c in row): float(2 * cnt)
+                   for row, cnt in zip(table.vectors[positive], table.counts[positive])}
+        keys = sorted(entries)
+        sup = support_from_representations(table)
+        assert sup.d == len(family) and sup.K == len(keys)
+        assert np.array_equal(sup.points, np.array(keys, dtype=np.int64))
+        assert np.array_equal(sup.weights,
+                              np.array([complex(entries[k]) for k in keys], dtype=np.complex128))
+        assert sup.weights.dtype == np.complex128
 
 
 def test_empty_restricted_table():
@@ -485,7 +528,7 @@ def test_sample_is_the_x_of_verify_eq0_sample_zero():
     vals = _model_values(seed, m, samples, 2)
     assert np.array_equal(vals[:, 0, 0], x)
     y = vals[:, 1, 0]
-    d = sum(w * x[a] * y[b] for (a, b), w in f.entries.items())
+    d = sum(w * x[a] * y[b] for (a, b), w in zip(f.points.tolist(), f.weights))
     zd_sq, d_sq = _batched_mc_moments(f, alpha, m, samples, seed)
     assert d_sq[0] == pytest.approx(abs(d) ** 2, rel=1e-12)
     assert zd_sq[0] == pytest.approx(
@@ -601,7 +644,7 @@ def _g_oracle(alpha, m):
 def truncated_rhs_enumerate(f, alpha, m):
     """Double loop over support pairs (test oracle for truncated_rhs)."""
     g_factor = _g_oracle(alpha, m)
-    items = [(k, complex(v)) for k, v in sorted(f.entries.items())]
+    items = list(zip(f.points.tolist(), f.weights.tolist()))
     total = 0j
     for (a, b), fab in items:
         for (c, d), fcd in items:
