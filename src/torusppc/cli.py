@@ -116,8 +116,9 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _load_support(path: str) -> WeightedSupport:
-    # refused here: booleans, fractions, other file shapes; by _lexsorted: a coordinate
-    # outside int64; by from_arrays: d = 0, a component < 1, a repeat, a non-finite norm
+    # refused here: booleans, fractions, points of unequal length, other file shapes;
+    # by _lexsorted: a coordinate outside int64; by from_arrays: d = 0, a component < 1,
+    # a repeat, a non-finite norm
     data = _read_json(path)
     points, weights = [], []
     try:
@@ -127,6 +128,9 @@ def _load_support(path: str) -> WeightedSupport:
             points.append([int(c) for c in coords])
             if points[-1] != coords:
                 raise ConfigError(f"support point {coords} has a non-integer coordinate")
+            if len(coords) != len(points[0]):
+                raise ConfigError(f"support point {coords} has wrong dimension: "
+                                  f"{len(coords)} coordinates, not {len(points[0])}")
             weights.append(complex(float(re_w), float(im_w)))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f'support file is not {{"entries": [[a1..ad, re, im], ...]}}: '

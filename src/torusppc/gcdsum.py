@@ -21,11 +21,15 @@ tests against simulation.  _model_values is the one place that model is
 drawn and extended, field j (X, then Y) from one PCG64 stream (seed, j) of
 which sample i reads a fixed window, reached from any first sample by
 advancing the stream.  Its arrays are n-major, X(n) at index n of axis 0,
-and zeta_trunc sums any of them over that axis.  verify_eq0 draws and sums
-its batches on one thread per usable core through _parallel.ordered_map; D
-and the zeta sums are np.einsum sums, not BLAS, in a fixed order per sample,
-so its output bytes depend neither on the core count nor on the BLAS
-threads.  gcd_sum and truncated_rhs run on the calling thread.
+and zeta_trunc sums any of them over that axis.  verify_eq0 deals its
+batches in static stripes, one per usable core, through
+_parallel.ordered_map; each worker draws every batch of its stripe into
+buffers made once for it and from one stream per field that it advances
+past the other stripes' batches, so the model's memory is the same few MB
+every call, whatever the allocator does with freed pages.  D and the zeta
+sums are np.einsum sums, not BLAS, in a fixed order per sample, so its
+output bytes depend neither on the core count nor on the BLAS threads.
+gcd_sum and truncated_rhs run on the calling thread.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ _TRIAL_BOUND = 1 << 16          # largest trial divisor; larger factors go to a 
 _BLOCK_TUPLES = 1 << 16         # divisor tuples of one block of first-divisor groups in gcd_sum
 _MAX_HELD_TUPLES = 1 << 24      # divisor tuples gcd_sum holds expanded at once at most (~1-2 GB)
 _MAX_DIVISOR_TUPLES = 1 << 28   # divisor tuples gcd_sum expands in all at most (~30 s at 0.11 us a tuple)
-_PHASE_BATCH = 256              # Monte Carlo samples per batch (3.3 MB of X, Y at M = 400)
+_PHASE_BATCH = 128              # Monte Carlo samples a batch (a worker's buffers: 3.5 MB at M = 400)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightedSupport:
     """Finitely supported complex weight function on N^d: f(points[k]) = weights[k].
 
@@ -56,6 +60,7 @@ class WeightedSupport:
     increasing in lexicographic order; weights is (K,) complex128, finite with
     a finite squared 2-norm.  from_arrays, the one validator, keeps read-only
     copies; WeightedSupport(d=..., entries={point: weight}) and ones sort first.
+    Frozen, so no field is replaced after that check.
     """
 
     d: int
@@ -100,10 +105,10 @@ class WeightedSupport:
         if not math.isfinite(norm):
             raise ValueError(f"support weights must be finite with a finite squared 2-norm, "
                              f"got {norm}")
+        points, weights = points.copy(), weights.copy()
+        points.flags.writeable = weights.flags.writeable = False
         f = cls.__new__(cls)
-        f.d, f.norm_l2_sq = points.shape[1], norm
-        f.points, f.weights = points.copy(), weights.copy()
-        f.points.flags.writeable = f.weights.flags.writeable = False
+        vars(f).update(d=points.shape[1], points=points, weights=weights, norm_l2_sq=norm)
         return f
 
 
@@ -453,7 +458,33 @@ def _model_plan(M: int) -> tuple[int, list[tuple[np.ndarray, np.ndarray, np.ndar
                          for lev in _omega_levels(spf)]
 
 
-def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0) -> np.ndarray:
+def _model_workspace(M: int, samples: int, fields: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers for _model_values batches of up to samples samples: the
+    uniforms, the phases, the transposed phases, the values and two
+    level-product scratch arrays.  Each call reshapes their leading parts."""
+    n_p, steps = _model_plan(M)
+    widest = max((lev.size for lev, _, _ in steps), default=0)
+    return (np.empty(fields * samples * n_p),
+            *(np.empty(fields * samples * k, dtype=np.complex128)
+              for k in (n_p, n_p, M + 1, widest, widest)))
+
+
+def _model_streams(seed: int, fields: int, first: int, n_p: int) -> list[np.random.Generator]:
+    """Field j's PCG64 stream, seeded by SeedSequence((seed, j)), advanced to
+    sample first (n_p uniforms a sample)."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    streams = []
+    for j in range(fields):
+        bit_generator = np.random.PCG64(np.random.SeedSequence((int(seed), j)))
+        bit_generator.advance(first * n_p)
+        streams.append(np.random.Generator(bit_generator))
+    return streams
+
+
+def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0,
+                  work: tuple[np.ndarray, ...] | None = None,
+                  streams: list[np.random.Generator] | None = None) -> np.ndarray:
     """Values at n <= M of independent random completely multiplicative
     functions X_1, ..., X_fields, samples first .. first + samples - 1.
 
@@ -469,22 +500,39 @@ def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0) 
     on axis 0; row 0 is 0 and unused.  The extension takes one gathered
     product per level of Omega(n) (at most log2 M of them), each still
     X(n / p) X(p).
+
+    work, from _model_workspace for at least samples samples, holds every
+    array of the call, and the returned values are a view into it; streams,
+    from _model_streams, must stand at sample first and are left at sample
+    first + samples.  Either is made here when not passed.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     n_p, steps = _model_plan(M)
-    u = np.empty((fields, samples * n_p))
-    for j in range(fields):
-        bit_generator = np.random.PCG64(np.random.SeedSequence((int(seed), j)))
-        bit_generator.advance(first * n_p)
-        u[j] = np.random.Generator(bit_generator).random(samples * n_p)
-    phases = np.exp(2j * np.pi * u).reshape(fields, samples, n_p)
-    phases = np.ascontiguousarray(phases.transpose(2, 0, 1))
-    values = np.empty((M + 1, fields, samples), dtype=np.complex128)
+    if work is None:
+        work = _model_workspace(M, samples, fields)
+    if streams is None:
+        streams = _model_streams(seed, fields, first, n_p)
+    u_buf, phase_buf, by_prime_buf, value_buf, parent_buf, prime_buf = work
+    size = fields * samples * n_p
+    u = u_buf[:size].reshape(fields, samples * n_p)
+    for stream, row in zip(streams, u):
+        stream.random(out=row)
+    phases = phase_buf[:size].reshape(u.shape)
+    np.multiply(u, 2j * np.pi, out=phases)
+    np.exp(phases, out=phases)
+    by_prime = by_prime_buf[:size].reshape(n_p, fields, samples)
+    np.copyto(by_prime, phases.reshape(fields, samples, n_p).transpose(2, 0, 1))
+    values = value_buf[:(M + 1) * fields * samples].reshape(M + 1, fields, samples)
     values[0] = 0.0
     values[1] = 1.0
     for lev, parent, pidx in steps:
-        values[lev] = values[parent] * phases[pidx]
+        shape = (lev.size, fields, samples)
+        product = parent_buf[:lev.size * fields * samples].reshape(shape)
+        factor = prime_buf[:product.size].reshape(shape)
+        # mode="clip" (every index is in range): "raise" gathers into a temporary first
+        np.take(values, parent, axis=0, out=product, mode="clip")
+        np.take(by_prime, pidx, axis=0, out=factor, mode="clip")
+        np.multiply(product, factor, out=product)
+        values[lev] = product
     return values
 
 
@@ -580,25 +628,39 @@ def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int, 
     """Per-sample |zeta_X zeta_Y D|^2 and |D|^2, X and Y the two fields of
     _model_values.
 
-    Each batch of _PHASE_BATCH samples is drawn, extended and summed on one
-    thread per usable core by _parallel.ordered_map and written to its own
-    slices.  D is an np.einsum sum like zeta_trunc's, so a sample's bytes
-    depend neither on the core count nor on the batch it falls in.
+    The batches of _PHASE_BATCH samples are dealt in static stripes to
+    W = min(usable cores, batches) workers by _parallel.ordered_map: worker
+    w draws, extends and sums batches w, w + W, ... and writes each to its
+    own slices.  Its _model_workspace and its two streams are made once, on
+    the calling thread, and reused for every batch; after a batch the
+    streams skip the W - 1 batches the other workers draw.  D is an
+    np.einsum sum like zeta_trunc's, so a sample's bytes depend neither on
+    the core count nor on the batch it falls in.
     """
     a_idx = f.points[:, 0]
     b_idx = f.points[:, 1]
     zd_sq = np.empty(samples, dtype=np.float64)
     d_sq = np.empty(samples, dtype=np.float64)
+    batch = _PHASE_BATCH
+    starts = range(0, samples, batch)
+    workers = min(_parallel.usable_cores(), len(starts))
+    n_p = _model_plan(M)[0]
+    owned = [(_model_workspace(M, min(batch, samples), 2), _model_streams(seed, 2, lo, n_p))
+             for lo in starts[:workers]]
 
-    def batch(lo: int) -> None:
-        hi = min(samples, lo + _PHASE_BATCH)
-        values = _model_values(seed, M, hi - lo, 2, lo)
-        d = np.einsum("k,kb->b", f.weights, values[a_idx, 0] * values[b_idx, 1])
-        z_x, z_y = zeta_trunc(values, alpha, M)
-        zd_sq[lo:hi] = np.abs(z_x * z_y * d) ** 2
-        d_sq[lo:hi] = np.abs(d) ** 2
+    def stripe(w: int) -> None:
+        work, streams = owned[w]
+        for lo in starts[w::workers]:
+            hi = min(samples, lo + batch)
+            values = _model_values(seed, M, hi - lo, 2, lo, work, streams)
+            d = np.einsum("k,kb->b", f.weights, values[a_idx, 0] * values[b_idx, 1])
+            z_x, z_y = zeta_trunc(values, alpha, M)
+            zd_sq[lo:hi] = np.abs(z_x * z_y * d) ** 2
+            d_sq[lo:hi] = np.abs(d) ** 2
+            for stream in streams:
+                stream.bit_generator.advance((workers - 1) * batch * n_p)
 
-    _parallel.ordered_map(batch, range(0, samples, _PHASE_BATCH))
+    _parallel.ordered_map(stripe, range(workers))
     return zd_sq, d_sq
 
 

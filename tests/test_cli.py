@@ -309,12 +309,16 @@ def test_malformed_support_json_is_config_error(capsys, tmp_path):
                 {"entries": [[2 ** 63, 1, 1, 0]]},            # a coordinate beyond int64
                 {"entries": [[1, 2, math.nan, 0]]},           # a non-finite weight
                 {"entries": [[1, 2, 1e308, 0], [2, 1, 1e308, 0]]},    # |f|^2 overflows
-                {"entries": [[True, 2, 1.0, 0.0]]}):          # a boolean coordinate
+                {"entries": [[True, 2, 1.0, 0.0]]},           # a boolean coordinate
+                {"entries": [[1, 2, 1, 0], [3, 1, 0]]}):      # points of unequal length
         path.write_text(json.dumps(bad), encoding="utf-8")
         for command in (["gcdsum", "--alpha-exp", "1.0"], ["verify-eq0"]):
             code, out, err = run_cli(capsys, *command, "--support-json", str(path))
             assert code == 3 and out == "", (bad, command)
             assert err.startswith("torusppc: invalid configuration:"), err
+    # the last entry's message names the point, not numpy's ragged-array error
+    assert "support point [3] has wrong dimension: 1 coordinates, not 2" in err
+    assert "inhomogeneous" not in err
 
 
 def test_explicit_file_term_too_large_is_config_error(capsys, tmp_path):

@@ -1,8 +1,12 @@
 import copy
+import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,9 @@ def test_from_arrays_refusals():
     pts[0, 0] = 7                           # the support holds its own copies
     assert f.points[0, 0] == 1
     pts[0, 0] = 1
+    for name in ("points", "weights", "d", "norm_l2_sq"):   # frozen: none replaced unchecked
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, getattr(f, name))
     for points, weights, match in (
             (pts[[1, 0, 2]], w, "increase strictly"),
             (pts[[0, 1, 1]], w, "increase strictly"),      # a repeated point
@@ -113,8 +120,9 @@ def test_gcd_sum_support_order_invariance():
     want = gcd_sum(f, 0.7)
     for seed in range(3):
         perm = np.random.default_rng(seed).permutation(f.K)
-        shuffled = copy.copy(f)
-        shuffled.points, shuffled.weights = f.points[perm], f.weights[perm]
+        shuffled = copy.copy(f)         # frozen: gcd_sum must still see unsorted rows
+        object.__setattr__(shuffled, "points", f.points[perm])
+        object.__setattr__(shuffled, "weights", f.weights[perm])
         assert gcd_sum(shuffled, 0.7) == pytest.approx(want, rel=1e-12)
 
 
@@ -587,6 +595,79 @@ def test_verify_eq0_bytes_do_not_depend_on_the_core_count(monkeypatch):
     assert all(len(seen) == 1 for seen in runs.values())
     assert threads["draw"] and threading.main_thread() not in threads["draw"]
     assert threads["gcd_sum"] == threads["truncated_rhs"] == {threading.main_thread()}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_model_values_in_owned_buffers_and_advanced_streams_match_a_fresh_draw(workers):
+    # each worker's stripe as _batched_mc_moments deals it: one workspace and
+    # one stream per field, reused; the last, partial batch follows full ones
+    seed, m, batch = 9, 97, 5
+    samples = (2 * workers + 1) * batch + 3
+    n_p = len(primes_up_to(m))
+    starts = range(0, samples, batch)
+    sizes = []
+    for w in range(workers):
+        work = gcdsum._model_workspace(m, batch, 2)
+        streams = gcdsum._model_streams(seed, 2, starts[w], n_p)
+        sizes.append([])
+        for lo in starts[w::workers]:
+            hi = min(samples, lo + batch)
+            got = _model_values(seed, m, hi - lo, 2, lo, work, streams)
+            assert np.shares_memory(got, work[3])
+            want = _model_values(seed, m, hi - lo, 2, lo)
+            assert got.shape == want.shape == (m + 1, 2, hi - lo)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (w, lo)
+            sizes[-1].append(hi - lo)
+            for stream in streams:
+                stream.bit_generator.advance((workers - 1) * batch * n_p)
+    assert sum(map(sum, sizes)) == samples
+    *full, part = sizes[(len(starts) - 1) % workers]
+    assert full and set(full) == {batch} and part == 3
+
+
+MODEL_PEAK_BOUND = 10 * 2 ** 20     # bytes; two workers' buffers take 6.9 MiB at M = 400
+
+
+def _model_traced_peak(monkeypatch, f):
+    monkeypatch.setattr(_parallel, "usable_cores", lambda: 2)
+    _batched_mc_moments(f, 0.75, 400, 100, 1)       # the plan is cached, not counted
+    tracemalloc.start()
+    try:
+        _batched_mc_moments(f, 0.75, 400, 2000, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_random_model_peak_memory(monkeypatch):
+    f = WeightedSupport.ones([(1, 1), (1, 2), (2, 1), (2, 2)])
+    assert _model_traced_peak(monkeypatch, f) < MODEL_PEAK_BOUND
+    # detector: batches four times as long take 27 MiB
+    monkeypatch.setattr(gcdsum, "_PHASE_BATCH", 4 * gcdsum._PHASE_BATCH)
+    assert _model_traced_peak(monkeypatch, f) > MODEL_PEAK_BOUND
+
+
+def test_repeated_verify_eq0_calls_reuse_their_pages_with_one_malloc_arena():
+    # with one glibc arena, buffers freed and made again every batch took
+    # 1.1e5-1.6e5 page faults a call; buffers made once a call take ~2e3
+    pytest.importorskip("resource")
+    src = str(Path(gcdsum.__file__).resolve().parents[1])
+    env = {**os.environ, "MALLOC_ARENA_MAX": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import resource\n"
+        "from torusppc import _parallel, gcdsum\n"
+        "_parallel.usable_cores = lambda: 2\n"
+        "f = gcdsum.WeightedSupport.ones([(1, 1), (1, 2), (2, 1), (2, 2)])\n"
+        "for _ in range(4):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    gcdsum.verify_eq0(f, 0.75, 400, 40_000, 7)\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(line) for line in proc.stdout.split()]
+    assert len(faults) == 4 and max(faults[1:]) < 10_000, faults
 
 
 def test_zeta_trunc_second_moment():
