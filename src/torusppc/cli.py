@@ -116,8 +116,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _load_support(path: str) -> WeightedSupport:
-    # refused here: booleans, fractions, points of unequal length, other file shapes;
-    # by _lexsorted: a coordinate outside int64; by from_arrays: d = 0, a component < 1,
+    # refused here: booleans, fractions, other file shapes; by _lexsorted: points of
+    # unequal length, a coordinate outside int64; by from_arrays: d = 0, a component < 1,
     # a repeat, a non-finite norm
     data = _read_json(path)
     points, weights = [], []
@@ -128,9 +128,6 @@ def _load_support(path: str) -> WeightedSupport:
             points.append([int(c) for c in coords])
             if points[-1] != coords:
                 raise ConfigError(f"support point {coords} has a non-integer coordinate")
-            if len(coords) != len(points[0]):
-                raise ConfigError(f"support point {coords} has wrong dimension: "
-                                  f"{len(coords)} coordinates, not {len(points[0])}")
             weights.append(complex(float(re_w), float(im_w)))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f'support file is not {{"entries": [[a1..ad, re, im], ...]}}: '
@@ -263,10 +260,11 @@ def _cmd_stat(args):
         alpha = sample_alpha(args.seed, d)
         config.update(alpha=None, seed=args.seed)
     config["check_naive"] = bool(args.check_naive)
-    seqs = [generate(spec, args.N) for spec in family]
-    res = ppc_grid(orbit(seqs, alpha), args.s, norm)
+    # the sequences go once the orbit is built; both counters read that one array
+    pts = orbit([generate(spec, args.N) for spec in family], alpha)
+    res = ppc_grid(pts, args.s, norm)
     if args.check_naive:
-        ref = ppc_naive(orbit(seqs, alpha), args.s, norm)
+        ref = ppc_naive(pts, args.s, norm)
         if ref.near_pairs != res.near_pairs:
             raise InternalError(f"grid and naive counters disagree: "
                                 f"{res.near_pairs} != {ref.near_pairs}")

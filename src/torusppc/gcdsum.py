@@ -113,7 +113,16 @@ class WeightedSupport:
 
 
 def _lexsorted(points, weights) -> tuple[np.ndarray, np.ndarray]:
-    """int64 points (OverflowError beyond int64) and complex128 weights, sorted by point."""
+    """int64 points (OverflowError beyond int64) and complex128 weights, sorted by point.
+
+    Points of unequal length are refused with a message that names the first
+    one whose length differs from the first point's.
+    """
+    width = np.size(points[0]) if len(points) else 0
+    bad = next((p for p in points if np.size(p) != width), None)
+    if bad is not None:
+        raise ValueError(f"support point {bad} has wrong dimension: "
+                         f"{np.size(bad)} coordinates, not {width}")
     points, weights = np.array(points, dtype=np.int64), np.array(weights, dtype=np.complex128)
     order = np.lexsort(points.T[::-1]) if points.ndim == 2 and points.size else slice(None)
     return points[order], weights[order]

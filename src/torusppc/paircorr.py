@@ -10,11 +10,13 @@ Each point is paired with the later points of its own cell and with the
 half shell of neighbour cells (offsets whose first nonzero component is
 +1), the three neighbours along the last axis as one range, so every
 candidate pair is examined exactly once with no deduplication pass and no
-search.  Grids with fewer than 3 cells per axis use one cell.  After the
-sort, ppc_grid walks the sorted points in blocks of _BLOCK = 2**13, so
-that only the sorted points, their cell ids and the cell-start table (at
-most 2N + 1 entries) grow with N: a count at N = 10**5 (d = 2) peaks at
-about 4.6 MiB besides its input.  It counts at most 2**31 - 1 points.
+search.  Grids with fewer than 3 cells per axis use one cell.  ppc_grid
+builds the keys and walks the sorted points in blocks of _BLOCK = 2**13,
+so that only the keys (until the points are sorted), the sorted points
+and the cell-start table (at most 2N + 1 entries) grow with N: a count at
+N = 10**5 (d = 2) peaks at about 4.1 MiB besides its input, and one at
+N = 10**6 (d = 3, 2-norm) at about 35 MiB.  It counts at most 2**31 - 1
+points, and writes nothing into its input.
 Both counters call the same exact comparison predicate, so their counts
 agree pair for pair, not just statistically.  They hand it candidate pairs
 in blocks of up to _CHUNK_PAIRS = 2**15 (only a longer single segment goes
@@ -278,11 +280,12 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     m - 1 or cell 0.  Each unordered pair of adjacent cells is paired once
     from one side, so each candidate pair is tested exactly once, and each
     tested pair counts twice (ordered pairs).  With one cell (m = 1) each
-    point is paired with all later points.  The sort is a value sort of
-    the keys cell << 32 | index, whose high halves are the sorted cell ids
-    and low halves the order.  Past it the rows are gathered, the cells
-    read back from the sorted ids and the ranges built per block of _BLOCK
-    sorted points, and a block's ranges go through the predicate together.
+    point is paired with all later points.  The keys cell << 32 | index
+    are filled per block of _BLOCK points, and one value sort of them
+    leaves the order in their low halves, read as a view.  Past it the
+    rows are gathered and the key freed; then per block of _BLOCK sorted
+    points the cells are computed again from the sorted columns, the
+    ranges built, and a block's ranges go through the predicate together.
     """
     pts = points_to_array(points)
     N, d = pts.shape
@@ -293,22 +296,26 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     thr = _threshold_for(s, N, d)
     m = _cells_per_axis(thr.t, d, N)
 
-    # flat cell id, built in place one axis at a time, then packed above the
-    # point index, so that a plain value sort orders the points by cell
-    key = _cell_coords(pts[:, 0], m)
-    for k in range(1, d):
-        key *= np.uint64(m)
-        key += _cell_coords(pts[:, k], m)
+    # flat cell ids, one block at a time, then packed above the point index,
+    # so that a plain value sort orders the points by cell
+    key = np.empty(N, dtype=np.uint64)
+    for lo in range(0, N, _BLOCK):
+        block = key[lo:lo + _BLOCK]
+        block[:] = _cell_coords(pts[lo:lo + _BLOCK, 0], m)
+        for k in range(1, d):
+            block *= np.uint64(m)
+            block += _cell_coords(pts[lo:lo + _BLOCK, k], m)
     counts = np.bincount(key.view(np.int64), minlength=m ** d)
     starts = np.zeros(m ** d + 1, dtype=np.int32)
     starts[1:] = np.cumsum(counts, out=counts)
     del counts
-    key <<= np.uint64(32)
-    key |= np.arange(N, dtype=np.uint64)
+    for lo in range(0, N, _BLOCK):
+        block = key[lo:lo + _BLOCK]
+        block <<= np.uint64(32)
+        block |= np.arange(lo, lo + block.size, dtype=np.uint64)
     key.sort()
-    cell = (key >> np.uint64(32)).astype(np.uint32)     # sorted flat cell ids
-    key &= np.uint64(0xFFFFFFFF)
-    order = key.view(np.int64)
+    low = 0 if np.little_endian else 1
+    order = key.view(np.uint32)[low::2]                 # the low halves, as a view
     cols = np.empty((d, N), dtype=np.uint64)            # sorted points, coordinate-major
     buf = np.empty((min(N, _BLOCK), d), dtype=np.uint64)
     for lo in range(0, N, _BLOCK):
@@ -316,14 +323,14 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
         rows = buf[:hi - lo]
         np.take(pts, order[lo:hi], axis=0, out=rows)
         cols[:, lo:hi] = rows.T
-    del key, order, buf
+    del key, block, order, buf                         # the key and every view of it
 
     shell = _half_shell(d - 1) if m > 1 else []
     weights = [m ** (d - 1 - k) for k in range(d - 1)]
 
-    def row(axes, delta):
+    def row(n, axes, delta):
         # first flat cell id of the row at offset delta from each point's
-        base = np.zeros(len(axes[0]), dtype=np.int64)
+        base = np.zeros(n, dtype=np.int64)
         for c, o, w in zip(axes, delta, weights):
             c = c + o
             c[c == m] = 0                   # wrap without an integer division
@@ -336,12 +343,9 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     for lo in range(0, N, _BLOCK):
         hi = min(N, lo + _BLOCK)
         a = np.arange(lo, hi)
-        r, q = np.divmod(cell[lo:hi].astype(np.int64), m)    # row index, last-axis cell
-        own = r * m                          # first cell id of the own row
-        axes = []                            # cells on the first d - 1 axes
-        for _ in range(d - 1):
-            r, c = np.divmod(r, m)
-            axes.insert(0, c)
+        # cells on each axis (below 2**31, so the int64 view is exact)
+        *axes, q = (_cell_coords(col[lo:hi], m).view(np.int64) for col in cols)
+        own = row(hi - lo, axes, (0,) * (d - 1))     # first cell id of the own row
         first = np.maximum(q - 1, 0)
         stop = np.minimum(q + 1, m - 1) + 1
         # points whose last-axis neighbour wraps around (none with one cell)
@@ -356,7 +360,7 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
         begin = [a + 1, starts[own[last]]]
         end = [starts[own + stop], starts[own[last] + 1]]
         for delta in shell:
-            base = row(axes, delta)
+            base = row(hi - lo, axes, delta)
             pair_a += [a, a[wrap]]
             begin += [starts[base + first], starts[base[wrap] + other]]
             end += [starts[base + stop], starts[base[wrap] + other + 1]]

@@ -90,6 +90,16 @@ def test_from_arrays_refusals():
             WeightedSupport.from_arrays(points, weights)
 
 
+def test_points_of_unequal_length_are_refused_by_name():
+    # both sorting constructors name the first point whose length differs,
+    # rather than failing inside numpy on a ragged array
+    for build, shown in ((lambda: WeightedSupport(d=2, entries={(1, 2): 1, (3,): 1}), "(3,)"),
+                         (lambda: WeightedSupport.ones([[1, 2], [3]]), "[3]")):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == f"support point {shown} has wrong dimension: 1 coordinates, not 2"
+
+
 def test_cached_norms():
     f = WeightedSupport(d=1, entries={(1,): 3 + 4j, (2,): 1.0})
     assert f.norm_l2_sq == pytest.approx(26.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from torusppc import paircorr
+from torusppc import cli, paircorr
 from torusppc.cli import parse_and_dispatch
 from torusppc.fixedpoint import SCALE, point_of_reals
 from torusppc.paircorr import NormKind, ppc_grid, ppc_limit, ppc_naive, unit_ball_volume
@@ -485,8 +485,8 @@ def test_grid_matches_naive_across_block_boundaries(block, monkeypatch):
 
 # (d, N, norm, s values, bound in MiB) of the memory gate
 _MEMORY_GATES = [
-    (2, 10 ** 5, NormKind.SUP, (0.5, 1.0, 2.0), 5.5),
-    (3, 2 * 10 ** 5, NormKind.TWO, (1.0,), 12.0),
+    (2, 10 ** 5, NormKind.SUP, (0.5, 1.0, 2.0), 4.6),
+    (3, 2 * 10 ** 5, NormKind.TWO, (1.0,), 10.3),
 ]
 
 
@@ -510,6 +510,40 @@ def test_grid_memory_gate(d, n, norm, s_values, bound, block, monkeypatch):
             assert peak < bound, (s, peak)
         else:
             assert peak > bound, (s, peak)
+
+
+_STAT_ARGV = ["stat", "--family", "n,[n log^1 n],n^3", "--norm", "two", "--s", "1",
+              "--seed", "5"]
+
+
+@pytest.mark.parametrize("stash", [False, True])
+def test_stat_memory_gate(stash, monkeypatch):
+    # peak traced allocation of the whole stat command at d = 3, N = 2 * 10^5:
+    # the orbit, its sorted columns and the cell starts, about 13.6 MiB; with
+    # every generated sequence kept alive the count must break the bound
+    if stash:
+        kept, make = [], cli.generate
+        monkeypatch.setattr(cli, "generate", lambda spec, n: kept.append(make(spec, n)) or kept[-1])
+    assert parse_and_dispatch(_STAT_ARGV + ["--N", "1000"]) == 0   # first-call allocations
+    tracemalloc.start()
+    try:
+        assert parse_and_dispatch(_STAT_ARGV + ["--N", "200000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert (peak > 15.0) == stash, peak
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_counters_never_write_their_input(d):
+    # stat --check-naive hands one orbit array to both counters
+    pts = rand_points(np.random.default_rng(61), 1500, d)
+    before = pts.tobytes()
+    pts.flags.writeable = False
+    for norm in NormKind:
+        for count in (ppc_grid, ppc_naive):
+            count(pts, 1.0, norm)
+            assert pts.tobytes() == before, (count.__name__, norm)
 
 
 def _lattice_s(t, n, d):
