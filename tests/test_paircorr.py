@@ -485,31 +485,50 @@ def test_grid_matches_naive_across_block_boundaries(block, monkeypatch):
 
 # (d, N, norm, s values, bound in MiB) of the memory gate
 _MEMORY_GATES = [
+    (2, 10 ** 5, NormKind.SUP, (0.5, 1.0, 2.0), 5.5),
+    (3, 2 * 10 ** 5, NormKind.TWO, (1.0,), 12.0),
+]
+
+# the same counts held to the peaks of a set-up with no N-long scratch
+# arrays: an 8-byte key or cell array kept past the sort adds 0.8 / 1.5 MiB
+_SETUP_GATES = [
     (2, 10 ** 5, NormKind.SUP, (0.5, 1.0, 2.0), 4.6),
     (3, 2 * 10 ** 5, NormKind.TWO, (1.0,), 10.3),
 ]
 
 
-@pytest.mark.parametrize("block", [None, 1 << 20])
-@pytest.mark.parametrize("d, n, norm, s_values, bound", _MEMORY_GATES)
-def test_grid_memory_gate(d, n, norm, s_values, bound, block, monkeypatch):
-    # peak traced allocation of one count on random points, the input
-    # excluded; with blocks of 2^20 points the per-block arrays are N long
-    # and every case must break its bound, which shows the gate can fail
-    if block is not None:
-        monkeypatch.setattr(paircorr, "_BLOCK", block)
+def _grid_peaks(d, n, norm, s_values):
+    """Peak traced MiB of ppc_grid on random points at each s, input excluded."""
     pts = rand_points(np.random.default_rng(53), n, d)
+    peaks = []
     for s in s_values:
         tracemalloc.start()
         try:
             ppc_grid(pts, s, norm)
-            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("block", [None, 1 << 20])
+@pytest.mark.parametrize("d, n, norm, s_values, bound", _MEMORY_GATES)
+def test_grid_memory_gate(d, n, norm, s_values, bound, block, monkeypatch):
+    # with blocks of 2^20 points the per-block arrays are N long and every
+    # case must break its bound, which shows the gate can fail
+    if block is not None:
+        monkeypatch.setattr(paircorr, "_BLOCK", block)
+    for s, peak in zip(s_values, _grid_peaks(d, n, norm, s_values)):
         if block is None:
             assert peak < bound, (s, peak)
         else:
             assert peak > bound, (s, peak)
+
+
+@pytest.mark.parametrize("d, n, norm, s_values, bound", _SETUP_GATES)
+def test_grid_setup_memory_gate(d, n, norm, s_values, bound):
+    for s, peak in zip(s_values, _grid_peaks(d, n, norm, s_values)):
+        assert peak < bound, (s, peak)
 
 
 _STAT_ARGV = ["stat", "--family", "n,[n log^1 n],n^3", "--norm", "two", "--s", "1",
