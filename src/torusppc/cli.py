@@ -18,7 +18,8 @@ _VARIANT_FLAGS; before any handler runs, _resolve_variant fills in their
 defaults and refuses a missing required flag or a flag of another variant.
 
 Exit codes: 0 success, 2 usage error, 3 invalid configuration, 4 I/O error,
-5 internal error (a failed self-check, not bad input).
+5 internal error (a failed self-check or any other unexpected exception, not
+bad input), told in one line with no traceback.
 """
 
 from __future__ import annotations
@@ -83,14 +84,10 @@ _VARIANT_FLAGS = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _parse_family(text: str, floor_start: int) -> tuple[SequenceSpec, ...]:
     parts = [p for p in (q.strip() for q in text.split(",")) if p]
     if not parts:
-        raise ConfigError(f"empty family specification: {text!r}")
+        raise ValueError(f"empty family specification: {text!r}")
     return tuple(SequenceSpec.parse(p, floor_start=floor_start) for p in parts)
 
 
@@ -101,7 +98,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         lo_txt, hi_txt = text.split("..", 1)
         lo, hi = int(lo_txt), int(hi_txt)
         if lo < 1 or hi < lo:
-            raise ConfigError(f"bad range {text!r}")
+            raise ValueError(f"bad range {text!r}")
         vals = []
         n = lo
         while n <= hi:
@@ -124,14 +121,14 @@ def _load_support(path: str) -> WeightedSupport:
     try:
         for *coords, re_w, im_w in data["entries"]:
             if any(isinstance(x, bool) for x in (*coords, re_w, im_w)):
-                raise ConfigError(f"support entry {[*coords, re_w, im_w]} holds a boolean")
+                raise ValueError(f"support entry {[*coords, re_w, im_w]} holds a boolean")
             points.append([int(c) for c in coords])
             if points[-1] != coords:
-                raise ConfigError(f"support point {coords} has a non-integer coordinate")
+                raise ValueError(f"support point {coords} has a non-integer coordinate")
             weights.append(complex(float(re_w), float(im_w)))
     except (KeyError, TypeError) as exc:
-        raise ConfigError(f'support file is not {{"entries": [[a1..ad, re, im], ...]}}: '
-                          f'{exc!r}') from exc
+        raise ValueError(f'support file is not {{"entries": [[a1..ad, re, im], ...]}}: '
+                         f'{exc!r}') from exc
     return WeightedSupport.from_arrays(*_lexsorted(points, weights))
 
 
@@ -161,10 +158,10 @@ def _resolve_variant(args) -> None:
     for name in dict.fromkeys(name for flags in variants.values() for name in flags):
         flag, given = "--" + name.replace("_", "-"), getattr(args, name) is not None
         if name not in reads and given:
-            raise ConfigError(f"{flag} belongs to {_read_by(args.command, name)}, not {variant}")
+            raise ValueError(f"{flag} belongs to {_read_by(args.command, name)}, not {variant}")
         if name in reads and not given:
             if reads[name] is None:
-                raise ConfigError(f"{args.command} {variant} needs {flag}")
+                raise ValueError(f"{args.command} {variant} needs {flag}")
             setattr(args, name, reads[name])
 
 
@@ -253,7 +250,7 @@ def _cmd_stat(args):
     if args.alpha is not None:
         coords = _parse_float_list(args.alpha)
         if len(coords) != d:
-            raise ConfigError(f"alpha has {len(coords)} coordinates, family has {d}")
+            raise ValueError(f"alpha has {len(coords)} coordinates, family has {d}")
         alpha = point_of_reals(coords)
         config["alpha"] = list(coords)      # a fixed dilation draws nothing: no seed
     else:
@@ -309,7 +306,7 @@ def _cmd_experiment(args):
     s_values = _parse_float_list(args.s)
     if args.mode == "counterexample":
         if len(s_values) != 1:
-            raise ConfigError("counterexample mode takes a single s value")
+            raise ValueError("counterexample mode takes a single s value")
         result = run_counterexample(args.alpha, s_values[0], n_values, timing=args.timing)
         rows = result.rows
         extra = {"dispersion": result.dispersion, "max_abs_deviation": result.max_abs_deviation}
@@ -396,7 +393,7 @@ def _insert_config(argv: list[str]) -> list[str]:
             continue
         cfg = _read_json(path)
         if not isinstance(cfg, dict):
-            raise ConfigError("a --config file holds one JSON object")
+            raise ValueError("a --config file holds one JSON object")
         for k in range(after, len(argv)):
             if argv[k] in _HANDLERS:
                 return argv[:k + 1] + _config_argv(argv[k], cfg) + argv[k + 1:]
@@ -426,7 +423,7 @@ def parse_and_dispatch(argv=None) -> int:
                 command = summary["command"]
                 args = parser.parse_args([command, *_config_argv(command, summary["config"])])
             except (KeyError, TypeError, AttributeError, SystemExit) as exc:
-                raise ConfigError(f"summary file is not replayable: {exc}") from exc
+                raise ValueError(f"summary file is not replayable: {exc}") from exc
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
@@ -439,7 +436,7 @@ def parse_and_dispatch(argv=None) -> int:
                    **body}
         sys.stdout.write(json.dumps(summary, indent=2) + "\n")
         return EXIT_OK
-    except (ConfigError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"torusppc: invalid configuration: {exc}\n")
         return EXIT_CONFIG
     except MemoryError as exc:
@@ -452,6 +449,10 @@ def parse_and_dispatch(argv=None) -> int:
         return EXIT_IO
     except InternalError as exc:
         sys.stderr.write(f"torusppc: internal error: {exc}\n")
+        return EXIT_INTERNAL
+    except Exception as exc:            # a bug: one line, no traceback
+        detail = " ".join(str(exc).split())
+        sys.stderr.write(f"torusppc: internal error: {type(exc).__name__}: {detail}\n")
         return EXIT_INTERNAL
 
 

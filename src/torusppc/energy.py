@@ -18,15 +18,17 @@ so each band holds at most a fixed budget of 2^20 index pairs (_PAIR_BUDGET;
 a single first-difference value is never split).  A band is grouped by
 _group_rows, the package's one grouping function: one integer key column,
 the mixed-radix code of its difference vectors, sorted in place, whose runs
-of equal keys are the counts D(v).  Every column increases strictly, so each
-component's range over the band is read off the ends of the rows' runs of j,
-and the key, the one band-long array, is filled 2^16 pairs at a time
-(_CHUNK).  The calling thread finds the band edges and _parallel.ordered_map
-counts the bands on one thread per usable core.  Bands are disjoint in v, so
-each adds its sum of squared counts to E directly: the energy walks its
-sorted key a chunk at a time and never makes a per-vector array.  The table
-decodes each band's unique keys to rows, which concatenate in lexicographic
-order in band order.  The same table drives the GCD-sum variance proxy.
+of equal keys are the counts D(v).  Every caller hands _group_rows its rows
+in chunks with each column's exact min and max.  Every column increases
+strictly, so each component's range over a band is read off the ends of the
+rows' runs of j, and the key, the one band-long array, is filled 2^16 pairs
+at a time (_CHUNK).  The calling thread finds the band edges and
+_parallel.ordered_map counts the bands on one thread per usable core.
+Bands are disjoint in v, so each adds its sum of squared counts to E
+directly: the energy walks its sorted key a chunk at a time and never makes
+a per-vector array.  The table decodes each band's unique keys to rows,
+which concatenate in lexicographic order in band order.  The same table
+drives the GCD-sum variance proxy.
 
 Brute-force oracles (O(N^4) quadruple and O(N^3) triple enumerations) live
 here too; they exist for the test suite and stay independent of the banded
@@ -65,31 +67,18 @@ def _push_digit(keys: np.ndarray | None, col: np.ndarray, lo: int, radix: int) -
     return keys
 
 
-def _group_encode(columns: Iterable, spans: tuple | None = None):
-    """(keys, lows, radices): mixed-radix integer keys (int64, or uint32 when
-    they fit) of the rows, ordered as the rows are lexicographically, or None
-    when the value ranges do not fit in int64.
+def _group_encode(columns: Iterable, spans: tuple):
+    """(keys, lows, radices): mixed-radix integer keys (int64, or uint32, which
+    sorts about twice as fast, when they fit) of the rows, ordered as the rows
+    are lexicographically, or None when the value ranges do not fit in int64.
 
-    Without spans, columns yields the whole columns one at a time, each read
-    for its min and max.  With spans = (rows, lows, highs), the row count and
-    each column's exact min and max, columns yields the rows in chunks, each
-    chunk an iterable of its column pieces, and the keys are written into one
-    row-long array a chunk at a time.  A column is only read, so one buffer
-    may be refilled for the next; the partial sums may wrap in int64, but
-    every key ends in [0, 2**63).
+    spans = (rows, lows, highs) is the row count and each column's exact min
+    and max (one stated too narrow would merge distinct rows); columns yields
+    the rows in chunks, each an iterable of its column pieces, and the keys
+    are written into one row-long array a chunk at a time.  A column is only
+    read, so one buffer may be refilled for the next; the partial sums may
+    wrap in int64, but every key ends in [0, 2**63).
     """
-    if spans is None:
-        keys, los, radix = None, [], []
-        for col in columns:
-            lo = int(col.min())
-            los.append(lo)
-            radix.append(int(col.max()) - lo + 1)
-            if math.prod(radix) >= 1 << 63:
-                return None
-            keys = _push_digit(keys, col, lo, radix[-1])
-        if math.prod(radix) < 1 << 32:     # a uint32 key sorts about twice as fast
-            keys = keys.astype(np.uint32)
-        return keys, np.array(los), radix
     size, los, his = spans
     radix = [hi - lo + 1 for lo, hi in zip(los, his)]
     if math.prod(radix) >= 1 << 63:
@@ -144,32 +133,28 @@ def _key_run_squares(keys: np.ndarray) -> tuple[int, int]:
     return held + tail, squares + tail * tail
 
 
-def _group_rows(columns: Callable[[], Iterable], weights: np.ndarray | None = None,
-                spans: tuple | None = None, square: bool = False):
+def _group_rows(columns: Callable[[], Iterable], spans: tuple,
+                weights: np.ndarray | None = None, square: bool = False):
     """(rows, counts): the distinct rows, in lexicographic order, of the
-    nonempty int64 columns that columns() yields one at a time, as a
-    column-major (k, d) array, with their multiplicities or, when weights are
-    given, their summed weights.  With spans, columns()
-    yields the rows in chunks instead (see _group_encode).  With square (and
-    no weights) the result is (sum of the counts, sum of their squares), and
-    no per-group array is made on the key path.
+    nonempty int64 rows that columns() yields in chunks with the exact spans
+    (see _group_encode), as a column-major (k, d) array, with their
+    multiplicities or, when weights are given, their summed weights.  With
+    square (and no weights) the result is (sum of the counts, sum of their
+    squares), and no per-group array is made on the key path.
 
     The rows' mixed-radix keys are sorted, in place, or stably with weights so
     that each group sums in row order; the runs of equal keys are the groups,
     decoded from each run's first key.  When the key overflows, columns() is
-    called again and its columns are copied out and lexsorted instead.
+    called again and its chunks are copied out and lexsorted instead.
     """
     enc = _group_encode(columns(), spans)
     if enc is None:
-        if spans is None:
-            cols = [np.array(col) for col in columns()]
-        else:
-            cols = [np.empty(spans[0], dtype=np.int64) for _ in spans[1]]
-            p = 0
-            for chunk in columns():
-                for col, piece in zip(cols, chunk):
-                    col[p:p + piece.size] = piece
-                p += piece.size
+        cols = [np.empty(spans[0], dtype=np.int64) for _ in spans[1]]
+        p = 0
+        for chunk in columns():
+            for col, piece in zip(cols, chunk):
+                col[p:p + piece.size] = piece
+            p += piece.size
         order = np.lexsort(cols[::-1])
         for k, col in enumerate(cols):
             cols[k] = col[order]
@@ -263,8 +248,8 @@ def _band(cols: list[np.ndarray], lo: int, hi: int, table: bool):
         return _band_chunks(cols, start, length)
 
     if not table:
-        return _group_rows(chunks, spans=spans, square=True)
-    rows, counts = _group_rows(chunks, spans=spans)
+        return _group_rows(chunks, spans, square=True)
+    rows, counts = _group_rows(chunks, spans)
     return int(counts.sum()), (rows, counts)
 
 
@@ -463,16 +448,18 @@ def count_Jl_brute(f_seq: SequenceData, g_seq: SequenceData, l: int) -> int:
 def vinogradov_J2d(N: int, d: int) -> int:
     """Number of solutions of x1^i + x2^i = y1^i + y2^i for 1 <= i <= d over [1,N]^4.
 
-    Ordered pairs are grouped by their vector of power sums (_group_rows); the
-    count is the sum of squared multiplicities.
+    Ordered pairs are grouped by their vector of power sums (_group_rows, one
+    chunk, power sum i spanning exactly 2 to 2 N^i, at x1 = x2 = 1 and at
+    x1 = x2 = N); the count is the sum of squared multiplicities.
     """
     if N < 1 or d < 1:
         raise ValueError("N and d must be >= 1")
     if 2 * N ** d >= 1 << 63:
         raise OverflowError(f"power sums overflow int64 for N = {N}, d = {d}")
     x = np.arange(1, N + 1, dtype=np.int64)
-    return _group_rows(lambda: (np.add.outer(x ** i, x ** i).ravel() for i in range(1, d + 1)),
-                       square=True)[1]
+    spans = (N * N, [2] * d, [2 * N ** i for i in range(1, d + 1)])
+    return _group_rows(lambda: [(np.add.outer(x ** i, x ** i).ravel() for i in range(1, d + 1))],
+                       spans, square=True)[1]
 
 
 @dataclass(frozen=True)

@@ -265,8 +265,9 @@ def _expand(rows: np.ndarray, w: np.ndarray, i: int, vals: np.ndarray,
             runs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]):
     """Rows repeated once per divisor of their i-th component, that component
     replaced by the divisor and the weight scaled by sqrt(J_beta), then equal
-    rows merged by _group_rows, which reads the repeated columns one at a
-    time.  vals are column i's distinct values, runs their _divisor_runs."""
+    rows merged by _group_rows in one chunk.  vals are column i's distinct
+    values, runs their _divisor_runs.  The spans are exact: a value's divisors
+    run from 1 to itself, and every row repeats at least once."""
     tau, start, div, root_j = runs
     inv = np.searchsorted(vals, rows[:, i])     # column i is still unexpanded
     length = tau[inv]
@@ -275,8 +276,10 @@ def _expand(rows: np.ndarray, w: np.ndarray, i: int, vals: np.ndarray,
     w *= root_j[entry]
     divisors = div[entry]
     del entry                           # free before the merge
-    return _group_rows(lambda: (divisors if k == i else np.repeat(rows[:, k], length)
-                                for k in range(rows.shape[1])), w)
+    lows, highs = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+    lows[i] = 1                         # column i now holds divisors, from 1 up
+    return _group_rows(lambda: [(divisors if k == i else np.repeat(rows[:, k], length)
+                                 for k in range(len(lows)))], (divisors.size, lows, highs), w)
 
 
 def _first_divisor_blocks(first: np.ndarray, tuples: np.ndarray) -> list[tuple[int, int, float]]:

@@ -129,6 +129,28 @@ def test_energy_out_of_trivial_bounds_is_internal_error(capsys, monkeypatch):
     assert err.startswith("torusppc: internal error: energy outside trivial bounds")
 
 
+@pytest.mark.parametrize("module, name, exc, argv", [
+    ("paircorr", "_count_near", IndexError, ["stat", "--family", "n,n^2", "--N", "1000"]),
+    ("energy", "_group_rows", TypeError, ["energy", "--family", "n,n^2", "--N", "40"]),
+    ("gcdsum", "_expand", ZeroDivisionError,
+     ["gcdsum", "--alpha-exp", "0.5", "--family", "n,n^2", "--N", "20"]),
+])
+def test_unexpected_exception_is_one_line_internal_error(module, name, exc, argv, capsys,
+                                                         monkeypatch):
+    # a bug inside a kernel, here an injected fault, exits 5 with one line, not a traceback
+    import importlib
+
+    def fault(*args, **kwargs):
+        raise exc("injected\nfault")
+
+    monkeypatch.setattr(importlib.import_module(f"torusppc.{module}"), name, fault)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == f"torusppc: internal error: {exc.__name__}: injected fault\n"
+    assert "Traceback" not in err
+
+
 def test_gcdsum_support_json(capsys, tmp_path):
     path = tmp_path / "support.json"
     path.write_text(json.dumps({"entries": [[1, 1, 0], [2, 1, 0]]}), encoding="utf-8")

@@ -253,7 +253,8 @@ def test_band_chunk_edges_match_oracles(monkeypatch, chunk):
     _, ref = np.unique(keys, return_counts=True)
     assert energy._key_run_squares(keys) == (keys.size, int(ref @ ref))
     for scale in (1, 2 ** 40):          # uint32 and int64 keys
-        _, counts = energy._group_rows(lambda: iter([keys * scale]))
+        column = keys * scale
+        _, counts = energy._group_rows(lambda: iter([[column]]), _spans_of(column[:, None]))
         assert np.array_equal(counts, ref)
 
 
@@ -322,15 +323,24 @@ def test_band_edges_gallop_matches_bisection_with_fewer_probes(monkeypatch):
 
 
 def _refilled(values, calls):
-    """columns() for _group_rows: the columns of values written in turn into
-    one buffer, as the bands write theirs; each call appends to calls."""
-    def columns():
-        calls.append(1)
+    """columns() for _group_rows: one chunk, the columns of values written in
+    turn into one buffer, as the bands write theirs; each call appends to
+    calls."""
+    def chunk():
         buf = np.empty(values.shape[0], dtype=np.int64)
         for col in values.T:
             buf[:] = col
             yield buf
+
+    def columns():
+        calls.append(1)
+        return iter([chunk()])
     return columns
+
+
+def _spans_of(values):
+    """The exact spans of the rows of values: (rows, column mins, column maxes)."""
+    return values.shape[0], values.min(axis=0).tolist(), values.max(axis=0).tolist()
 
 
 @pytest.mark.parametrize("kind", ["uint32", "int64", "overflow"])
@@ -345,7 +355,7 @@ def test_group_rows_matches_unique_and_add_at(kind):
             pool[0], pool[1] = -span, span - 1
             pick = rng.permutation(np.vstack([np.zeros(d, int), np.ones(d, int), pick]))
         values = pool[pick, np.arange(d)]
-        enc = energy._group_encode(iter(values.T))
+        enc = energy._group_encode(iter([values.T]), _spans_of(values))
         assert (kind == "overflow") == (enc is None)
         assert enc is None or enc[0].dtype == {"uint32": np.uint32, "int64": np.int64}[kind]
         ref_rows, inv, ref_counts = np.unique(values, axis=0, return_inverse=True,
@@ -358,15 +368,74 @@ def test_group_rows_matches_unique_and_add_at(kind):
         np.add.at(scale, inv, np.abs(w))
         for weights in (None, w):
             calls = []
-            rows, counts = energy._group_rows(_refilled(values, calls), weights)
+            rows, counts = energy._group_rows(_refilled(values, calls), _spans_of(values),
+                                              weights)
             assert len(calls) == (2 if kind == "overflow" else 1)
             assert rows.dtype == np.int64 and np.array_equal(rows, ref_rows)
             if weights is None:
                 assert counts.dtype == np.int64 and np.array_equal(counts, ref_counts)
             else:
                 assert np.all(np.abs(counts - ref_sums) <= 1e-12 * scale)
-        assert energy._group_rows(_refilled(values, []), square=True) == (
+        assert energy._group_rows(_refilled(values, []), _spans_of(values), square=True) == (
             int(ref_counts.sum()), int(ref_counts @ ref_counts))
+
+
+def _watch_spans(monkeypatch):
+    """Wrap energy._group_encode so that each call appends (stated, seen, key
+    dtype or None on overflow) to the returned list: stated its spans, seen
+    the row count and each column's min and max read off the column pieces
+    as the chunks stream through.  The pieces are copied, since a buffer may
+    be refilled, and replayed into the real encoder."""
+    real = energy._group_encode
+    calls = []
+
+    def encode(columns, spans):
+        chunks = [[np.array(piece) for piece in chunk] for chunk in columns]
+        seen = (sum(chunk[0].size for chunk in chunks),
+                [min(int(c[k].min()) for c in chunks) for k in range(len(spans[1]))],
+                [max(int(c[k].max()) for c in chunks) for k in range(len(spans[1]))])
+        enc = real(iter(chunks), spans)
+        stated = (int(spans[0]), [int(x) for x in spans[1]], [int(x) for x in spans[2]])
+        calls.append((stated, seen, None if enc is None else enc[0].dtype))
+        return enc
+
+    monkeypatch.setattr(energy, "_group_encode", encode)
+    return calls
+
+
+def _inexact(calls):
+    return [(stated, seen) for stated, seen, _ in calls if stated != seen]
+
+
+def test_every_caller_states_exact_spans(monkeypatch):
+    # a span stated too narrow would silently merge distinct rows, and one
+    # too wide could change the key's dtype
+    from torusppc import gcdsum
+    from torusppc.gcdsum import WeightedSupport, gcd_sum, gcd_sum_from_representations
+
+    calls = _watch_spans(monkeypatch)
+    n = np.arange(1, 41, dtype=np.int64)
+    gcd_sum_from_representations(representation_counts([seq(n), seq(n ** 2)]), 0.5)
+    gcd_sum(WeightedSupport.ones([[1], [12], [30], [97], [360], [720720]]), 0.7)
+    # near 2^62 the first expansion's keys overflow into the lexsort; one
+    # first divisor a block leaves one wide column, so int64 keys
+    monkeypatch.setattr(gcdsum, "_BLOCK_TUPLES", 1)
+    near = 2 ** 62
+    gcd_sum(WeightedSupport.ones([[near - 1, near - 3], [near - 9, 2 ** 61 + 7],
+                                  [2 ** 61 + 3, near - 1], [6, near - 5]]), 0.5)
+    for N, d in ((5, 2), (30, 3), (1, 3)):
+        vinogradov_J2d(N, d)
+    monkeypatch.setattr(energy, "_PAIR_BUDGET", 17)      # several bands
+    monkeypatch.setattr(energy, "_CHUNK", 5)             # several chunks a band
+    representation_counts([seq([1, 3, 4, 9, 10, 15, 22, 23]), seq([2, 5, 6, 7, 11, 13, 14, 30])])
+    assert len(calls) > 20
+    assert _inexact(calls) == []
+    assert {np.dtype(np.uint32), np.dtype(np.int64), None} <= {kind for *_, kind in calls}
+    # the checker can fail: a hand-made call whose stated max is one too low
+    calls.clear()
+    values = np.array([3, 5, 9], dtype=np.int64)
+    energy._group_rows(lambda: iter([[values]]), (3, [3], [8]))
+    assert _inexact(calls) == [((3, [3], [8]), (3, [3], [9]))]
 
 
 BAND_PEAK_BOUNDS = (14 * 2 ** 20, 10 * 2 ** 20)   # bytes: (n, n^2) at N = 2048, n^2 at N = 4096
