@@ -12,23 +12,35 @@ a_n - a_k = a_l - a_m) is
 
 and the full table is the half table over i > j, negated and reversed, then
 the zero row with count N, then the half table.  Only the N(N-1)/2 pairs
-i > j are enumerated, in bands [L, U) of the first-component difference:
-row i meets a band in one contiguous run of j, and the band edges are chosen
-so each band holds at most a fixed budget of 2^20 index pairs (_PAIR_BUDGET;
-a single first-difference value is never split).  A band is grouped by
+i > j are enumerated, in bands [L, U) of the first-component difference,
+each holding at most a fixed budget of 2^20 index pairs (_PAIR_BUDGET; a
+single first-difference value is never split).  A band is grouped by
 _group_rows, the package's one grouping function: one integer key column,
-the mixed-radix code of its difference vectors, sorted in place, whose runs
-of equal keys are the counts D(v).  Every caller hands _group_rows its rows
-in chunks with each column's exact min and max.  Every column increases
-strictly, so each component's range over a band is read off the ends of the
-rows' runs of j, and the key, the one band-long array, is filled 2^16 pairs
-at a time (_CHUNK).  The calling thread finds the band edges and
-_parallel.ordered_map counts the bands on one thread per usable core.
-Bands are disjoint in v, so each adds its sum of squared counts to E
-directly: the energy walks its sorted key a chunk at a time and never makes
-a per-vector array.  The table decodes each band's unique keys to rows,
-which concatenate in lexicographic order in band order.  The same table
-drives the GCD-sum variance proxy.
+the mixed-radix code of its difference vectors, whose runs of equal keys,
+once sorted, are the counts D(v).  Every caller hands _group_rows its rows
+in chunks with each column's exact min and max, and the key, the one
+band-long array, is filled 2^16 pairs at a time (_CHUNK).  The key is
+sorted in place unless one pass finds it already in order.
+
+The bands come in two kinds.  When the first column is n (all the paper's
+families), a pair's first difference is its lag h = i - j, so a band is a
+lag range whose edges are counted in closed form, lag h's pairs are the
+slices v[h:] - v[:-h] of each column, written into the key with no gather,
+and a component's range over the band is read off its first and last lag;
+keys in lag order are already sorted wherever no lag's differences descend,
+as for (n, n^2).  Otherwise row i meets a band in one contiguous run of j:
+each component's range is read off the ends of the runs, the pairs are
+gathered from the runs, and the edges are searched for, by bisection on an
+estimate of the pair count from every 16th row, checked by one exact count
+and cut by exact bisection only when the band overflows.
+
+The calling thread finds the band edges and _parallel.ordered_map counts
+the bands on one thread per usable core.  Bands are disjoint in v, so each
+adds its sum of squared counts to E directly: the energy walks its sorted
+key a chunk at a time and never makes a per-vector array.  The table
+decodes each band's unique keys to rows, which concatenate in
+lexicographic order in band order.  The same table drives the GCD-sum
+variance proxy.
 
 Brute-force oracles (O(N^4) quadruple and O(N^3) triple enumerations) live
 here too; they exist for the test suite and stay independent of the banded
@@ -50,21 +62,7 @@ from .sequences import SequenceData, common_length
 MAX_ENERGY_N = 2_000_000        # keeps E <= N^3 < 2**63
 _PAIR_BUDGET = 1 << 20          # index pairs per first-difference band
 _CHUNK = 1 << 16                # band pairs keyed, and sorted keys walked, per step
-
-
-def _run_indices(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarray:
-    """starts[r] + 0, 1, ..., lengths[r] - 1 for each run r, concatenated."""
-    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
-
-
-def _push_digit(keys: np.ndarray | None, col: np.ndarray, lo: int, radix: int) -> np.ndarray:
-    """keys * radix + col - lo, in place (col - lo when keys is None)."""
-    if keys is None:
-        return col - lo
-    keys *= radix
-    keys += col
-    keys -= lo
-    return keys
+_SAMPLE = 16                    # band edges are estimated from every 16th row
 
 
 def _group_encode(columns: Iterable, spans: tuple):
@@ -75,21 +73,29 @@ def _group_encode(columns: Iterable, spans: tuple):
     spans = (rows, lows, highs) is the row count and each column's exact min
     and max (one stated too narrow would merge distinct rows); columns yields
     the rows in chunks, each an iterable of its column pieces, and the keys
-    are written into one row-long array a chunk at a time.  A column is only
-    read, so one buffer may be refilled for the next; the partial sums may
-    wrap in int64, but every key ends in [0, 2**63).
+    are written into one row-long array a chunk at a time, by Horner's rule
+    on the columns less the key of the row of lows.  A column is only read,
+    and read before the next is drawn, so one buffer may be refilled for the
+    next; the partial sums may wrap in int64, but every key ends in
+    [0, 2**63), so it comes out exact.
     """
     size, los, his = spans
     radix = [hi - lo + 1 for lo, hi in zip(los, his)]
     if math.prod(radix) >= 1 << 63:
         return None
     keys = np.empty(size, dtype=np.uint32 if math.prod(radix) < 1 << 32 else np.int64)
+    low = 0
+    for lo, r in zip(los, radix):
+        low = low * r + lo
+    low = (low + (1 << 63)) % (1 << 64) - (1 << 63)     # the same modulo 2**64, in int64
     p = 0
     for chunk in columns:
-        part = None
-        for col, lo, r in zip(chunk, los, radix):
-            part = _push_digit(part, col, lo, r)
-        keys[p:p + part.size] = part
+        pieces = iter(chunk)
+        part = next(pieces)
+        for r in radix[1:]:
+            part = part * r             # a new array, before the buffer is refilled
+            part += next(pieces)
+        np.subtract(part, low, out=keys[p:p + part.size], casting="unsafe")
         p += part.size
     return keys, np.array(los), radix
 
@@ -107,6 +113,16 @@ def _runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return firsts, np.diff(np.append(firsts, first.size))
 
 
+def _nondecreasing(keys: np.ndarray) -> bool:
+    """Whether the keys never decrease, checked _CHUNK keys at a time, so
+    that the check of keys out of order mostly ends in the first chunk."""
+    for p in range(0, keys.size, _CHUNK):
+        part = keys[p:p + _CHUNK + 1]
+        if (part[1:] < part[:-1]).any():
+            return False
+    return True
+
+
 def _key_run_starts(keys: np.ndarray) -> Iterator[np.ndarray]:
     """The starts of the runs of equal keys in the sorted keys, in order, in
     one array per chunk of _CHUNK keys; the first run's start, 0, is left
@@ -119,18 +135,26 @@ def _key_run_starts(keys: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _key_run_squares(keys: np.ndarray) -> tuple[int, int]:
-    """(sum of the run lengths, sum of their squares) over the runs of equal
-    keys in the nonempty sorted keys, walked a chunk at a time; the run open
-    at a chunk's end carries into the next."""
-    held = squares = last = 0
-    for starts in _key_run_starts(keys):
-        if starts.size:
-            lengths = np.diff(starts, prepend=last)
-            held += int(lengths.sum())
+    """(the number of keys, the sum of the squared lengths of the runs of
+    equal keys) of the nonempty sorted keys, walked about _CHUNK keys at a
+    time, each chunk running on to the end of its last run.  A chunk whose
+    runs average two keys or more sums the squares of its run lengths; one of
+    mostly single keys, L^2 = L + L(L - 1), sums L(L - 1) over its blocks of
+    equal neighbours only."""
+    squares = p = 0
+    while p < keys.size:
+        q = int(np.searchsorted(keys, keys[min(p + _CHUNK, keys.size) - 1], side="right"))
+        part = keys[p:q]
+        change = part[1:] != part[:-1]
+        if 2 * np.count_nonzero(change) < change.size:
+            lengths = np.diff(np.flatnonzero(change), prepend=-1, append=part.size - 1)
             squares += int(lengths @ lengths)
-            last = int(starts[-1])
-    tail = keys.size - last
-    return held + tail, squares + tail * tail
+        else:
+            edges = np.flatnonzero(np.diff(~change, prepend=False, append=False))
+            equal = edges[1::2] - edges[::2]          # L - 1 for each run of L >= 2
+            squares += part.size + int(equal @ (equal + 1))
+        p = q
+    return keys.size, squares
 
 
 def _group_rows(columns: Callable[[], Iterable], spans: tuple,
@@ -142,10 +166,11 @@ def _group_rows(columns: Callable[[], Iterable], spans: tuple,
     square (and no weights) the result is (sum of the counts, sum of their
     squares), and no per-group array is made on the key path.
 
-    The rows' mixed-radix keys are sorted, in place, or stably with weights so
-    that each group sums in row order; the runs of equal keys are the groups,
-    decoded from each run's first key.  When the key overflows, columns() is
-    called again and its chunks are copied out and lexsorted instead.
+    The rows' mixed-radix keys are sorted, in place unless they are already
+    in order, or stably with weights so that each group sums in row order;
+    the runs of equal keys are the groups, decoded from each run's first
+    key.  When the key overflows, columns() is called again and its chunks
+    are copied out and lexsorted instead.
     """
     enc = _group_encode(columns(), spans)
     if enc is None:
@@ -164,11 +189,11 @@ def _group_rows(columns: Callable[[], Iterable], spans: tuple,
         rows = np.array([col[firsts] for col in cols]).T
     else:
         keys, los, radix = enc
-        if weights is None:
-            keys.sort()
-        else:
+        if weights is not None:
             order = np.argsort(keys, kind="stable")
             keys[:] = keys[order]
+        elif not _nondecreasing(keys):
+            keys.sort()
         if square:
             return _key_run_squares(keys)
         firsts = np.concatenate([np.zeros(1, dtype=np.int64), *_key_run_starts(keys)])
@@ -196,6 +221,22 @@ def _difference_columns(seqs: Sequence[SequenceData]) -> list[np.ndarray]:
     return [s.values - s.values[0] for s in seqs]
 
 
+def _split_runs(length: np.ndarray) -> Iterator[tuple[int, int, slice, np.ndarray, np.ndarray]]:
+    """(p, q, rows, skip, run) for each chunk [p, q) of at most _CHUNK items
+    of the runs laid end to end, run r holding length[r] items: the chunk
+    meets the runs in rows and takes run[r] items of run r after its first
+    skip[r]."""
+    ends = np.cumsum(length)
+    offsets = ends - length             # run r's first item
+    size = int(ends[-1])
+    for p in range(0, size, _CHUNK):
+        q = min(p + _CHUNK, size)
+        rows = slice(int(np.searchsorted(ends, p, side="right")),
+                     int(np.searchsorted(ends, q - 1, side="right")) + 1)
+        skip = np.maximum(offsets[rows], p) - offsets[rows]
+        yield p, q, rows, skip, np.minimum(ends[rows], q) - offsets[rows] - skip
+
+
 def _chunk_columns(cols: list[np.ndarray], rows: slice, run: np.ndarray, j: np.ndarray,
                    buf: np.ndarray) -> Iterator[np.ndarray]:
     """Component k of a_i - a_j for the pairs of rows i, each with its run of
@@ -213,28 +254,20 @@ def _band_chunks(cols: list[np.ndarray], start: np.ndarray,
     most _CHUNK pairs: each chunk yields its components one at a time (see
     _chunk_columns), all written into one buffer, so a chunk must be read
     before the next is drawn."""
-    ends = np.cumsum(length)
-    offsets = ends - length             # row i's first pair in the band
-    size = int(ends[-1])
-    buf = np.empty(min(size, _CHUNK), dtype=np.int64)
-    for p in range(0, size, _CHUNK):
-        q = min(p + _CHUNK, size)
-        rows = slice(int(np.searchsorted(ends, p, side="right")),
-                     int(np.searchsorted(ends, q - 1, side="right")) + 1)
-        first = np.maximum(offsets[rows], p)
-        run = np.minimum(ends[rows], q) - first
-        j = _run_indices(run, start[rows] + first - offsets[rows])
+    buf = np.empty(min(int(length.sum()), _CHUNK), dtype=np.int64)
+    ramp = np.arange(buf.size)
+    for p, q, rows, skip, run in _split_runs(length):
+        j = np.repeat(start[rows] + skip - np.cumsum(run) + run, run)
+        j += ramp[:q - p]               # the indices j of the chunk's runs
         yield _chunk_columns(cols, rows, run, j, buf[:q - p])
 
 
-def _band(cols: list[np.ndarray], lo: int, hi: int, table: bool):
-    """(pairs, result) for the pairs i > j with first difference in [lo, hi),
-    grouped by _group_rows from the chunks of _band_chunks: result is (rows,
-    counts) of the band's distinct vectors when table is true, else the sum
-    of their squared counts.  Row i meets the band in the run of j with
-    a_i - hi < a_j <= a_i - lo; every column increases strictly, so a
-    component's min and max over the band are at the runs' last and first j.
-    """
+def _row_band(cols: list[np.ndarray], lo: int, hi: int) -> tuple[tuple, Callable]:
+    """(spans, chunks) for _group_rows of the pairs i > j with first
+    difference in [lo, hi), chunked by _band_chunks.  Row i meets the band in
+    the run of j with a_i - hi < a_j <= a_i - lo; every column increases
+    strictly, so a component's min and max over the band are at the runs'
+    last and first j."""
     a = cols[0]
     start = np.searchsorted(a, a - hi, side="right")
     length = np.searchsorted(a, a - lo, side="right") - start
@@ -243,56 +276,158 @@ def _band(cols: list[np.ndarray], lo: int, hi: int, table: bool):
     last = first + length[used] - 1
     spans = (int(length.sum()), [int((v[used] - v[last]).min()) for v in cols],
              [int((v[used] - v[first]).max()) for v in cols])
+    return spans, lambda: _band_chunks(cols, start, length)
 
-    def chunks():
-        return _band_chunks(cols, start, length)
 
+def _lag_columns(cols: list[np.ndarray], pieces: list[tuple[int, int, int]],
+                 buf: np.ndarray) -> Iterator[np.ndarray]:
+    """Component k of the pieces' difference vectors, piece (h, j, m) being
+    the pairs j, ..., j + m - 1 of lag h, written into buf for k = 0, 1, ...
+    in turn."""
+    for v in cols:
+        p = 0
+        for h, j, m in pieces:
+            np.subtract(v[h + j:h + j + m], v[j:j + m], out=buf[p:p + m])
+            p += m
+        yield buf
+
+
+def _lag_chunks(cols: list[np.ndarray], h0: int, h1: int,
+                size: int) -> Iterator[Iterator[np.ndarray]]:
+    """The difference vectors a_{j+h} - a_j of the size pairs of lags h in
+    [h0, h1), lag by lag and j = 0, 1, ... within a lag, in chunks of at most
+    _CHUNK pairs written into one buffer as _band_chunks writes them: a lag's
+    component is the slice difference v[h:] - v[:-h], so nothing is
+    gathered."""
+    n = cols[0].size
+    buf = np.empty(min(size, _CHUNK), dtype=np.int64)
+    pieces, fill = [], 0
+    for h in range(h0, h1):
+        j = 0
+        while j < n - h:
+            m = min(n - h - j, buf.size - fill)
+            pieces.append((h, j, m))
+            j += m
+            fill += m
+            if fill == buf.size:
+                yield _lag_columns(cols, pieces, buf)
+                pieces, fill = [], 0
+    if pieces:
+        yield _lag_columns(cols, pieces, buf[:fill])
+
+
+def _lag_band(cols: list[np.ndarray], h0: int, h1: int) -> tuple[tuple, Callable]:
+    """(spans, chunks) for _group_rows of the pairs of lags h in [h0, h1),
+    chunked by _lag_chunks, when the first column is n, so that a pair's
+    first difference is its lag.  Every column increases strictly, so
+    v[j + h] - v[j] grows with h: a component's min over the band is on lag
+    h0 and its max on lag h1 - 1."""
+    n = cols[0].size
+    size = (h1 - h0) * (2 * n - h0 - h1 + 1) // 2
+    spans = (size, [int((v[h0:] - v[:n - h0]).min()) for v in cols],
+             [int((v[h1 - 1:] - v[:n - h1 + 1]).max()) for v in cols])
+    return spans, lambda: _lag_chunks(cols, h0, h1, size)
+
+
+def _band(cols: list[np.ndarray], edge: tuple[int, int], build: Callable, table: bool):
+    """(pairs, result) for the band of first differences edge = [lo, hi),
+    its spans and chunks made by build (_row_band or _lag_band) and grouped
+    by _group_rows: result is (rows, counts) of the band's distinct vectors
+    when table is true, else the sum of their squared counts."""
+    spans, chunks = build(cols, *edge)
     if not table:
         return _group_rows(chunks, spans, square=True)
     rows, counts = _group_rows(chunks, spans)
     return int(counts.sum()), (rows, counts)
 
 
+def _probe(a: np.ndarray, rows: np.ndarray, x: int) -> tuple[int, int, int]:
+    """(count, below, above) over the pairs i > j with i in rows: how many
+    have a_i - a_j < x, the largest of those differences (0 if none) and the
+    smallest difference >= x (a[-1] + 1 if none).  The count is the same for
+    every x in (below, above]."""
+    ai = a[rows]
+    j = np.searchsorted(a, ai - x, side="right")    # a_i - a_j >= x exactly below j
+    below = int((ai - a[j]).max())                   # j <= i, and j = i gives 0
+    above = int(np.where(j > 0, ai - a[j - 1], a[-1] + 1).min())
+    return int(rows.sum()) - int(j.sum()), below, above
+
+
 def _band_edges(a: np.ndarray, half: int) -> Iterator[tuple[int, int]]:
-    """Edges [L, U) of the first-difference bands of the half pairs i > j.
+    """Edges [L, U) of the first-difference bands of the half pairs i > j of
+    the at least two values a.
 
-    With C(x) = #{i > j : a_i - a_j < x}, U is the largest edge with
-    C(U) - C(L) <= _PAIR_BUDGET, unless the first value left alone exceeds
-    the budget: then the band is that one value.  U is bracketed by doubling
-    or halving the last band's width from L, then found by bisection.
+    With C(x) = #{i > j : a_i - a_j < x}, a band holds C(U) - C(L) <=
+    _PAIR_BUDGET pairs, unless the first difference value it holds exceeds
+    the budget on its own: then the band is that one value.  U is chosen by
+    bisection on the estimate of C from every _SAMPLE-th row, aiming at 90%
+    of the budget and stopping within 5% of that aim, and counted once
+    exactly; only a band that still holds more is cut by exact bisection
+    inside [L, U), down to the largest U within the budget.  Both
+    bisections step onto the nearest differences a probe returns (_probe),
+    over which the count does not change, so they stop once no difference
+    lies inside the bracket.
     """
-    def below(x: int) -> int:
-        return half - int(np.searchsorted(a, a - x, side="right").sum())
-
     top = int(a[-1]) + 1                # C(top) = half: every difference is < top
-    lo_edge, c_lo, width = 1, 0, top
+    every = np.arange(a.size)
+    sample = every[(a.size - 1) % _SAMPLE::_SAMPLE]     # ends with the longest row
+    s_top = int(sample.sum())
+    room = 0.9 * _PAIR_BUDGET * s_top / half            # sampled pairs a band aims at
+    lo_edge, c_lo = 1, 0
+    nxt = int(np.diff(a).min())         # the smallest difference >= lo_edge
     while c_lo < half:
         cap = c_lo + _PAIR_BUDGET
-        lo, c_at_lo, hi, c_at_hi = lo_edge, c_lo, top, half
-        step = width
-        while c_at_hi > cap and lo < lo_edge + step < hi:
-            c = below(lo_edge + step)
-            if c <= cap:
-                lo, c_at_lo, step = lo_edge + step, c, 2 * step
-            else:
-                hi, c_at_hi, step = lo_edge + step, c, step // 2
-        while hi - lo > 1 and c_at_hi > cap:
+        s_lo = _probe(a, sample, lo_edge)[0]
+        lo, hi = (top, top) if s_top - s_lo <= room else (nxt + 1, top)
+        while hi - lo > 1:              # U > nxt, so no band is empty
             mid = (lo + hi) // 2
-            c = below(mid)
-            if c <= cap:
-                lo, c_at_lo = mid, c
+            s, below, above = _probe(a, sample, mid)
+            if s - s_lo <= room:
+                lo = above
+                if s - s_lo >= 0.95 * room:
+                    break
             else:
-                hi, c_at_hi = mid, c
-        if c_at_hi > cap and c_at_lo > c_lo:
-            hi, c_at_hi = lo, c_at_lo
-        yield lo_edge, hi
-        lo_edge, c_lo, width = hi, c_at_hi, hi - lo_edge
+                hi = below + 1
+        c, below, above = (half, top - 1, top) if lo == top else _probe(a, every, lo)
+        if c <= cap:
+            yield lo_edge, lo
+            lo_edge, c_lo, nxt = lo, c, above
+            continue
+        lo, c_at_lo, hi, c_at_hi, nxt_hi = nxt, c_lo, below + 1, c, above
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            c, below, above = _probe(a, every, mid)
+            if c <= cap:
+                lo, c_at_lo = above, c
+            else:
+                hi, c_at_hi, nxt_hi = below + 1, c, above
+        if c_at_lo > c_lo:              # the band ends before the difference lo
+            yield lo_edge, lo
+            lo_edge, c_lo, nxt = lo, c_at_lo, lo
+        else:                           # the difference lo alone exceeds the budget
+            yield lo_edge, hi
+            lo_edge, c_lo, nxt = hi, c_at_hi, nxt_hi
+
+
+def _lag_edges(n: int) -> Iterator[tuple[int, int]]:
+    """Edges [h0, h1) of the lag bands of n values whose first column is n:
+    lag h is held by n - h pairs, and h1 is the largest edge with at most
+    _PAIR_BUDGET pairs in the band, or h0 + 1 when lag h0 alone holds more."""
+    before = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # lags < h: before[h - 1]
+    h0 = 1
+    while h0 < n:
+        h1 = max(h0 + 1, int(np.searchsorted(before, before[h0 - 1] + _PAIR_BUDGET, side="right")))
+        yield h0, h1
+        h0 = h1
 
 
 def _half_table_bands(cols: list[np.ndarray], table: bool) -> list:
     """_band's result for each first-difference band of the pairs i > j, in
     band order.
 
+    When the first column is n (after _difference_columns' shift, its last
+    value is N - 1), a band is a range of lags (_lag_edges, _lag_band);
+    otherwise its edges come from _band_edges and its pairs from _row_band.
     The calling thread finds the band edges and _parallel.ordered_map hands
     each band to a thread as soon as its edges are known, so the edge search
     overlaps the counting and at most one band per usable core is alive at
@@ -303,8 +438,11 @@ def _half_table_bands(cols: list[np.ndarray], table: bool) -> list:
     """
     n = cols[0].size
     half = n * (n - 1) // 2
-    bands = _parallel.ordered_map(lambda edge: _band(cols, *edge, table),
-                                  _band_edges(cols[0], half))
+    if int(cols[0][-1]) == n - 1:
+        edges, build = _lag_edges(n), _lag_band
+    else:
+        edges, build = _band_edges(cols[0], half), _row_band
+    bands = _parallel.ordered_map(lambda edge: _band(cols, edge, build, table), edges)
     held = sum(pairs for pairs, _ in bands)
     if held != half:
         raise InternalError(f"representation table holds {n + 2 * held} pairs, "

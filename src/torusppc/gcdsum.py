@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _parallel
-from .energy import RepresentationTable, _group_rows, _run_indices, _runs
+from .energy import RepresentationTable, _group_rows, _runs, _split_runs
 
 _FACTOR_BLOCK = 1 << 20         # value-prime pairs tested per trial-division round
 _TRIAL_BOUND = 1 << 16          # largest trial divisor; larger factors go to a coprime base
@@ -225,6 +225,11 @@ def _coprime_base(numbers: list[int]) -> list[int]:
     return base
 
 
+def _run_indices(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarray:
+    """starts[r] + 0, 1, ..., lengths[r] - 1 for each run r, concatenated."""
+    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
+
+
 def _divisor_runs(n_values: int, owner: np.ndarray, q: np.ndarray, k: np.ndarray,
                   beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(tau, start, div, root_j): the divisors of each value as contiguous runs.
@@ -265,9 +270,11 @@ def _expand(rows: np.ndarray, w: np.ndarray, i: int, vals: np.ndarray,
             runs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]):
     """Rows repeated once per divisor of their i-th component, that component
     replaced by the divisor and the weight scaled by sqrt(J_beta), then equal
-    rows merged by _group_rows in one chunk.  vals are column i's distinct
-    values, runs their _divisor_runs.  The spans are exact: a value's divisors
-    run from 1 to itself, and every row repeats at least once."""
+    rows merged by _group_rows, fed to it in chunks of the expansion
+    (_split_runs), so that no other column is repeated whole.  vals are
+    column i's distinct values, runs their _divisor_runs.  The spans are
+    exact: a value's divisors run from 1 to itself, and every row repeats at
+    least once."""
     tau, start, div, root_j = runs
     inv = np.searchsorted(vals, rows[:, i])     # column i is still unexpanded
     length = tau[inv]
@@ -278,8 +285,13 @@ def _expand(rows: np.ndarray, w: np.ndarray, i: int, vals: np.ndarray,
     del entry                           # free before the merge
     lows, highs = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
     lows[i] = 1                         # column i now holds divisors, from 1 up
-    return _group_rows(lambda: [(divisors if k == i else np.repeat(rows[:, k], length)
-                                 for k in range(len(lows)))], (divisors.size, lows, highs), w)
+
+    def columns():
+        for p, q, sl, _, run in _split_runs(length):
+            yield (divisors[p:q] if k == i else np.repeat(rows[sl, k], run)
+                   for k in range(len(lows)))
+
+    return _group_rows(columns, (divisors.size, lows, highs), w)
 
 
 def _first_divisor_blocks(first: np.ndarray, tuples: np.ndarray) -> list[tuple[int, int, float]]:

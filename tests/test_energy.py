@@ -258,30 +258,22 @@ def test_band_chunk_edges_match_oracles(monkeypatch, chunk):
         assert np.array_equal(counts, ref)
 
 
-def _bisected_edges(a, half, budget):
-    """The band edges by a fresh bisection on [L, top] for every band: the
-    search that galloping replaced, kept as its oracle."""
-    def below(x):
-        return half - int(np.searchsorted(a, a - x, side="right").sum())
+def _counting_probes(monkeypatch, n):
+    """Patch np.searchsorted to count its calls into the returned [exact,
+    other], the exact ones being those with one query per row of the n[0]
+    values."""
+    real = np.searchsorted
+    counts = [0, 0]
 
-    top = int(a[-1]) + 1
-    lo_edge, c_lo = 1, 0
-    while c_lo < half:
-        lo, c_at_lo, hi, c_at_hi = lo_edge, c_lo, top, half
-        while hi - lo > 1 and c_at_hi - c_lo > budget:
-            mid = (lo + hi) // 2
-            c = below(mid)
-            if c - c_lo <= budget:
-                lo, c_at_lo = mid, c
-            else:
-                hi, c_at_hi = mid, c
-        if c_at_hi - c_lo > budget and c_at_lo > c_lo:
-            hi, c_at_hi = lo, c_at_lo
-        yield lo_edge, hi
-        lo_edge, c_lo = hi, c_at_hi
+    def counting(a, v, *args, **kwargs):
+        counts[0 if np.ndim(v) and np.size(v) == n[0] else 1] += 1
+        return real(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    return counts
 
 
-def test_band_edges_gallop_matches_bisection_with_fewer_probes(monkeypatch):
+def test_band_edges_stay_in_budget_tile_and_probe_little(monkeypatch):
     rng = np.random.default_rng(29)
     cases = []
     for trial in range(60):
@@ -297,29 +289,108 @@ def test_band_edges_gallop_matches_bisection_with_fewer_probes(monkeypatch):
             a = np.sort(rng.choice(10 ** 9, size=n, replace=False))
         budget = 1 + trial % 5 if trial % 3 else int(rng.integers(1, n * n + 1))
         cases.append((a - a[0], budget))
-    cases.append((np.arange(4096, dtype=np.int64) ** 2, 1 << 20))
-    cases.append((np.arange(40, dtype=np.int64), 3))     # one value over budget
-    real = np.searchsorted
-    probes = []
-
-    def counting(*args, **kwargs):
-        probes[-1] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", counting)
-    old, new = [], []
+    cases.append((np.arange(40, dtype=np.int64), 3))     # every value over budget
+    cases += [(np.arange(n, dtype=np.int64) ** 2, 1 << 20) for n in (4096, 8192)]
+    found = []
+    n = [0]
+    probes = _counting_probes(monkeypatch, n)
     for a, budget in cases:
-        half = a.size * (a.size - 1) // 2
-        probes.append(0)
-        want = list(_bisected_edges(a, half, budget))
-        old.append(probes.pop())
         monkeypatch.setattr(energy, "_PAIR_BUDGET", budget)
-        probes.append(0)
-        assert list(energy._band_edges(a, half)) == want
-        new.append(probes.pop())
-    assert want[0] == (1, 2)        # the last case: value 1 alone is 39 pairs, budget 3
-    assert sum(new) < sum(old)
-    assert new[-2] < old[-2]        # n^2 at N = 4096: 159 against 166
+        n[0] = a.size
+        probes[:] = [0, 0]
+        found.append((list(energy._band_edges(a, a.size * (a.size - 1) // 2)), probes[0]))
+    monkeypatch.undo()
+
+    for (a, budget), (edges, exact) in zip(cases, found):
+        half = a.size * (a.size - 1) // 2
+        # the bands tile [1, top) in order: no gap, no overlap, none empty
+        assert edges[0][0] == 1 and edges[-1][1] == int(a[-1]) + 1
+        assert all(lo < hi for lo, hi in edges)
+        assert all(u == l for (_, u), (l, _) in zip(edges, edges[1:]))
+        # C(x) = #{i > j : a_i - a_j < x} at every edge
+        c = [half - int(np.searchsorted(a, a - x, side="right").sum())
+             for x in [1] + [hi for _, hi in edges]]
+        held = np.diff(c)
+        assert held.min() > 0 and held.sum() == half
+        over = held > budget        # only a lone difference value may exceed it
+        if a.size > 1000:
+            # n^2: the estimate never misses, so one exact count a band
+            assert not over.any() and exact < len(edges)
+            continue
+        diffs = a[:, None] - a[None, :]
+        for k in np.flatnonzero(over):
+            lo, hi = edges[k]
+            inside = diffs[(diffs >= lo) & (diffs < hi)]
+            assert inside.min() == inside.max(), (lo, hi)
+        # the exact bisection steps onto the data: a few probes a band, not
+        # the ~60 of a bisection down to a step of 1 near 2^62
+        assert exact <= len(edges) * (2 + half.bit_length())
+    assert found[-3][0][:2] == [(1, 2), (2, 3)]     # arange(40), budget 3
+
+
+def test_exact_band_search_stops_at_the_data(monkeypatch):
+    # near 2^62, N = 40, budget 31: bisecting each band's bracket down to a
+    # step of 1 took 1 449 probes of all 40 rows
+    rng = np.random.default_rng(19)
+    rng.choice(10 ** 5, size=40, replace=False)
+    a = np.sort(rng.choice(2 ** 61, size=40, replace=False) + 2 ** 61)
+    a = a - a[0]
+    monkeypatch.setattr(energy, "_PAIR_BUDGET", 31)
+    probes = _counting_probes(monkeypatch, [a.size])
+    edges = list(energy._band_edges(a, 780))
+    assert sum(probes) < 1449 // 3 and probes[0] < 4 * len(edges)
+    diffs = (a[:, None] - a[None, :])[np.tril_indices(a.size, -1)]
+    assert all(0 < np.count_nonzero((diffs >= lo) & (diffs < hi)) <= 31 for lo, hi in edges)
+
+
+def _no_gather(*args):
+    raise RuntimeError("the row-major chunker ran")
+
+
+def test_lag_bands_match_oracles(monkeypatch):
+    # first column n: the bands are lag ranges, chunked with no gather (the
+    # row-major chunker raises here); [n log n] and [n log^2 n] have lags
+    # whose differences descend, so some band keys need the sort and others
+    # are already in order; budgets from 1 and small chunks cut lags apart
+    monkeypatch.setattr(energy, "_band_chunks", _no_gather)
+    real = energy._nondecreasing
+    in_order = []
+
+    def watched(keys):
+        in_order.append(real(keys))
+        return in_order[-1]
+
+    monkeypatch.setattr(energy, "_nondecreasing", watched)
+    rng = np.random.default_rng(36)
+    others = [SequenceSpec.floor_nlog(1, 3), SequenceSpec.floor_nlog(2, 3), SequenceSpec.power_of(2)]
+    for trial in range(36):
+        n = int(rng.integers(2, 36))
+        d = 2 + trial % 2
+        picks = rng.choice(3, size=d - 1, replace=False) if trial % 3 else [0, 1][:d - 1]
+        seqs = [generate(SequenceSpec.identity(), n)] + [generate(others[k], n) for k in picks]
+        cols = [s.values for s in seqs]
+        budget = 1 + trial % 4 if trial // 2 % 2 else int(rng.integers(1, n * n))
+        monkeypatch.setattr(energy, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(energy, "_CHUNK", (1, 3, 7, 1 << 16)[trial // 4 % 4])
+        assert joint_additive_energy(seqs) == joint_additive_energy_brute(cols)
+        table = representation_counts(seqs)
+        rows, counts = _full_table_reference(cols)
+        assert table.vectors.tobytes() == rows.tobytes()
+        assert table.counts.tobytes() == counts.astype(np.int64).tobytes()
+    assert True in in_order and False in in_order
+
+
+def test_first_column_n_gathers_nothing(monkeypatch):
+    n = generate(SequenceSpec.identity(), 300)
+    square = generate(SequenceSpec.power_of(2), 300)
+    e, t = joint_additive_energy([n, square]), representation_counts([n, square])
+    monkeypatch.setattr(energy, "_PAIR_BUDGET", 5000)      # several bands
+    monkeypatch.setattr(energy, "_band_chunks", _no_gather)
+    assert joint_additive_energy([n, square]) == e
+    assert additive_energy(n) == (2 * 300 ** 3 + 300) // 3
+    assert representation_counts([n, square]).vectors.tobytes() == t.vectors.tobytes()
+    with pytest.raises(RuntimeError, match="row-major"):
+        additive_energy(square)
 
 
 def _refilled(values, calls):
@@ -428,6 +499,10 @@ def test_every_caller_states_exact_spans(monkeypatch):
     monkeypatch.setattr(energy, "_PAIR_BUDGET", 17)      # several bands
     monkeypatch.setattr(energy, "_CHUNK", 5)             # several chunks a band
     representation_counts([seq([1, 3, 4, 9, 10, 15, 22, 23]), seq([2, 5, 6, 7, 11, 13, 14, 30])])
+    # first column n: lag chunks, whose second column descends within lags 1 and 2
+    lagged = [seq(range(1, 9)), seq([1, 3, 4, 9, 10, 15, 22, 23]), seq([2, 5, 6, 7, 11, 13, 14, 30])]
+    representation_counts(lagged)
+    joint_additive_energy(lagged[:2])
     assert len(calls) > 20
     assert _inexact(calls) == []
     assert {np.dtype(np.uint32), np.dtype(np.int64), None} <= {kind for *_, kind in calls}
@@ -438,7 +513,8 @@ def test_every_caller_states_exact_spans(monkeypatch):
     assert _inexact(calls) == [((3, [3], [8]), (3, [3], [9]))]
 
 
-BAND_PEAK_BOUNDS = (14 * 2 ** 20, 10 * 2 ** 20)   # bytes: (n, n^2) at N = 2048, n^2 at N = 4096
+# bytes: (n, n^2) at N = 2048 (lag bands), n^2 at N = 4096 and (n^2, n^3) at N = 2048
+BAND_PEAK_BOUNDS = (14 * 2 ** 20, 10 * 2 ** 20, 14 * 2 ** 20)
 
 
 def _traced_peak(fn, arg):
@@ -452,15 +528,18 @@ def _traced_peak(fn, arg):
 
 def test_band_peak_memory(monkeypatch):
     # one band in flight: its key column (int64, then uint32) and one
-    # chunk's scratch, not band-long j, gathers or run arrays (measured 10.6
-    # and 6.8 MiB; 18.6 and 18.7 MiB at four times the budget)
+    # chunk's scratch, not band-long j, gathers or run arrays (measured 9.1,
+    # 6.3 and 9.8 MiB; 17.1, 17.0 and 18.6 MiB at four times the budget); the
+    # first case takes the lag chunks, the third the row-major ones at d = 2
     monkeypatch.setattr(_parallel, "usable_cores", lambda: 1)
     cases = [(joint_additive_energy, [generate(SequenceSpec.identity(), 2048),
                                       generate(SequenceSpec.power_of(2), 2048)]),
-             (additive_energy, generate(SequenceSpec.power_of(2), 4096))]
+             (additive_energy, generate(SequenceSpec.power_of(2), 4096)),
+             (joint_additive_energy, [generate(SequenceSpec.power_of(2), 2048),
+                                      generate(SequenceSpec.power_of(3), 2048)])]
     for (fn, arg), bound in zip(cases, BAND_PEAK_BOUNDS):
         assert _traced_peak(fn, arg) < bound, fn.__name__
-    # detector: bands four times larger exceed both bounds
+    # detector: bands four times larger exceed every bound
     monkeypatch.setattr(energy, "_PAIR_BUDGET", 1 << 22)
     for (fn, arg), bound in zip(cases, BAND_PEAK_BOUNDS):
         assert _traced_peak(fn, arg) > bound, fn.__name__
