@@ -12,35 +12,25 @@ a_n - a_k = a_l - a_m) is
 
 and the full table is the half table over i > j, negated and reversed, then
 the zero row with count N, then the half table.  Only the N(N-1)/2 pairs
-i > j are enumerated, in bands [L, U) of the first-component difference,
-each holding at most a fixed budget of 2^20 index pairs (_PAIR_BUDGET; a
-single first-difference value is never split).  A band is grouped by
+i > j are enumerated, in bands [L, U) of the first-component difference:
+row i meets a band in one contiguous run of j, and each band holds at most a
+fixed budget of 2^20 index pairs (_PAIR_BUDGET; a single first-difference
+value is never split).  The edges are found by bisection on an estimate of
+the pair count from every 16th row, checked by one exact count and cut by
+exact bisection only when the band overflows.  A band is grouped by
 _group_rows, the package's one grouping function: one integer key column,
-the mixed-radix code of its difference vectors, whose runs of equal keys,
-once sorted, are the counts D(v).  Every caller hands _group_rows its rows
-in chunks with each column's exact min and max, and the key, the one
-band-long array, is filled 2^16 pairs at a time (_CHUNK).  The key is
-sorted in place unless one pass finds it already in order.
-
-The bands come in two kinds.  When the first column is n (all the paper's
-families), a pair's first difference is its lag h = i - j, so a band is a
-lag range whose edges are counted in closed form, lag h's pairs are the
-slices v[h:] - v[:-h] of each column, written into the key with no gather,
-and a component's range over the band is read off its first and last lag;
-keys in lag order are already sorted wherever no lag's differences descend,
-as for (n, n^2).  Otherwise row i meets a band in one contiguous run of j:
-each component's range is read off the ends of the runs, the pairs are
-gathered from the runs, and the edges are searched for, by bisection on an
-estimate of the pair count from every 16th row, checked by one exact count
-and cut by exact bisection only when the band overflows.
-
-The calling thread finds the band edges and _parallel.ordered_map counts
-the bands on one thread per usable core.  Bands are disjoint in v, so each
-adds its sum of squared counts to E directly: the energy walks its sorted
-key a chunk at a time and never makes a per-vector array.  The table
-decodes each band's unique keys to rows, which concatenate in
-lexicographic order in band order.  The same table drives the GCD-sum
-variance proxy.
+the mixed-radix code of its difference vectors, sorted in place, whose runs
+of equal keys are the counts D(v).  Every caller hands _group_rows its rows
+in chunks with each column's exact min and max.  Every column increases
+strictly, so each component's range over a band is read off the ends of the
+rows' runs of j, and the key, the one band-long array, is filled 2^16 pairs
+at a time (_CHUNK).  The calling thread finds the band edges and
+_parallel.ordered_map counts the bands on one thread per usable core.
+Bands are disjoint in v, so each adds its sum of squared counts to E
+directly: the energy walks its sorted key a chunk at a time and never makes
+a per-vector array.  The table decodes each band's unique keys to rows,
+which concatenate in lexicographic order in band order.  The same table
+drives the GCD-sum variance proxy.
 
 Brute-force oracles (O(N^4) quadruple and O(N^3) triple enumerations) live
 here too; they exist for the test suite and stay independent of the banded
@@ -113,16 +103,6 @@ def _runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return firsts, np.diff(np.append(firsts, first.size))
 
 
-def _nondecreasing(keys: np.ndarray) -> bool:
-    """Whether the keys never decrease, checked _CHUNK keys at a time, so
-    that the check of keys out of order mostly ends in the first chunk."""
-    for p in range(0, keys.size, _CHUNK):
-        part = keys[p:p + _CHUNK + 1]
-        if (part[1:] < part[:-1]).any():
-            return False
-    return True
-
-
 def _key_run_starts(keys: np.ndarray) -> Iterator[np.ndarray]:
     """The starts of the runs of equal keys in the sorted keys, in order, in
     one array per chunk of _CHUNK keys; the first run's start, 0, is left
@@ -137,22 +117,17 @@ def _key_run_starts(keys: np.ndarray) -> Iterator[np.ndarray]:
 def _key_run_squares(keys: np.ndarray) -> tuple[int, int]:
     """(the number of keys, the sum of the squared lengths of the runs of
     equal keys) of the nonempty sorted keys, walked about _CHUNK keys at a
-    time, each chunk running on to the end of its last run.  A chunk whose
-    runs average two keys or more sums the squares of its run lengths; one of
-    mostly single keys, L^2 = L + L(L - 1), sums L(L - 1) over its blocks of
-    equal neighbours only."""
+    time, each chunk running on to the end of its last run.  As L^2 = L +
+    L(L - 1), a chunk adds its size and L(L - 1) over its blocks of equal
+    neighbours, so single keys cost no per-run work."""
     squares = p = 0
     while p < keys.size:
         q = int(np.searchsorted(keys, keys[min(p + _CHUNK, keys.size) - 1], side="right"))
         part = keys[p:q]
-        change = part[1:] != part[:-1]
-        if 2 * np.count_nonzero(change) < change.size:
-            lengths = np.diff(np.flatnonzero(change), prepend=-1, append=part.size - 1)
-            squares += int(lengths @ lengths)
-        else:
-            edges = np.flatnonzero(np.diff(~change, prepend=False, append=False))
-            equal = edges[1::2] - edges[::2]          # L - 1 for each run of L >= 2
-            squares += part.size + int(equal @ (equal + 1))
+        same = part[1:] == part[:-1]
+        edges = np.flatnonzero(np.diff(same, prepend=False, append=False))
+        equal = edges[1::2] - edges[::2]          # L - 1 for each run of L >= 2
+        squares += part.size + int(equal @ (equal + 1))
         p = q
     return keys.size, squares
 
@@ -166,11 +141,10 @@ def _group_rows(columns: Callable[[], Iterable], spans: tuple,
     square (and no weights) the result is (sum of the counts, sum of their
     squares), and no per-group array is made on the key path.
 
-    The rows' mixed-radix keys are sorted, in place unless they are already
-    in order, or stably with weights so that each group sums in row order;
-    the runs of equal keys are the groups, decoded from each run's first
-    key.  When the key overflows, columns() is called again and its chunks
-    are copied out and lexsorted instead.
+    The rows' mixed-radix keys are sorted, in place, or stably with weights so
+    that each group sums in row order; the runs of equal keys are the groups,
+    decoded from each run's first key.  When the key overflows, columns() is
+    called again and its chunks are copied out and lexsorted instead.
     """
     enc = _group_encode(columns(), spans)
     if enc is None:
@@ -189,11 +163,11 @@ def _group_rows(columns: Callable[[], Iterable], spans: tuple,
         rows = np.array([col[firsts] for col in cols]).T
     else:
         keys, los, radix = enc
-        if weights is not None:
+        if weights is None:
+            keys.sort()
+        else:
             order = np.argsort(keys, kind="stable")
             keys[:] = keys[order]
-        elif not _nondecreasing(keys):
-            keys.sort()
         if square:
             return _key_run_squares(keys)
         firsts = np.concatenate([np.zeros(1, dtype=np.int64), *_key_run_starts(keys)])
@@ -262,12 +236,14 @@ def _band_chunks(cols: list[np.ndarray], start: np.ndarray,
         yield _chunk_columns(cols, rows, run, j, buf[:q - p])
 
 
-def _row_band(cols: list[np.ndarray], lo: int, hi: int) -> tuple[tuple, Callable]:
-    """(spans, chunks) for _group_rows of the pairs i > j with first
-    difference in [lo, hi), chunked by _band_chunks.  Row i meets the band in
-    the run of j with a_i - hi < a_j <= a_i - lo; every column increases
-    strictly, so a component's min and max over the band are at the runs'
-    last and first j."""
+def _band(cols: list[np.ndarray], lo: int, hi: int, table: bool):
+    """(pairs, result) for the pairs i > j with first difference in [lo, hi),
+    grouped by _group_rows from the chunks of _band_chunks: result is (rows,
+    counts) of the band's distinct vectors when table is true, else the sum
+    of their squared counts.  Row i meets the band in the run of j with
+    a_i - hi < a_j <= a_i - lo; every column increases strictly, so a
+    component's min and max over the band are at the runs' last and first j.
+    """
     a = cols[0]
     start = np.searchsorted(a, a - hi, side="right")
     length = np.searchsorted(a, a - lo, side="right") - start
@@ -276,65 +252,10 @@ def _row_band(cols: list[np.ndarray], lo: int, hi: int) -> tuple[tuple, Callable
     last = first + length[used] - 1
     spans = (int(length.sum()), [int((v[used] - v[last]).min()) for v in cols],
              [int((v[used] - v[first]).max()) for v in cols])
-    return spans, lambda: _band_chunks(cols, start, length)
 
+    def chunks():
+        return _band_chunks(cols, start, length)
 
-def _lag_columns(cols: list[np.ndarray], pieces: list[tuple[int, int, int]],
-                 buf: np.ndarray) -> Iterator[np.ndarray]:
-    """Component k of the pieces' difference vectors, piece (h, j, m) being
-    the pairs j, ..., j + m - 1 of lag h, written into buf for k = 0, 1, ...
-    in turn."""
-    for v in cols:
-        p = 0
-        for h, j, m in pieces:
-            np.subtract(v[h + j:h + j + m], v[j:j + m], out=buf[p:p + m])
-            p += m
-        yield buf
-
-
-def _lag_chunks(cols: list[np.ndarray], h0: int, h1: int,
-                size: int) -> Iterator[Iterator[np.ndarray]]:
-    """The difference vectors a_{j+h} - a_j of the size pairs of lags h in
-    [h0, h1), lag by lag and j = 0, 1, ... within a lag, in chunks of at most
-    _CHUNK pairs written into one buffer as _band_chunks writes them: a lag's
-    component is the slice difference v[h:] - v[:-h], so nothing is
-    gathered."""
-    n = cols[0].size
-    buf = np.empty(min(size, _CHUNK), dtype=np.int64)
-    pieces, fill = [], 0
-    for h in range(h0, h1):
-        j = 0
-        while j < n - h:
-            m = min(n - h - j, buf.size - fill)
-            pieces.append((h, j, m))
-            j += m
-            fill += m
-            if fill == buf.size:
-                yield _lag_columns(cols, pieces, buf)
-                pieces, fill = [], 0
-    if pieces:
-        yield _lag_columns(cols, pieces, buf[:fill])
-
-
-def _lag_band(cols: list[np.ndarray], h0: int, h1: int) -> tuple[tuple, Callable]:
-    """(spans, chunks) for _group_rows of the pairs of lags h in [h0, h1),
-    chunked by _lag_chunks, when the first column is n, so that a pair's
-    first difference is its lag.  Every column increases strictly, so
-    v[j + h] - v[j] grows with h: a component's min over the band is on lag
-    h0 and its max on lag h1 - 1."""
-    n = cols[0].size
-    size = (h1 - h0) * (2 * n - h0 - h1 + 1) // 2
-    spans = (size, [int((v[h0:] - v[:n - h0]).min()) for v in cols],
-             [int((v[h1 - 1:] - v[:n - h1 + 1]).max()) for v in cols])
-    return spans, lambda: _lag_chunks(cols, h0, h1, size)
-
-
-def _band(cols: list[np.ndarray], edge: tuple[int, int], build: Callable, table: bool):
-    """(pairs, result) for the band of first differences edge = [lo, hi),
-    its spans and chunks made by build (_row_band or _lag_band) and grouped
-    by _group_rows: result is (rows, counts) of the band's distinct vectors
-    when table is true, else the sum of their squared counts."""
-    spans, chunks = build(cols, *edge)
     if not table:
         return _group_rows(chunks, spans, square=True)
     rows, counts = _group_rows(chunks, spans)
@@ -355,7 +276,7 @@ def _probe(a: np.ndarray, rows: np.ndarray, x: int) -> tuple[int, int, int]:
 
 def _band_edges(a: np.ndarray, half: int) -> Iterator[tuple[int, int]]:
     """Edges [L, U) of the first-difference bands of the half pairs i > j of
-    the at least two values a.
+    the values a; none when there is one value.
 
     With C(x) = #{i > j : a_i - a_j < x}, a band holds C(U) - C(L) <=
     _PAIR_BUDGET pairs, unless the first difference value it holds exceeds
@@ -368,6 +289,8 @@ def _band_edges(a: np.ndarray, half: int) -> Iterator[tuple[int, int]]:
     over which the count does not change, so they stop once no difference
     lies inside the bracket.
     """
+    if half == 0:
+        return
     top = int(a[-1]) + 1                # C(top) = half: every difference is < top
     every = np.arange(a.size)
     sample = every[(a.size - 1) % _SAMPLE::_SAMPLE]     # ends with the longest row
@@ -409,40 +332,22 @@ def _band_edges(a: np.ndarray, half: int) -> Iterator[tuple[int, int]]:
             lo_edge, c_lo, nxt = hi, c_at_hi, nxt_hi
 
 
-def _lag_edges(n: int) -> Iterator[tuple[int, int]]:
-    """Edges [h0, h1) of the lag bands of n values whose first column is n:
-    lag h is held by n - h pairs, and h1 is the largest edge with at most
-    _PAIR_BUDGET pairs in the band, or h0 + 1 when lag h0 alone holds more."""
-    before = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # lags < h: before[h - 1]
-    h0 = 1
-    while h0 < n:
-        h1 = max(h0 + 1, int(np.searchsorted(before, before[h0 - 1] + _PAIR_BUDGET, side="right")))
-        yield h0, h1
-        h0 = h1
-
-
 def _half_table_bands(cols: list[np.ndarray], table: bool) -> list:
     """_band's result for each first-difference band of the pairs i > j, in
     band order.
 
-    When the first column is n (after _difference_columns' shift, its last
-    value is N - 1), a band is a range of lags (_lag_edges, _lag_band);
-    otherwise its edges come from _band_edges and its pairs from _row_band.
-    The calling thread finds the band edges and _parallel.ordered_map hands
-    each band to a thread as soon as its edges are known, so the edge search
-    overlaps the counting and at most one band per usable core is alive at
-    once: its key column (4 bytes a pair when the key fits in uint32, else
-    8) and one chunk's scratch.
+    The calling thread finds the band edges (_band_edges, mostly on a row
+    sample) and _parallel.ordered_map hands each band to a thread as soon as
+    its edges are known, so the edge search overlaps the counting and at
+    most one band per usable core is alive at once: its key column (4 bytes
+    a pair when the key fits in uint32, else 8) and one chunk's scratch.
     Raises InternalError if the grouped run lengths do not add up to the
     pairs.
     """
     n = cols[0].size
     half = n * (n - 1) // 2
-    if int(cols[0][-1]) == n - 1:
-        edges, build = _lag_edges(n), _lag_band
-    else:
-        edges, build = _band_edges(cols[0], half), _row_band
-    bands = _parallel.ordered_map(lambda edge: _band(cols, edge, build, table), edges)
+    bands = _parallel.ordered_map(lambda edge: _band(cols, *edge, table),
+                                  _band_edges(cols[0], half))
     held = sum(pairs for pairs, _ in bands)
     if held != half:
         raise InternalError(f"representation table holds {n + 2 * held} pairs, "

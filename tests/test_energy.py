@@ -343,56 +343,6 @@ def test_exact_band_search_stops_at_the_data(monkeypatch):
     assert all(0 < np.count_nonzero((diffs >= lo) & (diffs < hi)) <= 31 for lo, hi in edges)
 
 
-def _no_gather(*args):
-    raise RuntimeError("the row-major chunker ran")
-
-
-def test_lag_bands_match_oracles(monkeypatch):
-    # first column n: the bands are lag ranges, chunked with no gather (the
-    # row-major chunker raises here); [n log n] and [n log^2 n] have lags
-    # whose differences descend, so some band keys need the sort and others
-    # are already in order; budgets from 1 and small chunks cut lags apart
-    monkeypatch.setattr(energy, "_band_chunks", _no_gather)
-    real = energy._nondecreasing
-    in_order = []
-
-    def watched(keys):
-        in_order.append(real(keys))
-        return in_order[-1]
-
-    monkeypatch.setattr(energy, "_nondecreasing", watched)
-    rng = np.random.default_rng(36)
-    others = [SequenceSpec.floor_nlog(1, 3), SequenceSpec.floor_nlog(2, 3), SequenceSpec.power_of(2)]
-    for trial in range(36):
-        n = int(rng.integers(2, 36))
-        d = 2 + trial % 2
-        picks = rng.choice(3, size=d - 1, replace=False) if trial % 3 else [0, 1][:d - 1]
-        seqs = [generate(SequenceSpec.identity(), n)] + [generate(others[k], n) for k in picks]
-        cols = [s.values for s in seqs]
-        budget = 1 + trial % 4 if trial // 2 % 2 else int(rng.integers(1, n * n))
-        monkeypatch.setattr(energy, "_PAIR_BUDGET", budget)
-        monkeypatch.setattr(energy, "_CHUNK", (1, 3, 7, 1 << 16)[trial // 4 % 4])
-        assert joint_additive_energy(seqs) == joint_additive_energy_brute(cols)
-        table = representation_counts(seqs)
-        rows, counts = _full_table_reference(cols)
-        assert table.vectors.tobytes() == rows.tobytes()
-        assert table.counts.tobytes() == counts.astype(np.int64).tobytes()
-    assert True in in_order and False in in_order
-
-
-def test_first_column_n_gathers_nothing(monkeypatch):
-    n = generate(SequenceSpec.identity(), 300)
-    square = generate(SequenceSpec.power_of(2), 300)
-    e, t = joint_additive_energy([n, square]), representation_counts([n, square])
-    monkeypatch.setattr(energy, "_PAIR_BUDGET", 5000)      # several bands
-    monkeypatch.setattr(energy, "_band_chunks", _no_gather)
-    assert joint_additive_energy([n, square]) == e
-    assert additive_energy(n) == (2 * 300 ** 3 + 300) // 3
-    assert representation_counts([n, square]).vectors.tobytes() == t.vectors.tobytes()
-    with pytest.raises(RuntimeError, match="row-major"):
-        additive_energy(square)
-
-
 def _refilled(values, calls):
     """columns() for _group_rows: one chunk, the columns of values written in
     turn into one buffer, as the bands write theirs; each call appends to
@@ -499,10 +449,6 @@ def test_every_caller_states_exact_spans(monkeypatch):
     monkeypatch.setattr(energy, "_PAIR_BUDGET", 17)      # several bands
     monkeypatch.setattr(energy, "_CHUNK", 5)             # several chunks a band
     representation_counts([seq([1, 3, 4, 9, 10, 15, 22, 23]), seq([2, 5, 6, 7, 11, 13, 14, 30])])
-    # first column n: lag chunks, whose second column descends within lags 1 and 2
-    lagged = [seq(range(1, 9)), seq([1, 3, 4, 9, 10, 15, 22, 23]), seq([2, 5, 6, 7, 11, 13, 14, 30])]
-    representation_counts(lagged)
-    joint_additive_energy(lagged[:2])
     assert len(calls) > 20
     assert _inexact(calls) == []
     assert {np.dtype(np.uint32), np.dtype(np.int64), None} <= {kind for *_, kind in calls}
@@ -513,8 +459,7 @@ def test_every_caller_states_exact_spans(monkeypatch):
     assert _inexact(calls) == [((3, [3], [8]), (3, [3], [9]))]
 
 
-# bytes: (n, n^2) at N = 2048 (lag bands), n^2 at N = 4096 and (n^2, n^3) at N = 2048
-BAND_PEAK_BOUNDS = (14 * 2 ** 20, 10 * 2 ** 20, 14 * 2 ** 20)
+BAND_PEAK_BOUNDS = (14 * 2 ** 20, 10 * 2 ** 20)   # bytes: (n, n^2) at N = 2048, n^2 at N = 4096
 
 
 def _traced_peak(fn, arg):
@@ -528,18 +473,15 @@ def _traced_peak(fn, arg):
 
 def test_band_peak_memory(monkeypatch):
     # one band in flight: its key column (int64, then uint32) and one
-    # chunk's scratch, not band-long j, gathers or run arrays (measured 9.1,
-    # 6.3 and 9.8 MiB; 17.1, 17.0 and 18.6 MiB at four times the budget); the
-    # first case takes the lag chunks, the third the row-major ones at d = 2
+    # chunk's scratch, not band-long j, gathers or run arrays (measured 6.2
+    # and 5.9 MiB; 18.6 and 16.6 MiB at four times the budget)
     monkeypatch.setattr(_parallel, "usable_cores", lambda: 1)
     cases = [(joint_additive_energy, [generate(SequenceSpec.identity(), 2048),
                                       generate(SequenceSpec.power_of(2), 2048)]),
-             (additive_energy, generate(SequenceSpec.power_of(2), 4096)),
-             (joint_additive_energy, [generate(SequenceSpec.power_of(2), 2048),
-                                      generate(SequenceSpec.power_of(3), 2048)])]
+             (additive_energy, generate(SequenceSpec.power_of(2), 4096))]
     for (fn, arg), bound in zip(cases, BAND_PEAK_BOUNDS):
         assert _traced_peak(fn, arg) < bound, fn.__name__
-    # detector: bands four times larger exceed every bound
+    # detector: bands four times larger exceed both bounds
     monkeypatch.setattr(energy, "_PAIR_BUDGET", 1 << 22)
     for (fn, arg), bound in zip(cases, BAND_PEAK_BOUNDS):
         assert _traced_peak(fn, arg) > bound, fn.__name__
