@@ -103,17 +103,6 @@ def _runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return firsts, np.diff(np.append(firsts, first.size))
 
 
-def _key_run_starts(keys: np.ndarray) -> Iterator[np.ndarray]:
-    """The starts of the runs of equal keys in the sorted keys, in order, in
-    one array per chunk of _CHUNK keys; the first run's start, 0, is left
-    out."""
-    for p in range(0, keys.size, _CHUNK):
-        part = keys[p:p + _CHUNK + 1]
-        starts = np.flatnonzero(part[1:] != part[:-1])
-        starts += p + 1
-        yield starts
-
-
 def _key_run_squares(keys: np.ndarray) -> tuple[int, int]:
     """(the number of keys, the sum of the squared lengths of the runs of
     equal keys) of the nonempty sorted keys, walked about _CHUNK keys at a
@@ -170,8 +159,7 @@ def _group_rows(columns: Callable[[], Iterable], spans: tuple,
             keys[:] = keys[order]
         if square:
             return _key_run_squares(keys)
-        firsts = np.concatenate([np.zeros(1, dtype=np.int64), *_key_run_starts(keys)])
-        counts = np.diff(np.append(firsts, keys.size))
+        firsts, counts = _runs(keys)
         rest = keys[firsts].astype(np.int64)
         rows = np.empty((firsts.size, len(radix)), dtype=np.int64, order="F")
         for k in range(len(radix) - 1, 0, -1):

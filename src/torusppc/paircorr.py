@@ -2,21 +2,18 @@
 
 Two counters produce the statistic: ppc_naive scans all ordered pairs in
 O(N^2) and is the reference; ppc_grid is the linked-cell method (Allen &
-Tildesley, Computer Simulation of Liquids, ch. 5).  It buckets the points
-into toroidal cells of side >= t on every axis, sorts them by cell with
-one value sort of 64-bit keys (cell id above the point index), and reads
-each cell's slice of the sorted points from a table of cell starts.
-Each point is paired with the later points of its own cell and with the
-half shell of neighbour cells (offsets whose first nonzero component is
-+1), the three neighbours along the last axis as one range, so every
-candidate pair is examined exactly once with no deduplication pass and no
-search.  Grids with fewer than 3 cells per axis use one cell.  ppc_grid
-builds the keys and walks the sorted points in blocks of _BLOCK = 2**13,
-so that only the keys (until the points are sorted), the sorted points
-and the cell-start table (at most 2N + 1 entries) grow with N: a count at
-N = 10**5 (d = 2) peaks at about 4.1 MiB besides its input, and one at
-N = 10**6 (d = 3, 2-norm) at about 35 MiB.  It counts at most 2**31 - 1
-points, and writes nothing into its input.
+Tildesley, Computer Simulation of Liquids, ch. 5) in two parts.  The cell
+layout (_grid_layout) buckets the points into toroidal cells of side >= t
+on every axis, sorts them by cell with one value sort of 64-bit keys (cell
+id above the point index), and builds a table of cell starts.  The
+candidate stream (_candidates) reads it and yields every pair of points in
+one cell or in adjacent cells exactly once; its docstring states the
+stencil.  Both work in blocks of _BLOCK = 2**13 points, so that only the
+keys (until the points are sorted), the sorted points and the cell-start
+table (at most 2N + 1 entries) grow with N: a count at N = 10**5 (d = 2)
+peaks at about 4.1 MiB besides its input, and one at N = 10**6 (d = 3,
+2-norm) at about 35 MiB.  ppc_grid counts at most 2**31 - 1 points, and
+writes nothing into its input.
 Both counters call the same exact comparison predicate, so their counts
 agree pair for pair, not just statistically.  They hand it candidate pairs
 in blocks of up to _CHUNK_PAIRS = 2**15 (only a longer single segment goes
@@ -162,15 +159,9 @@ def _count_near(cols: np.ndarray, ia: np.ndarray, ib: np.ndarray,
     count = int(np.count_nonzero(acc <= low))
     if int(np.count_nonzero(acc <= high)) == count:
         return count
-    border = np.flatnonzero((acc > low) & (acc <= high))
-    for j in border:
-        ssq = 0
-        for col in cols:
-            dd = (int(col[ia[j]]) - int(col[ib[j]])) % SCALE
-            dn = min(dd, SCALE - dd)
-            ssq += dn * dn
-        if ssq <= thr.two_num:
-            count += 1
+    for j in np.flatnonzero((acc > low) & (acc <= high)):
+        wrapped = ((int(col[ia[j]]) - int(col[ib[j]])) % SCALE for col in cols)
+        count += sum(min(w, SCALE - w) ** 2 for w in wrapped) <= thr.two_num
     return count
 
 
@@ -238,12 +229,6 @@ def _cell_coords(x: np.ndarray, m: int) -> np.ndarray:
     return hi
 
 
-def _half_shell(d: int) -> list[tuple[int, ...]]:
-    """Neighbour offsets whose first nonzero component is +1: (3^d - 1)/2 of them."""
-    return [delta for delta in itertools.product((0, 1, -1), repeat=d)
-            if next((o for o in delta if o), 0) == 1]
-
-
 def _segment_pairs(a: np.ndarray, b_start: np.ndarray, length: np.ndarray):
     """Yield (ia, ib) chunks pairing a[k] with b_start[k] + 0 .. length[k]-1.
 
@@ -263,39 +248,19 @@ def _segment_pairs(a: np.ndarray, b_start: np.ndarray, length: np.ndarray):
         lo = hi
 
 
-def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
-    """Linked-cell counter; identical count to ppc_naive by construction.
+def _grid_layout(pts: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """(cols, starts, m) for the (N, d) points pts and the threshold t.
 
-    Each axis is split into m toroidal cells of side 1/m >= t, so a pair
-    within distance t (either norm) lies in one cell or in two adjacent
-    ones.  Points are sorted by flat cell id, last axis fastest, and a
-    table of m^d + 1 cell starts, from one bincount, gives each cell's
-    slice of the sorted points.  A row is the m cells that share their
-    first d - 1 coordinates; in the sorted order a row is contiguous.
-    With q a point's cell on the last axis, it is paired with the later
-    points of its own cell and the points of cell q + 1 (one range), and
-    in each half-shell neighbour row (first nonzero offset +1; one at
-    d = 2, four at d = 3) with cells q - 1, q and q + 1 (one range).  Where
-    q = 0 or q = m - 1 the last axis wraps: one more range per row, cell
-    m - 1 or cell 0.  Each unordered pair of adjacent cells is paired once
-    from one side, so each candidate pair is tested exactly once, and each
-    tested pair counts twice (ordered pairs).  With one cell (m = 1) each
-    point is paired with all later points.  The keys cell << 32 | index
-    are filled per block of _BLOCK points, and one value sort of them
-    leaves the order in their low halves, read as a view.  Past it the
-    rows are gathered and the key freed; then per block of _BLOCK sorted
-    points the cells are computed again from the sorted columns, the
-    ranges built, and a block's ranges go through the predicate together.
+    m is the number of cells per axis (_cells_per_axis), each of side 1/m >= t.
+    cols holds the points sorted by flat cell id, last axis fastest, as a
+    coordinate-major (d, N) array, and cell c's points are cols[:, starts[c]:
+    starts[c + 1]] (m^d + 1 int32 starts, from one bincount).  The keys
+    cell << 32 | index are filled per block of _BLOCK points, and one value
+    sort of them leaves the order in their low halves, read as a view; the
+    rows are then gathered per block, and the key is freed on return.
     """
-    pts = points_to_array(points)
     N, d = pts.shape
-    if N < 2:
-        raise ValueError("need at least 2 points")
-    if N > _MAX_POINTS:
-        raise ValueError(f"ppc_grid counts at most {_MAX_POINTS} points, got N = {N}")
-    thr = _threshold_for(s, N, d)
-    m = _cells_per_axis(thr.t, d, N)
-
+    m = _cells_per_axis(t, d, N)
     # flat cell ids, one block at a time, then packed above the point index,
     # so that a plain value sort orders the points by cell
     key = np.empty(N, dtype=np.uint64)
@@ -308,7 +273,7 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     counts = np.bincount(key.view(np.int64), minlength=m ** d)
     starts = np.zeros(m ** d + 1, dtype=np.int32)
     starts[1:] = np.cumsum(counts, out=counts)
-    del counts
+    del counts                                          # freed before the sort
     for lo in range(0, N, _BLOCK):
         block = key[lo:lo + _BLOCK]
         block <<= np.uint64(32)
@@ -316,16 +281,38 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
     key.sort()
     low = 0 if np.little_endian else 1
     order = key.view(np.uint32)[low::2]                 # the low halves, as a view
-    cols = np.empty((d, N), dtype=np.uint64)            # sorted points, coordinate-major
+    cols = np.empty((d, N), dtype=np.uint64)
     buf = np.empty((min(N, _BLOCK), d), dtype=np.uint64)
     for lo in range(0, N, _BLOCK):
         hi = min(N, lo + _BLOCK)
         rows = buf[:hi - lo]
         np.take(pts, order[lo:hi], axis=0, out=rows)
         cols[:, lo:hi] = rows.T
-    del key, block, order, buf                         # the key and every view of it
+    return cols, starts, m
 
-    shell = _half_shell(d - 1) if m > 1 else []
+
+def _candidates(cols: np.ndarray, starts: np.ndarray, m: int):
+    """Yield (ia, ib) blocks of indices into the sorted points of a
+    _grid_layout, whose pairs are every unordered pair of points in one cell
+    or in two adjacent cells, each exactly once.
+
+    As the cell side is >= t, every pair within distance t (either norm) is
+    among them.  A row is the m cells that share their first d - 1
+    coordinates; in the sorted order a row is contiguous.  With q a point's
+    cell on the last axis, it is paired with the later points of its own cell
+    and the points of cell q + 1 (one range), and in each half-shell
+    neighbour row (offsets whose first nonzero component is +1; one at
+    d = 2, four at d = 3) with cells q - 1, q and q + 1 (one range).  Where
+    q = 0 or q = m - 1 the last axis wraps: one more range per row, cell
+    m - 1 or cell 0.  Each unordered pair of adjacent cells is paired once,
+    from one side, so no deduplication pass and no search is needed.  With
+    one cell (m = 1) each point is paired with all later points.  Per block
+    of _BLOCK sorted points the cells are computed again from cols and the
+    ranges built; a block's ranges come out in chunks of _segment_pairs.
+    """
+    d, N = cols.shape
+    shell = [delta for delta in itertools.product((0, 1, -1), repeat=d - 1)
+             if m > 1 and next((o for o in delta if o), 0) == 1]
     weights = [m ** (d - 1 - k) for k in range(d - 1)]
 
     def row(n, axes, delta):
@@ -339,7 +326,6 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
             base += c
         return base
 
-    near = 0
     for lo in range(0, N, _BLOCK):
         hi = min(N, lo + _BLOCK)
         a = np.arange(lo, hi)
@@ -365,7 +351,26 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
             begin += [starts[base + first], starts[base[wrap] + other]]
             end += [starts[base + stop], starts[base[wrap] + other + 1]]
         pair_a, begin = np.concatenate(pair_a), np.concatenate(begin)
-        near += sum(_count_near(cols, ia, ib, norm, thr)
-                    for ia, ib in _segment_pairs(pair_a, begin, np.concatenate(end) - begin))
+        yield from _segment_pairs(pair_a, begin, np.concatenate(end) - begin)
 
+
+def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
+    """Linked-cell counter; identical count to ppc_naive by construction.
+
+    The points are laid out by cell (_grid_layout), and the predicate runs
+    on the candidate pairs (_candidates), which hold every near pair once;
+    each near candidate counts twice (ordered pairs).
+    """
+    pts = points_to_array(points)
+    N, d = pts.shape
+    if N < 2:
+        raise ValueError("need at least 2 points")
+    if N > _MAX_POINTS:
+        raise ValueError(f"ppc_grid counts at most {_MAX_POINTS} points, got N = {N}")
+    thr = _threshold_for(s, N, d)
+    cols, starts, m = _grid_layout(pts, thr.t)
+    near = 0
+    for ia, ib in _candidates(cols, starts, m):
+        near += _count_near(cols, ia, ib, norm, thr)
+        del ia, ib              # not held while the stream builds its next block
     return _result(2 * near, N, s, d, norm)

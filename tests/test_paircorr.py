@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -230,6 +231,52 @@ def test_sup_predicate_matches_min_formula(d, T, axes):
                        NormKind.SUP, thr) == int(np.count_nonzero(old))
 
 
+# (t, the wrapped numerator differences of a pair at distance exactly t):
+# t * 2**64 is 2**61, 5 * 2**58 and 7 * 2**58, split by the right triangles
+# 3-4-5 and 2-3-6-7
+_TWO_NORM_TIES = {2.0 ** -3: (1 << 61,), 5 / 64: (3 << 58, 4 << 58),
+                  7 / 64: (2 << 58, 3 << 58, 6 << 58)}
+
+
+@pytest.mark.parametrize("t", [2.0 ** -3, 5 / 64, 7 / 64, 0.1, 0.49])
+def test_two_norm_recheck_matches_integer_count(t):
+    # pairs whose exact sum of squared wrapped numerators is at or just below
+    # two_num - 1, two_num and two_num + 1 (the last axis by isqrt), and one
+    # step of the last axis past that: all inside the float filter's border
+    # band, so the big-integer recheck decides each; the reference is a count
+    # in Python integers from the points themselves
+    thr = paircorr._Threshold.make(t)
+    rnd = random.Random(53)
+
+    def wrapped(x, y):
+        w = (x - y) % SCALE
+        return min(w, SCALE - w)
+
+    for d in (1, 2, 3):
+        tie = _TWO_NORM_TIES.get(t, ())
+        diffs = [tie] if len(tie) == d else []
+        for target in (thr.two_num - 1, thr.two_num, thr.two_num + 1):
+            for _ in range(6):
+                head = [rnd.randrange(math.isqrt(target // d)) for _ in range(d - 1)]
+                last = math.isqrt(target - sum(h * h for h in head))
+                diffs += [(*head, last), (*head, last + 1)]
+        a = [[rnd.randrange(SCALE) for _ in range(d)] for _ in diffs]
+        b = [[(x + k * rnd.choice((1, -1))) % SCALE for x, k in zip(p, diff)]
+             for p, diff in zip(a, diffs)]
+        ssq = [sum(wrapped(x, y) ** 2 for x, y in zip(p, q)) for p, q in zip(a, b)]
+        assert all(abs(v - thr.two_num) <= thr.two_num * paircorr._BORDER_BAND / 2 for v in ssq)
+        inside = [v <= thr.two_num for v in ssq]
+        assert 0 < sum(inside) < len(inside), (t, d)
+        if len(tie) == d:
+            assert ssq[0] == thr.two_num
+        n = len(diffs)
+        cols = np.ascontiguousarray(np.array(a + b, dtype=np.uint64).T)
+        for j in range(n):
+            got = _count_near(cols, np.array([j]), np.array([n + j]), NormKind.TWO, thr)
+            assert got == inside[j], (t, d, ssq[j] - thr.two_num)
+        assert _count_near(cols, np.arange(n), np.arange(n, 2 * n), NormKind.TWO, thr) == sum(inside)
+
+
 @pytest.fixture
 def predicate_calls(monkeypatch):
     """Record every (cols, ia, ib) handed to the shared predicate."""
@@ -279,8 +326,8 @@ def _input_rows(index, cols):
 
 def _check_each_pair_once(pts, s, calls, label):
     """ppc_grid matches ppc_naive on the rows pts (repeats allowed), hands the
-    predicate each candidate pair once, and leaves no near pair out of the
-    candidates."""
+    predicate the blocks of _candidates and nothing else, each candidate pair
+    once, and leaves no near pair out of the candidates."""
     # ppc_grid hands the predicate cell-sorted points, coordinate-major: map
     # them back to input rows
     n, d = pts.shape
@@ -289,10 +336,17 @@ def _check_each_pair_once(pts, s, calls, label):
         index.setdefault(row.tobytes(), []).append(i)
     lo, hi = np.triu_indices(n, 1)
     thr = paircorr._threshold_for(s, n, d)
+    layout = paircorr._grid_layout(pts, thr.t)
+    blocks = list(paircorr._candidates(*layout))
     for norm in NormKind:
         naive = ppc_naive(pts, s, norm).near_pairs
         calls.clear()
         assert ppc_grid(pts, s, norm).near_pairs == naive, (label, norm)
+        # the predicate sees exactly the candidate stream, block for block
+        assert len(calls) == len(blocks), label
+        for (p, a_idx, b_idx), (ia, ib) in zip(calls, blocks):
+            assert np.array_equal(p, layout[0]), label
+            assert np.array_equal(a_idx, ia) and np.array_equal(b_idx, ib), label
         ia, ib = [], []
         for p, a_idx, b_idx in calls:
             perm = _input_rows(index, p)
