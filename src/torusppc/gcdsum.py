@@ -13,20 +13,21 @@ divisors (T << K^2), as differences of polynomial sequences do.  The tuples
 are expanded one block of first divisors at a time, so memory holds one
 block, not all T tuples.
 
-A seeded random completely multiplicative function with uniform unit-circle
-values at primes drives Monte Carlo checks of the second-moment identity
-E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a): under a cutoff M the identity
-becomes exact and finite (the h-sums truncate), which is what verify_eq0
-tests against simulation.  _model_values is the one place that model is
-drawn and extended, field j (X, then Y) from one PCG64 stream (seed, j) of
-which sample i reads a fixed window, reached from any first sample by
-advancing the stream.  Its arrays are n-major, X(n) at index n of axis 0,
-and zeta_trunc sums any of them over that axis.  verify_eq0 deals its
-batches in static stripes, one per usable core, through
-_parallel.ordered_map; each worker draws every batch of its stripe into
-buffers made once for it and from one stream per field that it advances
-past the other stripes' batches, so the model's memory is the same few MB
-every call, whatever the allocator does with freed pages.  D and the zeta
+A seeded random completely multiplicative function with values at primes
+uniform on the 2^12-th roots of unity drives Monte Carlo checks of the
+second-moment identity E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a): under a
+cutoff M the identity becomes exact and finite (the h-sums truncate), which
+is what verify_eq0 tests against simulation.  _model_values is the one
+place that model is drawn and extended, field j (X, then Y) from one PCG64
+stream (seed, j) of which sample i reads a fixed window, reached from any
+first sample by advancing the stream; it extends the phases as integers
+and takes the values from one table of roots.  Its arrays are n-major, X(n)
+at index n of axis 0, and zeta_trunc sums any of them over that axis.
+verify_eq0 deals its batches in static stripes, one per usable core,
+through _parallel.ordered_map; each worker draws every batch of its stripe
+into buffers made once for it and from one stream per field that it
+advances past the other stripes' batches, so the model's memory is the
+same few MB every call, whatever the allocator does with freed pages.  D and the zeta
 sums are np.einsum sums, not BLAS, in a fixed order per sample, so its
 output bytes depend neither on the core count nor on the BLAS threads.
 gcd_sum and truncated_rhs run on the calling thread.
@@ -49,7 +50,8 @@ _TRIAL_BOUND = 1 << 16          # largest trial divisor; larger factors go to a 
 _BLOCK_TUPLES = 1 << 16         # divisor tuples of one block of first-divisor groups in gcd_sum
 _MAX_HELD_TUPLES = 1 << 24      # divisor tuples gcd_sum holds expanded at once at most (~1-2 GB)
 _MAX_DIVISOR_TUPLES = 1 << 28   # divisor tuples gcd_sum expands in all at most (~30 s at 0.11 us a tuple)
-_PHASE_BATCH = 128              # Monte Carlo samples a batch (a worker's buffers: 3.5 MB at M = 400)
+_PHASE_BATCH = 128              # Monte Carlo samples a batch (a worker's buffers: 3.1 MB at M = 400)
+_PHASE_BITS = 12                # X(p) is a 2^12-th root of unity; see _model_values for why that suffices
 
 
 @dataclass(frozen=True)
@@ -471,31 +473,40 @@ def _omega_levels(spf: np.ndarray) -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _model_plan(M: int) -> tuple[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """(P = pi(M), steps) for _model_values at cutoff M, built once per
-    cutoff: one step (n, n // p, index of p among the primes) for each level
-    of Omega(n), p = spf(n).  The arrays are shared and never written."""
+def _model_plan(M: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """(primes <= M, steps) for _model_values at cutoff M, built once per
+    cutoff: one step (n, the n // p followed by the p) for each level of
+    Omega(n) >= 2, p = spf(n).  The arrays are shared and never written."""
     spf, primes = _prime_table(M)
-    prime_index = np.zeros(M + 1, dtype=np.intp)
-    prime_index[primes] = np.arange(len(primes))
-    return len(primes), [(lev, lev // spf[lev], prime_index[spf[lev]])
-                         for lev in _omega_levels(spf)]
+    return np.array(primes, dtype=np.intp), [
+        (lev, np.concatenate((lev // spf[lev], spf[lev]))) for lev in _omega_levels(spf)[1:]]
+
+
+@functools.cache
+def _roots() -> np.ndarray:
+    """The read-only table exp(2 pi i k / Q), k = 0 .. Q - 1, Q = 2^_PHASE_BITS
+    (64 KiB), made on first use so that an import builds nothing."""
+    q = 1 << _PHASE_BITS
+    table = np.exp(2j * np.pi * np.arange(q) / q)
+    table.flags.writeable = False
+    return table
 
 
 def _model_workspace(M: int, samples: int, fields: int) -> tuple[np.ndarray, ...]:
     """Flat buffers for _model_values batches of up to samples samples: the
-    uniforms, the phases, the transposed phases, the values and two
-    level-product scratch arrays.  Each call reshapes their leading parts."""
-    n_p, steps = _model_plan(M)
-    widest = max((lev.size for lev, _, _ in steps), default=0)
-    return (np.empty(fields * samples * n_p),
-            *(np.empty(fields * samples * k, dtype=np.complex128)
-              for k in (n_p, n_p, M + 1, widest, widest)))
+    prime phases k(p), the phases k(n) for n <= M, one level's gathered
+    pairs (k(n // p), k(p)), all intp, and the complex values X(n).  Each
+    call reshapes their leading parts."""
+    primes, steps = _model_plan(M)
+    widest = max((pairs.size for _, pairs in steps), default=0)
+    cols = fields * samples
+    return (*(np.empty(rows * cols, dtype=np.intp) for rows in (primes.size, M + 1, widest)),
+            np.empty((M + 1) * cols, dtype=np.complex128))
 
 
 def _model_streams(seed: int, fields: int, first: int, n_p: int) -> list[np.random.Generator]:
     """Field j's PCG64 stream, seeded by SeedSequence((seed, j)), advanced to
-    sample first (n_p uniforms a sample)."""
+    sample first (n_p draws a sample)."""
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     streams = []
@@ -512,51 +523,60 @@ def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0,
     """Values at n <= M of independent random completely multiplicative
     functions X_1, ..., X_fields, samples first .. first + samples - 1.
 
-    X(p) = exp(2 pi i u_p) with u_p uniform on [0, 1), independently per
-    prime p <= M, and X(n) = X(n / p) X(p) for the smallest prime p | n, so
-    |X(n)| = 1 and X(mn) = X(m) X(n) whenever mn <= M.  Field j draws from
-    one PCG64 stream seeded by SeedSequence((seed, j)), and sample i of it
-    reads the P = pi(M) uniforms [i P, (i + 1) P) of that stream, one per
-    prime in increasing order (random() takes one 64-bit draw per uniform,
-    so advancing the stream by first P reaches sample first); so a sample
-    depends neither on the batching nor on how many samples or further
-    fields are drawn.  Returns values of shape (M + 1, fields, samples), n
-    on axis 0; row 0 is 0 and unused.  The extension takes one gathered
-    product per level of Omega(n) (at most log2 M of them), each still
-    X(n / p) X(p).
+    X(p) = w^k(p) with w = exp(2 pi i / Q), Q = 2^_PHASE_BITS, and k(p) the
+    top _PHASE_BITS bits of one 64-bit draw, independently per prime p <= M;
+    that is k(p) = floor(Q u_p) for the uniform u_p that random() makes from
+    the same draw.  X(n) = X(n / p) X(p) for the smallest prime p | n, taken
+    in the exponents: k(n) = k(n / p) + k(p), one gathered sum per level of
+    Omega(n) (at most log2 M of them, so no sum overflows), reduced mod Q
+    once, and X(n) = _roots()[k(n)].  So |X(n)| = 1, and X(mn) = X(m) X(n)
+    holds exactly, through the exponents, whenever mn <= M.  Field j draws
+    from one PCG64 stream seeded by SeedSequence((seed, j)), and sample i of
+    it reads the P = pi(M) draws [i P, (i + 1) P) of that stream, one per
+    prime in increasing order, so advancing the stream by first P reaches
+    sample first; so a sample depends neither on the batching nor on how
+    many samples or further fields are drawn.  Returns values of shape
+    (M + 1, fields, samples), n on axis 0; row 0 is 0 and unused.
+
+    The roots of unity stand in for uniform phases wherever verify_eq0
+    looks.  truncated_rhs uses only E[X(m) conj X(n)] = [m = n] for m, n
+    <= M^2 / 2 (an n <= M times a support coordinate <= M / 2).  Their
+    exponents e, e' of any one prime differ by at most log2(M^2 / 2), which
+    is below Q for every M below 2^2048, so E[w^(k(p) (e - e'))] = 0 unless
+    e = e'.  The fourth moments behind its standard error pair products of
+    two such numbers, so they match the uniform-phase model's for every M
+    below 2^1024.
 
     work, from _model_workspace for at least samples samples, holds every
-    array of the call, and the returned values are a view into it; streams,
-    from _model_streams, must stand at sample first and are left at sample
-    first + samples.  Either is made here when not passed.
+    array of the call but one draw of samples P per field, and the returned
+    values are a view into it; streams, from _model_streams, must stand at
+    sample first and are left at sample first + samples.  Either is made
+    here when not passed.
     """
-    n_p, steps = _model_plan(M)
+    primes, steps = _model_plan(M)
     if work is None:
         work = _model_workspace(M, samples, fields)
     if streams is None:
-        streams = _model_streams(seed, fields, first, n_p)
-    u_buf, phase_buf, by_prime_buf, value_buf, parent_buf, prime_buf = work
-    size = fields * samples * n_p
-    u = u_buf[:size].reshape(fields, samples * n_p)
-    for stream, row in zip(streams, u):
-        stream.random(out=row)
-    phases = phase_buf[:size].reshape(u.shape)
-    np.multiply(u, 2j * np.pi, out=phases)
-    np.exp(phases, out=phases)
-    by_prime = by_prime_buf[:size].reshape(n_p, fields, samples)
-    np.copyto(by_prime, phases.reshape(fields, samples, n_p).transpose(2, 0, 1))
-    values = value_buf[:(M + 1) * fields * samples].reshape(M + 1, fields, samples)
-    values[0] = 0.0
-    values[1] = 1.0
-    for lev, parent, pidx in steps:
-        shape = (lev.size, fields, samples)
-        product = parent_buf[:lev.size * fields * samples].reshape(shape)
-        factor = prime_buf[:product.size].reshape(shape)
+        streams = _model_streams(seed, fields, first, primes.size)
+    by_prime_buf, k_buf, pair_buf, value_buf = work
+    cols = fields * samples
+    by_prime = by_prime_buf[:primes.size * cols].reshape(primes.size, fields, samples)
+    for j, stream in enumerate(streams):
+        raw = stream.bit_generator.random_raw(samples * primes.size).reshape(samples, primes.size)
+        np.right_shift(raw.T, 64 - _PHASE_BITS, out=by_prime[:, j], casting="unsafe")
+    k = k_buf[:(M + 1) * cols].reshape(M + 1, fields, samples)
+    k[:2] = 0
+    k[primes] = by_prime
+    for lev, pairs in steps:
+        got = pair_buf[:pairs.size * cols].reshape(pairs.size, fields, samples)
         # mode="clip" (every index is in range): "raise" gathers into a temporary first
-        np.take(values, parent, axis=0, out=product, mode="clip")
-        np.take(by_prime, pidx, axis=0, out=factor, mode="clip")
-        np.multiply(product, factor, out=product)
-        values[lev] = product
+        np.take(k, pairs, axis=0, out=got, mode="clip")
+        np.add(got[:lev.size], got[lev.size:], out=got[:lev.size])
+        k[lev] = got[:lev.size]
+    np.bitwise_and(k, (1 << _PHASE_BITS) - 1, out=k)
+    values = value_buf[:(M + 1) * cols].reshape(M + 1, fields, samples)
+    np.take(_roots(), k, out=values, mode="clip")
+    values[0] = 0.0
     return values
 
 
@@ -668,7 +688,7 @@ def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int, 
     batch = _PHASE_BATCH
     starts = range(0, samples, batch)
     workers = min(_parallel.usable_cores(), len(starts))
-    n_p = _model_plan(M)[0]
+    n_p = _model_plan(M)[0].size
     owned = [(_model_workspace(M, min(batch, samples), 2), _model_streams(seed, 2, lo, n_p))
              for lo in starts[:workers]]
 

@@ -479,18 +479,22 @@ def test_zeta_trunc_batch_matches_rows():
 
 
 def _model_oracle(seed, m, samples, fields):
-    """The model one n at a time, X(n) = X(n / p) X(p) for p = spf(n), in the
-    sample-major layout (fields, samples, m + 1)."""
+    """The model one n at a time, in the sample-major layout (fields, samples,
+    m + 1): k(p) = floor(2^12 u_p) for the uniforms of each field's stream,
+    k(n) = k(n / p) + k(p) mod 2^12 for p = spf(n), X(n) = exp(2 pi i k(n) / 2^12)."""
+    q = 2 ** 12
     primes = primes_up_to(m)
     index = {p: i for i, p in enumerate(primes)}
-    u = np.stack([np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, j))))
-                  .random(samples * len(primes)) for j in range(fields)])
-    phases = np.exp(2j * np.pi * u).reshape(fields, samples, len(primes))
-    values = np.zeros((fields, samples, m + 1), dtype=np.complex128)
-    values[..., 1] = 1.0
+    k_p = np.array([[math.floor(u * q) for u in
+                     np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, j))))
+                     .random(samples * len(primes)).tolist()] for j in range(fields)],
+                   dtype=np.int64).reshape(fields, samples, len(primes))
+    k = np.zeros((fields, samples, m + 1), dtype=np.int64)
     for n in range(2, m + 1):
-        p = min(q for q in primes if n % q == 0)
-        values[..., n] = values[..., n // p] * phases[..., index[p]]
+        p = min(r for r in primes if n % r == 0)
+        k[..., n] = (k[..., n // p] + k_p[..., index[p]]) % q
+    values = np.exp(2j * np.pi * k / q)
+    values[..., 0] = 0.0
     return values
 
 
@@ -514,8 +518,33 @@ def test_model_values_sample_is_a_window_of_its_field_stream():
         for i in (0, 1, 255, 256, 511, 512, 777, 1199):
             bg = np.random.PCG64(np.random.SeedSequence((seed, j)))
             bg.advance(i * n_p)
-            u = np.random.Generator(bg).random(n_p)
-            assert np.array_equal(vals[primes, j, i], np.exp(2j * np.pi * u)), (i, j)
+            k = [math.floor(u * 2 ** 12) for u in np.random.Generator(bg).random(n_p).tolist()]
+            want = np.exp(2j * np.pi * np.array(k) / 2 ** 12)
+            assert np.array_equal(vals[primes, j, i], want), (i, j)
+
+
+def test_model_values_multiply_exactly_through_their_phase_indices():
+    # X(mn) = X(m) X(n) for every m, n >= 2 with mn <= M, read as table indices
+    m, q = 401, 2 ** 12
+    vals = _model_values(17, m, 300, 2)
+    k = np.rint(np.angle(vals) * (q / (2 * np.pi))).astype(np.int64) % q
+    assert np.array_equal(gcdsum._roots()[k[1:]].view(np.float64), vals[1:].view(np.float64))
+    a, b = np.array([(a, b) for a in range(2, m // 2 + 1) for b in range(2, m // a + 1)]).T
+    assert a.size > 1000
+    assert np.array_equal(k[a * b], (k[a] + k[b]) % q)
+
+
+def test_importing_the_cli_builds_no_root_table():
+    src = str(Path(gcdsum.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import torusppc.cli\n"
+            "from torusppc import gcdsum\n"
+            "print(gcdsum._roots.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_model_values_field_zero_ignores_sample_and_field_counts():
