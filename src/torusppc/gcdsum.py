@@ -18,18 +18,19 @@ uniform on the 2^12-th roots of unity drives Monte Carlo checks of the
 second-moment identity E|zeta_X zeta_Y D|^2 = zeta(2a)^2 S_f(2; a): under a
 cutoff M the identity becomes exact and finite (the h-sums truncate), which
 is what verify_eq0 tests against simulation.  _model_values is the one
-place that model is drawn and extended, field j (X, then Y) from one PCG64
-stream (seed, j) of which sample i reads a fixed window, reached from any
-first sample by advancing the stream; it extends the phases as integers
-and takes the values from one table of roots.  Its arrays are n-major, X(n)
-at index n of axis 0, and zeta_trunc sums any of them over that axis.
-verify_eq0 deals its batches in static stripes, one per usable core,
-through _parallel.ordered_map; each worker draws every batch of its stripe
-into buffers made once for it and from one stream per field that it
-advances past the other stripes' batches, so the model's memory is the
-same few MB every call, whatever the allocator does with freed pages.  D and the zeta
-sums are np.einsum sums, not BLAS, in a fixed order per sample, so its
-output bytes depend neither on the core count nor on the BLAS threads.
+place that model is drawn and extended, into buffers and from streams its
+caller owns: field j (X, then Y) reads one PCG64 stream (seed, j), of which
+sample i reads a fixed window (_model_streams); it extends the phases as
+integers and takes the values from one table of roots.  Its arrays are
+n-major, X(n) at index n of axis 0, and zeta_trunc sums any of them over
+that axis.  verify_eq0 deals its batches in runs of consecutive batches,
+one run per usable core, through _parallel.ordered_map; each worker draws
+its run into buffers made once for it, from one stream per field that
+starts at the run's first sample and reads on from batch to batch, so the
+model's memory is the same few MB every call, whatever the allocator does
+with freed pages.  D and the zeta sums are np.einsum sums, not BLAS, in a
+fixed order per sample, so its output bytes depend neither on the core
+count nor on the BLAS threads.
 gcd_sum and truncated_rhs run on the calling thread.
 """
 
@@ -504,24 +505,23 @@ def _model_workspace(M: int, samples: int, fields: int) -> tuple[np.ndarray, ...
             np.empty((M + 1) * cols, dtype=np.complex128))
 
 
-def _model_streams(seed: int, fields: int, first: int, n_p: int) -> list[np.random.Generator]:
-    """Field j's PCG64 stream, seeded by SeedSequence((seed, j)), advanced to
-    sample first (n_p draws a sample)."""
+def _model_streams(seed: int, M: int, fields: int, first: int) -> list[np.random.PCG64]:
+    """The PCG64 bit generator of each field j, seeded by SeedSequence((seed,
+    j)) and advanced to sample first.  Sample i of field j reads the P = pi(M)
+    draws [i P, (i + 1) P) of its stream, one per prime in increasing order,
+    so a sample depends neither on the batching nor on how many samples or
+    further fields are drawn."""
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    streams = []
-    for j in range(fields):
-        bit_generator = np.random.PCG64(np.random.SeedSequence((int(seed), j)))
-        bit_generator.advance(first * n_p)
-        streams.append(np.random.Generator(bit_generator))
-    return streams
+    n_p = _model_plan(M)[0].size
+    return [np.random.PCG64(np.random.SeedSequence((int(seed), j))).advance(first * n_p)
+            for j in range(fields)]
 
 
-def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0,
-                  work: tuple[np.ndarray, ...] | None = None,
-                  streams: list[np.random.Generator] | None = None) -> np.ndarray:
+def _model_values(M: int, samples: int, work: tuple[np.ndarray, ...],
+                  streams: list[np.random.PCG64]) -> np.ndarray:
     """Values at n <= M of independent random completely multiplicative
-    functions X_1, ..., X_fields, samples first .. first + samples - 1.
+    functions, the next samples samples of each field's stream.
 
     X(p) = w^k(p) with w = exp(2 pi i / Q), Q = 2^_PHASE_BITS, and k(p) the
     top _PHASE_BITS bits of one 64-bit draw, independently per prime p <= M;
@@ -531,12 +531,9 @@ def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0,
     Omega(n) (at most log2 M of them, so no sum overflows), reduced mod Q
     once, and X(n) = _roots()[k(n)].  So |X(n)| = 1, and X(mn) = X(m) X(n)
     holds exactly, through the exponents, whenever mn <= M.  Field j draws
-    from one PCG64 stream seeded by SeedSequence((seed, j)), and sample i of
-    it reads the P = pi(M) draws [i P, (i + 1) P) of that stream, one per
-    prime in increasing order, so advancing the stream by first P reaches
-    sample first; so a sample depends neither on the batching nor on how
-    many samples or further fields are drawn.  Returns values of shape
-    (M + 1, fields, samples), n on axis 0; row 0 is 0 and unused.
+    from streams[j], a _model_streams generator that stands at the batch's
+    first sample and is left after its last.  Returns values of shape
+    (M + 1, len(streams), samples), n on axis 0; row 0 is 0 and unused.
 
     The roots of unity stand in for uniform phases wherever verify_eq0
     looks.  truncated_rhs uses only E[X(m) conj X(n)] = [m = n] for m, n
@@ -547,22 +544,17 @@ def _model_values(seed: int, M: int, samples: int, fields: int, first: int = 0,
     two such numbers, so they match the uniform-phase model's for every M
     below 2^1024.
 
-    work, from _model_workspace for at least samples samples, holds every
-    array of the call but one draw of samples P per field, and the returned
-    values are a view into it; streams, from _model_streams, must stand at
-    sample first and are left at sample first + samples.  Either is made
-    here when not passed.
+    work, from _model_workspace for at least samples samples and
+    len(streams) fields, holds every array of the call but one draw of
+    samples P per field, and the returned values are a view into it.
     """
     primes, steps = _model_plan(M)
-    if work is None:
-        work = _model_workspace(M, samples, fields)
-    if streams is None:
-        streams = _model_streams(seed, fields, first, primes.size)
     by_prime_buf, k_buf, pair_buf, value_buf = work
+    fields = len(streams)
     cols = fields * samples
     by_prime = by_prime_buf[:primes.size * cols].reshape(primes.size, fields, samples)
     for j, stream in enumerate(streams):
-        raw = stream.bit_generator.random_raw(samples * primes.size).reshape(samples, primes.size)
+        raw = stream.random_raw(samples * primes.size).reshape(samples, primes.size)
         np.right_shift(raw.T, 64 - _PHASE_BITS, out=by_prime[:, j], casting="unsafe")
     k = k_buf[:(M + 1) * cols].reshape(M + 1, fields, samples)
     k[:2] = 0
@@ -672,14 +664,14 @@ def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int, 
     """Per-sample |zeta_X zeta_Y D|^2 and |D|^2, X and Y the two fields of
     _model_values.
 
-    The batches of _PHASE_BATCH samples are dealt in static stripes to
-    W = min(usable cores, batches) workers by _parallel.ordered_map: worker
-    w draws, extends and sums batches w, w + W, ... and writes each to its
-    own slices.  Its _model_workspace and its two streams are made once, on
-    the calling thread, and reused for every batch; after a batch the
-    streams skip the W - 1 batches the other workers draw.  D is an
-    np.einsum sum like zeta_trunc's, so a sample's bytes depend neither on
-    the core count nor on the batch it falls in.
+    The B batches of _PHASE_BATCH samples are dealt in runs of consecutive
+    batches to W = min(usable cores, B) workers by _parallel.ordered_map:
+    worker w draws, extends and sums batches B w // W up to B (w + 1) // W,
+    at least one, and writes each to its own slices.  Its _model_workspace
+    and its two streams are made once, at the first sample of its run, and
+    each batch reads on from where the last one stopped.  D is an np.einsum
+    sum like zeta_trunc's, so a sample's bytes depend neither on the core
+    count nor on the batch it falls in.
     """
     a_idx = f.points[:, 0]
     b_idx = f.points[:, 1]
@@ -688,23 +680,20 @@ def _batched_mc_moments(f: WeightedSupport, alpha: float, M: int, samples: int, 
     batch = _PHASE_BATCH
     starts = range(0, samples, batch)
     workers = min(_parallel.usable_cores(), len(starts))
-    n_p = _model_plan(M)[0].size
-    owned = [(_model_workspace(M, min(batch, samples), 2), _model_streams(seed, 2, lo, n_p))
-             for lo in starts[:workers]]
 
-    def stripe(w: int) -> None:
-        work, streams = owned[w]
-        for lo in starts[w::workers]:
+    def run(w: int) -> None:
+        mine = starts[len(starts) * w // workers:len(starts) * (w + 1) // workers]
+        work = _model_workspace(M, min(batch, samples), 2)
+        streams = _model_streams(seed, M, 2, mine[0])
+        for lo in mine:
             hi = min(samples, lo + batch)
-            values = _model_values(seed, M, hi - lo, 2, lo, work, streams)
+            values = _model_values(M, hi - lo, work, streams)
             d = np.einsum("k,kb->b", f.weights, values[a_idx, 0] * values[b_idx, 1])
             z_x, z_y = zeta_trunc(values, alpha, M)
             zd_sq[lo:hi] = np.abs(z_x * z_y * d) ** 2
             d_sq[lo:hi] = np.abs(d) ** 2
-            for stream in streams:
-                stream.bit_generator.advance((workers - 1) * batch * n_p)
 
-    _parallel.ordered_map(stripe, range(workers))
+    _parallel.ordered_map(run, range(workers))
     return zd_sq, d_sq
 
 

@@ -22,6 +22,7 @@ KIND_IDENTITY = "identity"
 KIND_POWER = "power"
 KIND_FLOOR_NLOG = "floor_nlog"
 KIND_EXPLICIT = "explicit"
+_KINDS = (KIND_IDENTITY, KIND_POWER, KIND_FLOOR_NLOG, KIND_EXPLICIT)
 
 DEFAULT_FLOOR_START = 2         # first index of a [n log^A n] family
 
@@ -40,8 +41,13 @@ class SequenceSpec:
     path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == KIND_POWER and (self.power is None or self.power < 2):
-            raise ValueError("power family needs an integer exponent >= 2")
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown sequence kind {self.kind!r}, not one of {', '.join(_KINDS)}")
+        if self.kind == KIND_POWER:
+            l = self.power
+            if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l < 2:
+                raise ValueError(f"power family needs an integer exponent >= 2, got {l!r}")
+            object.__setattr__(self, "power", int(l))   # so that N ** power stays exact
         if self.kind == KIND_FLOOR_NLOG:
             if self.log_exponent is None or not 1.0 <= self.log_exponent <= 2.0:
                 raise ValueError("floor family needs log exponent A in [1, 2]")
@@ -56,7 +62,7 @@ class SequenceSpec:
 
     @classmethod
     def power_of(cls, l: int) -> "SequenceSpec":
-        return cls(KIND_POWER, power=int(l))
+        return cls(KIND_POWER, power=l)
 
     @classmethod
     def floor_nlog(cls, exponent: float, start: int = DEFAULT_FLOOR_START) -> "SequenceSpec":
@@ -195,13 +201,11 @@ def generate(spec: SequenceSpec, N: int) -> SequenceData:
         values = base ** spec.power
     elif spec.kind == KIND_FLOOR_NLOG:
         values = _floor_nlog(spec.start, N, spec.log_exponent)
-    elif spec.kind == KIND_EXPLICIT:
+    else:
         values = _read_explicit(spec.path)
         if values.shape[0] < N:
             raise ValueError(f"file {spec.path} holds {values.shape[0]} < N = {N} integers")
         values = values[:N]
-    else:
-        raise ValueError(f"unknown sequence kind {spec.kind!r}")
     return SequenceData(values=values, spec=spec)
 
 

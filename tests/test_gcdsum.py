@@ -430,29 +430,36 @@ def test_empty_restricted_table():
         gcd_sum_from_representations(table, 0.5)
 
 
+def _draw(seed, m, samples, fields, first=0):
+    """The model's samples first .. first + samples - 1 of fields fields, in a
+    fresh workspace from fresh streams."""
+    return _model_values(m, samples, gcdsum._model_workspace(m, samples, fields),
+                         gcdsum._model_streams(seed, m, fields, first))
+
+
 def test_random_multiplicative_invariants():
-    s = _model_values(99, 120, 1, 1)[:, 0, 0]
+    s = _draw(99, 120, 1, 1)[:, 0, 0]
     assert s[1] == 1
     assert np.allclose(np.abs(s[1:]), 1.0)
     assert s[12] == pytest.approx(s[2] ** 2 * s[3])
     for m, n in ((2, 3), (4, 5), (6, 20), (7, 17)):
         assert s[m * n] == pytest.approx(s[m] * s[n])
-    assert _model_values(99, 120, 1, 1)[:, 0, 0][7] == s[7]   # deterministic
-    assert _model_values(98, 120, 1, 1)[:, 0, 0][7] != s[7]
+    assert _draw(99, 120, 1, 1)[:, 0, 0][7] == s[7]   # deterministic
+    assert _draw(98, 120, 1, 1)[:, 0, 0][7] != s[7]
 
 
 def test_prime_phase_mean():
     n = 20_000
     acc = 0j
     for seed in range(n):
-        acc += _model_values(seed, 2, 1, 1)[:, 0, 0][2]
+        acc += _draw(seed, 2, 1, 1)[:, 0, 0][2]
     mean = acc / n
     se = 1.0 / math.sqrt(2 * n)   # component std of a uniform phase is 1/sqrt(2)
     assert abs(mean.real) <= 3 * se and abs(mean.imag) <= 3 * se
 
 
 def test_zeta_trunc():
-    s = _model_values(3, 50, 1, 1)[:, 0, 0]
+    s = _draw(3, 50, 1, 1)[:, 0, 0]
     assert zeta_trunc(s, 0.8, 1) == pytest.approx(1.0)
     # degenerate all-ones sample: the sum is the real partial zeta
     degenerate = np.ones(51, dtype=np.complex128)
@@ -467,7 +474,7 @@ def test_zeta_trunc():
 
 
 def test_zeta_trunc_batch_matches_rows():
-    vals = _model_values(5, 80, 6, 1)
+    vals = _draw(5, 80, 6, 1)
     vals = vals[:, 0]
     batch = zeta_trunc(vals, 0.7, 50)
     assert batch.shape == (6,)
@@ -502,7 +509,7 @@ def _model_oracle(seed, m, samples, fields):
 @pytest.mark.parametrize("fields", [1, 2])
 def test_model_values_match_the_one_step_per_n_recurrence_bit_for_bit(m, fields):
     samples = 4 * gcdsum._PHASE_BATCH + 76          # four full batches and a part
-    got = _model_values(13, m, samples, fields)
+    got = _draw(13, m, samples, fields)
     want = np.ascontiguousarray(_model_oracle(13, m, samples, fields).transpose(2, 0, 1))
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
@@ -512,7 +519,7 @@ def test_model_values_sample_is_a_window_of_its_field_stream():
     seed, m, samples = 11, 60, 1200       # crosses the batch boundaries
     primes = primes_up_to(m)
     n_p = len(primes)
-    vals = _model_values(seed, m, samples, 2)
+    vals = _draw(seed, m, samples, 2)
     assert vals.shape == (m + 1, 2, samples)
     for j in (0, 1):
         for i in (0, 1, 255, 256, 511, 512, 777, 1199):
@@ -526,7 +533,7 @@ def test_model_values_sample_is_a_window_of_its_field_stream():
 def test_model_values_multiply_exactly_through_their_phase_indices():
     # X(mn) = X(m) X(n) for every m, n >= 2 with mn <= M, read as table indices
     m, q = 401, 2 ** 12
-    vals = _model_values(17, m, 300, 2)
+    vals = _draw(17, m, 300, 2)
     k = np.rint(np.angle(vals) * (q / (2 * np.pi))).astype(np.int64) % q
     assert np.array_equal(gcdsum._roots()[k[1:]].view(np.float64), vals[1:].view(np.float64))
     a, b = np.array([(a, b) for a in range(2, m // 2 + 1) for b in range(2, m // a + 1)]).T
@@ -549,13 +556,13 @@ def test_importing_the_cli_builds_no_root_table():
 
 def test_model_values_field_zero_ignores_sample_and_field_counts():
     seed, m = 11, 60
-    full = _model_values(seed, m, 1200, 2)[:, 0]
-    assert np.array_equal(_model_values(seed, m, 5, 2)[:, 0], full[:, :5])
-    assert np.array_equal(_model_values(seed, m, 1200, 1)[:, 0], full)
-    assert np.array_equal(_model_values(seed, m, 5, 1)[:, 0], full[:, :5])
+    full = _draw(seed, m, 1200, 2)[:, 0]
+    assert np.array_equal(_draw(seed, m, 5, 2)[:, 0], full[:, :5])
+    assert np.array_equal(_draw(seed, m, 1200, 1)[:, 0], full)
+    assert np.array_equal(_draw(seed, m, 5, 1)[:, 0], full[:, :5])
 
 
-def test_model_values_seeds_one_stream_per_field(monkeypatch):
+def test_mc_moments_seed_one_stream_per_field_and_worker(monkeypatch):
     built = []
     seed_sequence = np.random.SeedSequence
 
@@ -564,15 +571,17 @@ def test_model_values_seeds_one_stream_per_field(monkeypatch):
         return seed_sequence(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
-    _model_values(3, 60, 2000, 2)
-    assert len(built) == 2
+    monkeypatch.setattr(_parallel, "usable_cores", lambda: 2)
+    f = WeightedSupport.ones([(1, 1), (1, 2), (2, 1)])
+    _batched_mc_moments(f, 0.75, 60, 16 * gcdsum._PHASE_BATCH, 3)
+    assert sorted(built) == [((3, 0),), ((3, 0),), ((3, 1),), ((3, 1),)]
 
 
 def test_sample_is_the_x_of_verify_eq0_sample_zero():
     seed, m, alpha, samples = 7, 60, 0.75, 700
     f = WeightedSupport(d=2, entries={(1, 2): 1.0, (3, 1): 0.5 - 1j, (2, 5): 2.0})
-    x = _model_values(seed, m, 1, 1)[:, 0, 0]
-    vals = _model_values(seed, m, samples, 2)
+    x = _draw(seed, m, 1, 1)[:, 0, 0]
+    vals = _draw(seed, m, samples, 2)
     assert np.array_equal(vals[:, 0, 0], x)
     y = vals[:, 1, 0]
     d = sum(w * x[a] * y[b] for (a, b), w in zip(f.points.tolist(), f.weights))
@@ -636,35 +645,27 @@ def test_verify_eq0_bytes_do_not_depend_on_the_core_count(monkeypatch):
     assert threads["gcd_sum"] == threads["truncated_rhs"] == {threading.main_thread()}
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_model_values_in_owned_buffers_and_advanced_streams_match_a_fresh_draw(workers):
-    # each worker's stripe as _batched_mc_moments deals it: one workspace and
-    # one stream per field, reused; the last, partial batch follows full ones
-    seed, m, batch = 9, 97, 5
-    samples = (2 * workers + 1) * batch + 3
-    n_p = len(primes_up_to(m))
-    starts = range(0, samples, batch)
+def test_model_values_read_on_batch_after_batch_in_one_workspace():
+    # one worker's run as _batched_mc_moments deals it: one workspace and one
+    # stream per field, made at its first sample and reused; the last,
+    # partial batch follows full ones
+    seed, m, batch, first = 9, 97, 5, 10
+    samples = 4 * batch + 3
+    work = gcdsum._model_workspace(m, batch, 2)
+    streams = gcdsum._model_streams(seed, m, 2, first)
     sizes = []
-    for w in range(workers):
-        work = gcdsum._model_workspace(m, batch, 2)
-        streams = gcdsum._model_streams(seed, 2, starts[w], n_p)
-        sizes.append([])
-        for lo in starts[w::workers]:
-            hi = min(samples, lo + batch)
-            got = _model_values(seed, m, hi - lo, 2, lo, work, streams)
-            assert np.shares_memory(got, work[3])
-            want = _model_values(seed, m, hi - lo, 2, lo)
-            assert got.shape == want.shape == (m + 1, 2, hi - lo)
-            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (w, lo)
-            sizes[-1].append(hi - lo)
-            for stream in streams:
-                stream.bit_generator.advance((workers - 1) * batch * n_p)
-    assert sum(map(sum, sizes)) == samples
-    *full, part = sizes[(len(starts) - 1) % workers]
-    assert full and set(full) == {batch} and part == 3
+    for lo in range(first, first + samples, batch):
+        size = min(batch, first + samples - lo)
+        got = _model_values(m, size, work, streams)
+        assert np.shares_memory(got, work[3])
+        want = _draw(seed, m, size, 2, lo)
+        assert got.shape == want.shape == (m + 1, 2, size)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64)), lo
+        sizes.append(size)
+    assert sizes == [batch] * 4 + [3]
 
 
-MODEL_PEAK_BOUND = 10 * 2 ** 20     # bytes; two workers' buffers take 6.9 MiB at M = 400
+MODEL_PEAK_BOUND = 10 * 2 ** 20     # bytes; two workers' buffers take 6.0 MiB at M = 400
 
 
 def _model_traced_peak(monkeypatch, f):
@@ -714,7 +715,7 @@ def test_zeta_trunc_second_moment():
     alpha, m, reps = 0.8, 40, 4000
     vals = np.empty(reps)
     for seed in range(reps):
-        vals[seed] = abs(zeta_trunc(_model_values(seed, m, 1, 1)[:, 0, 0], alpha, m)) ** 2
+        vals[seed] = abs(zeta_trunc(_draw(seed, m, 1, 1)[:, 0, 0], alpha, m)) ** 2
     want = sum(n ** (-2 * alpha) for n in range(1, m + 1))
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - want) <= 3 * se

@@ -188,6 +188,27 @@ def test_parse_grammar():
     assert SequenceSpec.parse("[n log^2 n]").label() == "[n log^2 n]"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SequenceSpec.power_of(2.7), "integer exponent >= 2, got 2.7"),
+    (lambda: SequenceSpec("power", power=2.5), "integer exponent >= 2, got 2.5"),
+    (lambda: SequenceSpec("power", power=2.0), "integer exponent >= 2, got 2.0"),
+    (lambda: SequenceSpec.power_of(True), "integer exponent >= 2, got True"),
+    (lambda: SequenceSpec.power_of(1), "integer exponent >= 2, got 1"),
+    (lambda: SequenceSpec("power"), "integer exponent >= 2, got None"),
+    (lambda: SequenceSpec("bogus"), "unknown sequence kind 'bogus'"),
+], ids=["power_of-float", "float", "integral-float", "bool", "one", "none", "kind"])
+def test_spec_refuses_a_bad_kind_or_power_when_built(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_spec_takes_a_numpy_integer_power_as_an_int():
+    spec = SequenceSpec.power_of(np.int64(9))
+    assert type(spec.power) is int and spec == SequenceSpec.power_of(9)
+    with pytest.raises(OverflowError):      # N ** power in int64 would wrap
+        generate(spec, 10 ** 7)
+
+
 def test_orbit_examples():
     seq = generate(SequenceSpec.identity(), 2)
     alpha = point_of_reals([0.25])
