@@ -645,24 +645,31 @@ def test_verify_eq0_bytes_do_not_depend_on_the_core_count(monkeypatch):
     assert threads["gcd_sum"] == threads["truncated_rhs"] == {threading.main_thread()}
 
 
-def test_model_values_read_on_batch_after_batch_in_one_workspace():
-    # one worker's run as _batched_mc_moments deals it: one workspace and one
-    # stream per field, made at its first sample and reused; the last,
-    # partial batch follows full ones
-    seed, m, batch, first = 9, 97, 5, 10
-    samples = 4 * batch + 3
-    work = gcdsum._model_workspace(m, batch, 2)
-    streams = gcdsum._model_streams(seed, m, 2, first)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_model_values_in_owned_buffers_and_advanced_streams_match_a_fresh_draw(workers):
+    # each worker's run as _batched_mc_moments deals it: one workspace and one
+    # stream per field, made at the run's first sample and read on from batch
+    # to batch; the last, partial batch follows full ones
+    seed, m, batch = 9, 97, 5
+    samples = (2 * workers + 1) * batch + 3
+    starts = range(0, samples, batch)
     sizes = []
-    for lo in range(first, first + samples, batch):
-        size = min(batch, first + samples - lo)
-        got = _model_values(m, size, work, streams)
-        assert np.shares_memory(got, work[3])
-        want = _draw(seed, m, size, 2, lo)
-        assert got.shape == want.shape == (m + 1, 2, size)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64)), lo
-        sizes.append(size)
-    assert sizes == [batch] * 4 + [3]
+    for w in range(workers):
+        mine = starts[len(starts) * w // workers:len(starts) * (w + 1) // workers]
+        work = gcdsum._model_workspace(m, batch, 2)
+        streams = gcdsum._model_streams(seed, m, 2, mine[0])
+        sizes.append([])
+        for lo in mine:
+            size = min(batch, samples - lo)
+            got = _model_values(m, size, work, streams)
+            assert np.shares_memory(got, work[3])
+            want = _draw(seed, m, size, 2, lo)
+            assert got.shape == want.shape == (m + 1, 2, size)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (w, lo)
+            sizes[-1].append(size)
+    assert sum(map(sum, sizes)) == samples
+    *full, part = sizes[-1]
+    assert full and set(full) == {batch} and part == 3
 
 
 MODEL_PEAK_BOUND = 10 * 2 ** 20     # bytes; two workers' buffers take 6.0 MiB at M = 400
