@@ -48,7 +48,8 @@ from .experiments import (
     run_variance_decay,
 )
 from .fixedpoint import point_of_reals, sample_alpha
-from .gcdsum import WeightedSupport, _lexsorted, gcd_sum, gcd_sum_from_representations, verify_eq0
+from .gcdsum import (WeightedSupport, _check_alpha, _lexsorted, gcd_sum,
+                     gcd_sum_from_representations, verify_eq0)
 from .energy import representation_counts
 from .errors import InternalError
 from .paircorr import NormKind, ppc_grid, ppc_naive
@@ -282,6 +283,7 @@ def _cmd_energy(args):
 
 def _cmd_gcdsum(args):
     alpha = args.alpha_exp
+    _check_alpha(alpha)                 # before the support or the table is built
     if args.support_json is not None:
         value = gcd_sum(_load_support(args.support_json), alpha)
         config = {"alpha_exp": alpha, "support_json": args.support_json}

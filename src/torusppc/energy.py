@@ -24,8 +24,10 @@ of equal keys are the counts D(v).  Every caller hands _group_rows its rows
 in chunks with each column's exact min and max.  Every column increases
 strictly, so each component's range over a band is read off the ends of the
 rows' runs of j, and the key, the one band-long array, is filled 2^16 pairs
-at a time (_CHUNK).  The calling thread finds the band edges and
-_parallel.ordered_map counts the bands on one thread per usable core.
+at a time (_CHUNK) from difference vectors that _band builds in place, one
+component at a time, in one buffer of that length.  The calling thread
+finds the band edges and _parallel.ordered_map counts the bands on one
+thread per usable core.
 Bands are disjoint in v, so each adds its sum of squared counts to E
 directly: the energy walks its sorted key a chunk at a time and never makes
 a per-vector array.  The table decodes each band's unique keys to rows,
@@ -199,38 +201,16 @@ def _split_runs(length: np.ndarray) -> Iterator[tuple[int, int, slice, np.ndarra
         yield p, q, rows, skip, np.minimum(ends[rows], q) - offsets[rows] - skip
 
 
-def _chunk_columns(cols: list[np.ndarray], rows: slice, run: np.ndarray, j: np.ndarray,
-                   buf: np.ndarray) -> Iterator[np.ndarray]:
-    """Component k of a_i - a_j for the pairs of rows i, each with its run of
-    j, written into buf for k = 0, 1, ... in turn."""
-    for v in cols:
-        np.take(v, j, out=buf, mode="clip")       # unbuffered; j is in range
-        np.subtract(np.repeat(v[rows], run), buf, out=buf)
-        yield buf
-
-
-def _band_chunks(cols: list[np.ndarray], start: np.ndarray,
-                 length: np.ndarray) -> Iterator[Iterator[np.ndarray]]:
-    """The difference vectors a_i - a_j of a band's pairs, row i meeting the
-    band in the run of length[i] indices j from start[i], in chunks of at
-    most _CHUNK pairs: each chunk yields its components one at a time (see
-    _chunk_columns), all written into one buffer, so a chunk must be read
-    before the next is drawn."""
-    buf = np.empty(min(int(length.sum()), _CHUNK), dtype=np.int64)
-    ramp = np.arange(buf.size)
-    for p, q, rows, skip, run in _split_runs(length):
-        j = np.repeat(start[rows] + skip - np.cumsum(run) + run, run)
-        j += ramp[:q - p]               # the indices j of the chunk's runs
-        yield _chunk_columns(cols, rows, run, j, buf[:q - p])
-
-
 def _band(cols: list[np.ndarray], lo: int, hi: int, table: bool):
     """(pairs, result) for the pairs i > j with first difference in [lo, hi),
-    grouped by _group_rows from the chunks of _band_chunks: result is (rows,
-    counts) of the band's distinct vectors when table is true, else the sum
-    of their squared counts.  Row i meets the band in the run of j with
-    a_i - hi < a_j <= a_i - lo; every column increases strictly, so a
-    component's min and max over the band are at the runs' last and first j.
+    grouped by _group_rows: result is (rows, counts) of the band's distinct
+    vectors when table is true, else the sum of their squared counts.  Row i
+    meets the band in the run of j with a_i - hi < a_j <= a_i - lo; every
+    column increases strictly, so a component's min and max over the band
+    are at the runs' last and first j.  The difference vectors a_i - a_j
+    come in chunks of at most _CHUNK pairs (_split_runs), each yielding its
+    components one at a time, all written into one buffer, so a chunk must
+    be read before the next is drawn.
     """
     a = cols[0]
     start = np.searchsorted(a, a - hi, side="right")
@@ -242,7 +222,14 @@ def _band(cols: list[np.ndarray], lo: int, hi: int, table: bool):
              [int((v[used] - v[first]).max()) for v in cols])
 
     def chunks():
-        return _band_chunks(cols, start, length)
+        buf = np.empty(min(spans[0], _CHUNK), dtype=np.int64)
+        ramp = np.arange(buf.size)
+        for p, q, rows, skip, run in _split_runs(length):
+            j = np.repeat(start[rows] + skip - np.cumsum(run) + run, run)
+            j += ramp[:q - p]           # the indices j of the chunk's runs
+            out = buf[:q - p]           # np.take is unbuffered: j is in range
+            yield (np.subtract(np.repeat(v[rows], run), np.take(v, j, out=out, mode="clip"),
+                               out=out) for v in cols)
 
     if not table:
         return _group_rows(chunks, spans, square=True)
@@ -526,7 +513,10 @@ def comparison_from_name(name: str) -> ComparisonFn:
     def fn(N: int) -> float:
         if b != 0 and N == 1:
             raise ValueError(f"ratio {name!r} is undefined at N = 1, where log N = 0")
-        g = N ** a * math.log(N) ** b
+        try:
+            g = N ** a * math.log(N) ** b
+        except OverflowError:
+            g = math.inf
         if not (math.isfinite(g) and g > 0):
             raise ValueError(f"ratio {name!r} divides by g(N) = {g} at N = {N}; "
                              f"g(N) must be finite and > 0")
@@ -537,14 +527,20 @@ def comparison_from_name(name: str) -> ComparisonFn:
 
 def energy_bound_report(seqs: Sequence[SequenceData],
                         comparisons: Sequence[str] = ()) -> EnergyReport:
-    """Energy (joint for d >= 2) with observational ratios E / g(N); a ratio
-    that is not finite raises ValueError."""
+    """Energy (joint for d >= 2) with observational ratios E / g(N).  A
+    repeated ratio name, or a g that does not parse or fails at N, raises
+    ValueError before the count; a ratio that is not finite, after it."""
+    n = seqs[0].N
+    gs = {}
+    for name in comparisons:
+        if name in gs:
+            raise ValueError(f"ratio {name!r} is named twice")
+        gs[name] = comparison_from_name(name)(n)
     if len(seqs) == 1:
         e = additive_energy(seqs[0])
     else:
         e = joint_additive_energy(seqs)
-    n = seqs[0].N
-    ratios = {name: e / comparison_from_name(name)(n) for name in comparisons}
+    ratios = {name: e / g for name, g in gs.items()}
     for name, ratio in ratios.items():
         if not math.isfinite(ratio):
             raise ValueError(f"ratio {name!r} overflows at N = {n}: E / g(N) = {ratio}")

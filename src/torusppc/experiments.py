@@ -183,9 +183,15 @@ def run_variance_decay(config: ExperimentConfig) -> VarianceDecayResult:
 
 def run_energy_scan(family: Sequence[SequenceSpec], N_values: Sequence[int],
                     comparisons: Sequence[str] = ()) -> list[energy_mod.EnergyReport]:
-    """Energy (joint for d >= 2) and ratio columns along an ascending N grid."""
+    """Energy (joint for d >= 2) and ratio columns along an ascending N grid;
+    every g(N) is evaluated at every N before the first count, so a ratio
+    that is undefined anywhere on the grid is refused at once."""
     if list(N_values) != sorted(N_values):
         raise ValueError("N grid must be ascending")
+    for name in comparisons:
+        g = energy_mod.comparison_from_name(name)
+        for n in N_values:
+            g(n)
     return [energy_mod.energy_bound_report([generate(spec, n) for spec in family], comparisons)
             for n in N_values]
 

@@ -142,7 +142,7 @@ def _prime_powers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     rem = values.astype(np.int64)
     bound = min(math.isqrt(int(rem.max())), _TRIAL_BOUND)
-    candidates = np.array(primes_up_to(bound), dtype=np.int64)
+    candidates = primes_up_to(bound)
     parts = []
     i = 0
     while i < candidates.size:
@@ -314,6 +314,12 @@ def _first_divisor_blocks(first: np.ndarray, tuples: np.ndarray) -> list[tuple[i
     return blocks
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse an exponent of gcd_sum outside (0, 1]."""
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 def gcd_sum(f: WeightedSupport, alpha: float) -> float:
     """S_f(d; alpha) as a sum of squares: real and >= 0 for any complex weights.
 
@@ -346,8 +352,7 @@ def gcd_sum(f: WeightedSupport, alpha: float) -> float:
     Coordinates may be any int64: factors above _TRIAL_BOUND are not
     searched for but split over a coprime base.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     columns = []
     tuples = np.ones(f.K)
     divisors = 0.0
@@ -448,14 +453,9 @@ def _sieve_spf(m: int) -> np.ndarray:
     return spf
 
 
-def _prime_table(m: int) -> tuple[np.ndarray, list[int]]:
-    """(smallest-prime-factor sieve, primes <= m)."""
-    spf = _sieve_spf(m)
-    return spf, (np.flatnonzero(spf[2:] == np.arange(2, m + 1)) + 2).tolist()
-
-
-def primes_up_to(m: int) -> list[int]:
-    return _prime_table(m)[1]
+def primes_up_to(m: int) -> np.ndarray:
+    """The primes <= m, increasing, as int64."""
+    return np.flatnonzero(_sieve_spf(m)[2:] == np.arange(2, m + 1)) + 2
 
 
 def _omega_levels(spf: np.ndarray) -> list[np.ndarray]:
@@ -478,8 +478,8 @@ def _model_plan(M: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]
     """(primes <= M, steps) for _model_values at cutoff M, built once per
     cutoff: one step (n, the n // p followed by the p) for each level of
     Omega(n) >= 2, p = spf(n).  The arrays are shared and never written."""
-    spf, primes = _prime_table(M)
-    return np.array(primes, dtype=np.intp), [
+    spf = _sieve_spf(M)
+    return primes_up_to(M).astype(np.intp), [
         (lev, np.concatenate((lev // spf[lev], spf[lev]))) for lev in _omega_levels(spf)[1:]]
 
 

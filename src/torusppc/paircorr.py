@@ -21,12 +21,13 @@ whole), so that a block's index, gather and difference arrays fit in one
 core's L2 cache together.
 
 The predicate is exact: with threshold t (a binary64 value), a pair is
-"near" iff its torus distance is <= t as real numbers.  Sup-norm compares
-integer numerators against T = floor(t * 2**64), one wrapped compare
-(du + T) mod 2**64 <= 2T per axis; 2-norm compares the integer
-sum of squared coordinate numerators against floor(t**2 * 2**128), using a
-float64 filter plus an exact big-integer re-check for the rare borderline
-pairs.  Boundary ties (distance exactly t) count as inside.
+"near" iff its torus distance is <= t as real numbers.  It compares with
+one integer, _limit(t, norm), computed once per count from Fraction(t).
+Sup-norm compares integer numerators against T = floor(t * 2**64), one
+wrapped compare (du + T) mod 2**64 <= 2T per axis; 2-norm compares the
+integer sum of squared coordinate numerators against floor(t**2 * 2**128),
+using a float64 filter plus an exact big-integer re-check for the rare
+borderline pairs.  Boundary ties (distance exactly t) count as inside.
 """
 
 from __future__ import annotations
@@ -86,23 +87,6 @@ class PairCountResult:
     norm: NormKind
 
 
-@dataclass(frozen=True)
-class _Threshold:
-    """Exact comparison data for one threshold value t = s / N^(1/d)."""
-
-    t: float
-    sup_num: int               # floor(t * 2**64)
-    two_num: int               # floor(t**2 * 2**128)
-    two_num_f: float
-
-    @classmethod
-    def make(cls, t: float) -> "_Threshold":
-        fr = Fraction(t)
-        sup_num = int(fr * SCALE)
-        two_num = int(fr * fr * SCALE * SCALE)
-        return cls(t=t, sup_num=sup_num, two_num=two_num, two_num_f=float(two_num))
-
-
 def threshold(s: float, N: int, d: int) -> float:
     """The threshold t = s / N^(1/d); raises ValueError unless s > 0, N >= 1
     and t < 1/2."""
@@ -119,25 +103,32 @@ def threshold(s: float, N: int, d: int) -> float:
     return t
 
 
-def _threshold_for(s: float, N: int, d: int) -> _Threshold:
-    return _Threshold.make(threshold(s, N, d))
+def _limit(t: float, norm: NormKind) -> int:
+    """The integer _count_near compares with at threshold t, exactly from
+    Fraction(t): floor(t * 2**64) for the sup norm, floor(t**2 * 2**128) for
+    the 2-norm."""
+    fr = Fraction(t)
+    if norm is NormKind.SUP:
+        return int(fr * SCALE)
+    return int(fr * fr * SCALE * SCALE)
 
 
 def _count_near(cols: np.ndarray, ia: np.ndarray, ib: np.ndarray,
-                norm: NormKind, thr: _Threshold) -> int:
-    """Number of index pairs (ia[j], ib[j]) with torus distance <= t, exactly.
+                norm: NormKind, limit: int) -> int:
+    """Number of index pairs (ia[j], ib[j]) with torus distance <= t, exactly,
+    for limit = _limit(t, norm).
 
     This is the single comparison predicate shared by both counters.  The
     points come coordinate-major: cols is a C-contiguous (d, N) array, so
     each axis is a 1-D gather.  For the sup norm each axis costs one wrapped
-    compare of its difference du: the circle distance min(du, -du) is <= T
-    iff (du + T) mod 2**64 <= 2T, exact because t < 1/2 gives T < 2**63.
+    compare of its difference du: the circle distance min(du, -du) is <= T =
+    limit iff (du + T) mod 2**64 <= 2T, exact because t < 1/2 gives T < 2**63.
     """
     if ia.size == 0:
         return 0
     if norm is NormKind.SUP:
-        lim = np.uint64(thr.sup_num)
-        width = np.uint64(2 * thr.sup_num)
+        lim = np.uint64(limit)
+        width = np.uint64(2 * limit)
         inside = None
         for col in cols:
             du = col[ia]
@@ -154,14 +145,14 @@ def _count_near(cols: np.ndarray, ia: np.ndarray, ib: np.ndarray,
         dn = du.view(np.int64).astype(np.float64)   # same square as min(du, -du)
         dn *= dn
         acc = dn if acc is None else np.add(acc, dn, out=acc)
-    low = thr.two_num_f * (1.0 - _BORDER_BAND)
-    high = thr.two_num_f * (1.0 + _BORDER_BAND)
+    low = float(limit) * (1.0 - _BORDER_BAND)
+    high = float(limit) * (1.0 + _BORDER_BAND)
     count = int(np.count_nonzero(acc <= low))
     if int(np.count_nonzero(acc <= high)) == count:
         return count
     for j in np.flatnonzero((acc > low) & (acc <= high)):
         wrapped = ((int(col[ia[j]]) - int(col[ib[j]])) % SCALE for col in cols)
-        count += sum(min(w, SCALE - w) ** 2 for w in wrapped) <= thr.two_num
+        count += sum(min(w, SCALE - w) ** 2 for w in wrapped) <= limit
     return count
 
 
@@ -184,7 +175,7 @@ def ppc_naive(points, s: float, norm: NormKind) -> PairCountResult:
     N, d = pts.shape
     if N < 2:
         raise ValueError("need at least 2 points")
-    thr = _threshold_for(s, N, d)
+    limit = _limit(threshold(s, N, d), norm)
     cols = np.ascontiguousarray(pts.T)
     rows_per_chunk = max(1, _CHUNK_PAIRS // N)
     near = 0
@@ -193,7 +184,7 @@ def ppc_naive(points, s: float, norm: NormKind) -> PairCountResult:
         hi = min(N, lo + rows_per_chunk)
         ia = np.repeat(np.arange(lo, hi), N)
         ib = np.tile(all_idx, hi - lo)
-        near += _count_near(cols, ia, ib, norm, thr)
+        near += _count_near(cols, ia, ib, norm, limit)
     near -= N  # diagonal pairs m == n are always within threshold
     return _result(near, N, s, d, norm)
 
@@ -367,10 +358,11 @@ def ppc_grid(points, s: float, norm: NormKind) -> PairCountResult:
         raise ValueError("need at least 2 points")
     if N > _MAX_POINTS:
         raise ValueError(f"ppc_grid counts at most {_MAX_POINTS} points, got N = {N}")
-    thr = _threshold_for(s, N, d)
-    cols, starts, m = _grid_layout(pts, thr.t)
+    t = threshold(s, N, d)
+    cols, starts, m = _grid_layout(pts, t)
+    limit = _limit(t, norm)
     near = 0
     for ia, ib in _candidates(cols, starts, m):
-        near += _count_near(cols, ia, ib, norm, thr)
+        near += _count_near(cols, ia, ib, norm, limit)
         del ia, ib              # not held while the stream builds its next block
     return _result(2 * near, N, s, d, norm)

@@ -532,6 +532,29 @@ def test_vanishing_or_non_finite_ratio_is_config_error(capsys, family, n, ratio)
     assert repr(ratio) in err and f"N = {n}" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["energy", "--family", "n^2", "--N", "65536", "--ratios", "N^q"], "'N^q'"),
+    (["energy", "--family", "n", "--N", "4,8", "--ratios", "N^2,N^2"], "'N^2' is named twice"),
+    (["energy", "--family", "n", "--N", "4,8192", "--ratios", "N^400"],
+     "'N^400' divides by g(N) = inf at N = 8192"),
+    (["gcdsum", "--alpha-exp", "0", "--family", "n,n^2", "--N", "4000"],
+     "alpha must lie in (0, 1], got 0.0"),
+], ids=["unparsed-ratio", "repeated-ratio", "ratio-overflows-at-last-N", "gcdsum-alpha"])
+def test_bad_ratio_or_alpha_is_refused_before_counting(argv, named, capsys, monkeypatch):
+    # the band kernel behind every energy and every representation table fails
+    # if reached: each configuration error must be found before the first count
+    from torusppc import energy
+
+    def counted(*args, **kwargs):
+        raise AssertionError("counted before the configuration was checked")
+
+    monkeypatch.setattr(energy, "_half_table_bands", counted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_CONFIG == 3, err
+    assert out == ""
+    assert err.startswith("torusppc: invalid configuration:") and named in err
+
+
 def test_verify_eq0_command(capsys):
     code, out, _ = run_cli(capsys, "verify-eq0", "--alpha-exp", "0.75", "--M", "60",
                            "--samples", "400", "--seed", "1")

@@ -884,4 +884,4 @@ def test_verify_eq0_refuses_alpha_before_drawing(monkeypatch, alpha):
 
 
 def test_primes_up_to():
-    assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert primes_up_to(20).tolist() == [2, 3, 5, 7, 11, 13, 17, 19]

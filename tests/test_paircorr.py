@@ -56,9 +56,48 @@ def test_two_norm_below_one_numerator_counts_only_coincident_points():
         coincident = int((mult * (mult - 1)).sum())
         assert coincident == 22
         for s in (1e-25, 1e-30):
-            assert paircorr._threshold_for(s, len(pts), d).two_num == 0
+            assert paircorr._limit(paircorr.threshold(s, len(pts), d), NormKind.TWO) == 0
             for counter in (ppc_naive, ppc_grid):
                 assert counter(pts, s, NormKind.TWO).near_pairs == coincident, (d, s, counter)
+
+
+@pytest.mark.parametrize("text, norm", [
+    ("sup", NormKind.SUP), ("inf", NormKind.SUP), ("max", NormKind.SUP),
+    ("two", NormKind.TWO), ("2", NormKind.TWO), ("euclidean", NormKind.TWO),
+])
+def test_norm_parse_names(text, norm):
+    for form in (text, text.upper(), text.title(), f"  {text} ", f"\t{text.upper()}\n"):
+        assert NormKind.parse(form) is norm, form
+
+
+@pytest.mark.parametrize("text", ["l1", "", " ", "1", "sup norm", "infinity", "euclid", "l2"])
+def test_norm_parse_refuses_other_names(text):
+    with pytest.raises(ValueError, match=f"unknown norm {text!r}"):
+        NormKind.parse(text)
+
+
+def test_stat_refuses_an_unknown_norm(capsys):
+    code = parse_and_dispatch(["stat", "--family", "n,n^2", "--N", "100", "--norm", "l1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "torusppc: invalid configuration: unknown norm 'l1'\n"
+
+
+def test_limit_is_the_integer_floor_of_t_and_t_squared():
+    # against floor(t 2^64) and floor(t^2 2^128) in Python integers from
+    # t = p / q, for t from a subnormal and below 2^-64 up to just under 1/2
+    rnd = random.Random(40)
+    ts = [5e-324, 2.0 ** -70, math.nextafter(2.0 ** -64, 0), 2.0 ** -64, 2.0 ** -32,
+          0.1, 1 / 3, math.nextafter(0.5, 0)]
+    ts += [rnd.random() * 2.0 ** rnd.randint(-80, -1) for _ in range(400)]
+    for t in ts:
+        p, q = t.as_integer_ratio()
+        sup, two = paircorr._limit(t, NormKind.SUP), paircorr._limit(t, NormKind.TWO)
+        assert type(sup) is int and type(two) is int
+        assert sup == p * SCALE // q, t
+        assert two == p * p * SCALE * SCALE // (q * q), t
+    assert paircorr._limit(2.0 ** -70, NormKind.TWO) == 0
+    assert paircorr._limit(math.nextafter(0.5, 0), NormKind.SUP) == (1 << 63) - (1 << 10)
 
 
 def test_far_points():
@@ -184,8 +223,7 @@ _count_near = paircorr._count_near
 def test_sup_predicate_edges(t):
     # one axis differs by a value at an edge of the wrapped window; the other
     # axes differ by at most T, so that axis decides
-    thr = paircorr._Threshold.make(t)
-    T = thr.sup_num
+    T = paircorr._limit(t, NormKind.SUP)
     diffs = (0, T, T + 1, SCALE - T, SCALE - T - 1, 1 << 63)
     rng = np.random.default_rng(37)
     for d in (1, 2, 3):
@@ -198,7 +236,7 @@ def test_sup_predicate_edges(t):
                 cols = np.ascontiguousarray(np.stack([a, b]).T)
                 dist = max(Fraction(min(k, SCALE - k), SCALE) for k in step)
                 expect = 2 if dist <= Fraction(t) else 0
-                got = _count_near(cols, np.array([0, 1]), np.array([1, 0]), NormKind.SUP, thr)
+                got = _count_near(cols, np.array([0, 1]), np.array([1, 0]), NormKind.SUP, T)
                 assert got == expect, (t, d, axis, diff)
 
 
@@ -221,14 +259,13 @@ def test_sup_predicate_matches_min_formula(d, T, axes):
                    for _, sign, k, free in axes[:d * n]], dtype=np.uint64)
     cols = np.ascontiguousarray(np.concatenate([x, x - du]).reshape(2, n, d).transpose(2, 0, 1)
                                 .reshape(d, 2 * n))
-    thr = paircorr._Threshold(t=T / SCALE, sup_num=T, two_num=0, two_num_f=0.0)
     du = du.reshape(n, d)
     old = np.max(np.minimum(du, -du), axis=1) <= np.uint64(T)
     for j in range(n):
-        got = _count_near(cols, np.array([j]), np.array([n + j]), NormKind.SUP, thr)
+        got = _count_near(cols, np.array([j]), np.array([n + j]), NormKind.SUP, T)
         assert got == int(old[j]), (j, T)
     assert _count_near(cols, np.arange(n), np.arange(n, 2 * n),
-                       NormKind.SUP, thr) == int(np.count_nonzero(old))
+                       NormKind.SUP, T) == int(np.count_nonzero(old))
 
 
 # (t, the wrapped numerator differences of a pair at distance exactly t):
@@ -245,7 +282,7 @@ def test_two_norm_recheck_matches_integer_count(t):
     # step of the last axis past that: all inside the float filter's border
     # band, so the big-integer recheck decides each; the reference is a count
     # in Python integers from the points themselves
-    thr = paircorr._Threshold.make(t)
+    limit = paircorr._limit(t, NormKind.TWO)
     rnd = random.Random(53)
 
     def wrapped(x, y):
@@ -255,7 +292,7 @@ def test_two_norm_recheck_matches_integer_count(t):
     for d in (1, 2, 3):
         tie = _TWO_NORM_TIES.get(t, ())
         diffs = [tie] if len(tie) == d else []
-        for target in (thr.two_num - 1, thr.two_num, thr.two_num + 1):
+        for target in (limit - 1, limit, limit + 1):
             for _ in range(6):
                 head = [rnd.randrange(math.isqrt(target // d)) for _ in range(d - 1)]
                 last = math.isqrt(target - sum(h * h for h in head))
@@ -264,17 +301,17 @@ def test_two_norm_recheck_matches_integer_count(t):
         b = [[(x + k * rnd.choice((1, -1))) % SCALE for x, k in zip(p, diff)]
              for p, diff in zip(a, diffs)]
         ssq = [sum(wrapped(x, y) ** 2 for x, y in zip(p, q)) for p, q in zip(a, b)]
-        assert all(abs(v - thr.two_num) <= thr.two_num * paircorr._BORDER_BAND / 2 for v in ssq)
-        inside = [v <= thr.two_num for v in ssq]
+        assert all(abs(v - limit) <= limit * paircorr._BORDER_BAND / 2 for v in ssq)
+        inside = [v <= limit for v in ssq]
         assert 0 < sum(inside) < len(inside), (t, d)
         if len(tie) == d:
-            assert ssq[0] == thr.two_num
+            assert ssq[0] == limit
         n = len(diffs)
         cols = np.ascontiguousarray(np.array(a + b, dtype=np.uint64).T)
         for j in range(n):
-            got = _count_near(cols, np.array([j]), np.array([n + j]), NormKind.TWO, thr)
-            assert got == inside[j], (t, d, ssq[j] - thr.two_num)
-        assert _count_near(cols, np.arange(n), np.arange(n, 2 * n), NormKind.TWO, thr) == sum(inside)
+            got = _count_near(cols, np.array([j]), np.array([n + j]), NormKind.TWO, limit)
+            assert got == inside[j], (t, d, ssq[j] - limit)
+        assert _count_near(cols, np.arange(n), np.arange(n, 2 * n), NormKind.TWO, limit) == sum(inside)
 
 
 @pytest.fixture
@@ -282,9 +319,9 @@ def predicate_calls(monkeypatch):
     """Record every (cols, ia, ib) handed to the shared predicate."""
     calls = []
 
-    def recording(cols, ia, ib, norm, thr):
+    def recording(cols, ia, ib, norm, limit):
         calls.append((cols, ia.copy(), ib.copy()))
-        return _count_near(cols, ia, ib, norm, thr)
+        return _count_near(cols, ia, ib, norm, limit)
 
     monkeypatch.setattr(paircorr, "_count_near", recording)
     return calls
@@ -335,8 +372,8 @@ def _check_each_pair_once(pts, s, calls, label):
     for i, row in enumerate(pts):
         index.setdefault(row.tobytes(), []).append(i)
     lo, hi = np.triu_indices(n, 1)
-    thr = paircorr._threshold_for(s, n, d)
-    layout = paircorr._grid_layout(pts, thr.t)
+    t = paircorr.threshold(s, n, d)
+    layout = paircorr._grid_layout(pts, t)
     blocks = list(paircorr._candidates(*layout))
     for norm in NormKind:
         naive = ppc_naive(pts, s, norm).near_pairs
@@ -359,7 +396,7 @@ def _check_each_pair_once(pts, s, calls, label):
         # the shared predicate finds no near pair outside the candidates
         missed = ~np.isin(lo * n + hi, keys)
         cols = np.ascontiguousarray(pts.T)
-        assert _count_near(cols, lo[missed], hi[missed], norm, thr) == 0, label
+        assert _count_near(cols, lo[missed], hi[missed], norm, paircorr._limit(t, norm)) == 0, label
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -409,7 +446,7 @@ def test_grid_capped_cells_edges_and_wrap(d, predicate_calls):
     assert len(pts) >= n
     pts = pts[rng.choice(len(pts), size=n, replace=False)]
     s = _lattice_s(t, n, d)
-    assert s is not None and paircorr._threshold_for(s, n, d).sup_num == T
+    assert s is not None and paircorr._limit(paircorr.threshold(s, n, d), NormKind.SUP) == T
     _check_each_pair_once(pts, s, predicate_calls, d)
 
 
@@ -427,7 +464,7 @@ def test_grid_packed_sort_keys_edges(d, monkeypatch, predicate_calls):
     seen_m = set()
     for t in (0.45, 0.05, 2.0 ** -42):
         s = t * n ** (1.0 / d)
-        m = paircorr._cells_per_axis(paircorr._threshold_for(s, n, d).t, d, n)
+        m = paircorr._cells_per_axis(paircorr.threshold(s, n, d), d, n)
         seen_m.add(m)
         assert all(np.unique(paircorr._cell_coords(crowd[:, k], m)).size == 1 for k in range(d))
         _check_each_pair_once(crowd, s, predicate_calls, ("crowd", t))
@@ -526,11 +563,12 @@ def test_grid_matches_naive_across_block_boundaries(block, monkeypatch):
         for n in sizes:
             for t in (0.05, 0.3, 0.4):
                 s = t * n ** (1.0 / d)
-                thr = paircorr._threshold_for(s, n, d)
-                seen_m.add(paircorr._cells_per_axis(thr.t, d, n))
+                thr = paircorr.threshold(s, n, d)
+                seen_m.add(paircorr._cells_per_axis(thr, d, n))
                 pts = rand_points(rng, n, d)
                 low = rng.random(n) < 1 / 3
-                pts[low, -1] = rng.integers(0, thr.sup_num, size=int(low.sum()), dtype=np.uint64)
+                pts[low, -1] = rng.integers(0, paircorr._limit(thr, NormKind.SUP),
+                                            size=int(low.sum()), dtype=np.uint64)
                 for norm in NormKind:
                     got = ppc_grid(pts, s, norm).near_pairs
                     assert got == ppc_naive(pts, s, norm).near_pairs, (d, n, t, norm)
